@@ -44,6 +44,7 @@ import tracemalloc
 import numpy as np
 
 from repro.compute import ClusterConfig, ComputeCluster, PartitionedDataset
+from repro.config import override
 from repro.controller import ControllerCluster
 from repro.core import AthenaDeployment
 from repro.core.feature_manager import FEATURE_COLLECTION, FeatureManager
@@ -52,7 +53,7 @@ from repro.core.query import GenerateQuery
 from repro.dataplane.topologies import linear_topology
 from repro.distdb import ColumnStoreCluster, DatabaseCluster
 from repro.distdb.frame import ChunkExtractor, assemble_chunks
-from repro.perf import BenchResult, HotpathReport, columnar_scope, measure_throughput
+from repro.perf import BenchResult, HotpathReport, measure_throughput
 from repro.telemetry.clocks import Stopwatch
 from repro.workloads.ddos import DDOS_FEATURES, DDoSDatasetGenerator, DDoSDatasetSpec
 
@@ -343,7 +344,7 @@ def _bench_insert_many(quick):
 
 
 def _timed_detection(app, test_documents, enabled):
-    with columnar_scope(enabled):
+    with override(columnar=enabled):
         watch = Stopwatch()
         summary = app.run_batch(test_documents=test_documents)
         elapsed = watch.elapsed()

@@ -18,9 +18,6 @@ checker keeps per-call reflection from creeping back in:
   in modules marked ``# athena-lint: hot-path columnar``.  The columnar
   batch path exists so bulk data moves as numpy columns; a dict built
   per row re-creates the document churn it replaced.
-
-Deliberately kept reference implementations carry an inline
-``# athena-lint: disable=ATH601`` so the slow path stays honest.
 """
 
 from __future__ import annotations

@@ -51,19 +51,17 @@ def _cmd_features(args: argparse.Namespace) -> int:
 def _cmd_ddos(args: argparse.Namespace) -> int:
     from repro.apps.ddos import DDoSDetectorApp
     from repro.compute import ComputeCluster
+    from repro.config import current, override
     from repro.controller import ControllerCluster
     from repro.core import AthenaDeployment
     from repro.dataplane.topologies import enterprise_topology
     from repro.workloads.ddos import DDoSDatasetGenerator, DDoSDatasetSpec
 
-    if args.columnar:
-        from repro.perf import set_columnar
-
-        set_columnar(True)
+    columnar = args.columnar or current().columnar
     generator = DDoSDatasetGenerator(DDoSDatasetSpec(scale=args.scale))
     documents = generator.generate()
     train, test = generator.train_test_split(documents)
-    path = "columnar" if args.columnar else "document"
+    path = "columnar" if columnar else "document"
     print(f"dataset: {len(documents):,} entries at scale {args.scale} "
           f"({path} batch path)")
     topo = enterprise_topology()
@@ -82,7 +80,10 @@ def _cmd_ddos(args: argparse.Namespace) -> int:
     # path, request_frame under --columnar — and the two paths stay
     # byte-equivalent on the same store state (docs/PERF.md).
     athena.feature_manager.publish_documents(train)
-    summary = app.run_batch(test_documents=test)
+    # Scoped to the run: an in-process main([...]) must leave the caller's
+    # runtime config as it found it.
+    with override(columnar=columnar):
+        summary = app.run_batch(test_documents=test)
     print(summary.render())
     report = getattr(athena.detector_manager, "last_job_report", None)
     if report is not None:

@@ -17,7 +17,6 @@ by the Figure 10 bench.
 """
 
 from repro.compute.backends import (
-    BACKEND_ENV_VAR,
     ExecutionBackend,
     ProcessBackend,
     SerialBackend,
@@ -30,7 +29,6 @@ from repro.compute.partition import PartitionedDataset
 from repro.compute.worker import InjectedWorkerCrash, Worker
 
 __all__ = [
-    "BACKEND_ENV_VAR",
     "ClusterConfig",
     "ComputeCluster",
     "ExecutionBackend",

@@ -29,14 +29,14 @@ order, or process boundaries.
 
 Backend selection: pass ``backend="serial" | "process"`` (or an
 :class:`ExecutionBackend` instance) to :class:`ComputeCluster` or to a
-single job; with neither, the ``ATHENA_COMPUTE_BACKEND`` environment
-variable decides, defaulting to serial.
+single job; with neither, the runtime config's ``compute_backend``
+(``ATHENA_COMPUTE_BACKEND``, :mod:`repro.config`) decides, defaulting to
+serial.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -44,6 +44,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro import config as _config
 from repro.compute import worker as worker_module
 from repro.compute.worker import (
     Worker,
@@ -51,9 +52,6 @@ from repro.compute.worker import (
     initialize_pool_worker,
 )
 from repro.errors import ComputeError
-
-#: Environment variable consulted when no backend is named explicitly.
-BACKEND_ENV_VAR = "ATHENA_COMPUTE_BACKEND"
 
 TaskFn = Callable[[Any, Any], Any]
 
@@ -392,13 +390,13 @@ def create_backend(backend: Any = None) -> ExecutionBackend:
     """Resolve a backend choice to an :class:`ExecutionBackend` instance.
 
     ``backend`` may be an instance (returned as-is), a name, or ``None`` —
-    in which case the ``ATHENA_COMPUTE_BACKEND`` environment variable is
-    consulted, defaulting to ``"serial"``.
+    in which case the current runtime config's ``compute_backend``
+    (``ATHENA_COMPUTE_BACKEND``, default ``"serial"``) decides.
     """
     if isinstance(backend, ExecutionBackend):
         return backend
     if backend is None:
-        backend = os.environ.get(BACKEND_ENV_VAR) or SerialBackend.name
+        backend = _config.current().compute_backend
     key = str(backend).strip().lower()
     if key not in _BACKENDS:
         raise ComputeError(

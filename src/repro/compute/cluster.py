@@ -100,7 +100,7 @@ class ComputeCluster:
 
     ``backend`` selects how tasks execute: ``"serial"`` (default),
     ``"process"``, an :class:`ExecutionBackend` instance, or ``None`` to
-    defer to the ``ATHENA_COMPUTE_BACKEND`` environment variable.  Every
+    defer to the runtime config (``ATHENA_COMPUTE_BACKEND``).  Every
     job method also takes a per-job ``backend`` override, which is how the
     northbound API selects a backend per detection task.
     """

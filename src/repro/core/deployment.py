@@ -15,7 +15,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro import config as _config
 from repro.compute import ComputeCluster
+from repro.config import RuntimeConfig
 from repro.controller.cluster import ControllerCluster
 from repro.controller.instance import ControllerInstance
 from repro.core.detector_manager import DetectorManager
@@ -28,6 +30,7 @@ from repro.core.southbound import SouthboundElement
 from repro.core.ui_manager import UIManager
 from repro.distdb import DatabaseCluster
 from repro.errors import AthenaError, ControllerError
+from repro.telemetry import configure as configure_telemetry
 from repro.telemetry import get_telemetry
 
 
@@ -79,7 +82,13 @@ class AthenaInstance:
 
 
 class AthenaDeployment:
-    """The full Athena framework over a controller cluster."""
+    """The full Athena framework over a controller cluster.
+
+    ``config`` pins a :class:`~repro.config.RuntimeConfig` for this
+    deployment's lifetime (its generators, detector manager, default
+    compute cluster and telemetry); left out, the deployment follows
+    :func:`repro.config.current` on every use.
+    """
 
     def __init__(
         self,
@@ -90,10 +99,19 @@ class AthenaDeployment:
         athena_poll_interval: float = 5.0,
         gc_interval: float = 30.0,
         distributed_threshold: int = 50_000,
+        config: Optional[RuntimeConfig] = None,
     ) -> None:
         self.cluster = cluster
+        #: The pinned runtime config, or None to follow the current one.
+        self._config = config
+        if config is not None and get_telemetry().enabled != config.telemetry:
+            # Instruments bind at construction; honour the pinned switch
+            # before anything below binds one.
+            configure_telemetry(enabled=config.telemetry)
         self.database = database or DatabaseCluster(n_shards=3)
-        self.compute = compute or ComputeCluster(n_workers=4)
+        self.compute = compute or ComputeCluster(
+            n_workers=4, backend=self.config.compute_backend
+        )
         # Spans record deterministic sim-clock durations alongside wall time.
         sim = cluster.network.sim
         get_telemetry().set_sim_time_source(lambda: sim.now)
@@ -112,6 +130,7 @@ class AthenaDeployment:
                 port_speed_lookup=lambda dpid, port: self._port_speed(
                     network, dpid, port
                 ),
+                config=config,
             )
             southbound = SouthboundElement(
                 controller,
@@ -132,6 +151,7 @@ class AthenaDeployment:
         self.detector_manager = DetectorManager(
             self.feature_manager,
             self.instances[0].southbound.detector,
+            config=config,
         )
         self.reaction_manager = ReactionManager(
             self.feature_manager,
@@ -152,6 +172,11 @@ class AthenaDeployment:
         self._apps: Dict[str, object] = {}
         #: The streaming runtime, once enable_streaming() has been called.
         self.streaming = None
+
+    @property
+    def config(self) -> RuntimeConfig:
+        """The runtime config this deployment runs under right now."""
+        return self._config or _config.current()
 
     def _mac_of_ip(self, ip: str):
         location = self.cluster.hosts.locate_ip(ip)

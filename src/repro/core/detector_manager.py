@@ -19,6 +19,8 @@ from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
+from repro import config as _config
+from repro.config import RuntimeConfig
 from repro.core.algorithm import Algorithm
 from repro.core.feature_manager import FeatureManager
 from repro.core.preprocessor import Preprocessor
@@ -27,7 +29,6 @@ from repro.core.results import ClusterReport, ValidationSummary
 from repro.distdb.frame import FeatureFrame
 from repro.errors import AthenaError, DatabaseError
 from repro.ml.base import ClusteringModel, Estimator
-from repro.perf import columnar as _columnar
 from repro.telemetry import Stopwatch, get_telemetry
 
 Document = Dict[str, Any]
@@ -66,9 +67,12 @@ class DetectorManager:
         self,
         feature_manager: FeatureManager,
         attack_detector,
+        config: Optional[RuntimeConfig] = None,
     ) -> None:
         self.feature_manager = feature_manager
         self.attack_detector = attack_detector
+        #: A pinned runtime config; None follows the process's current one.
+        self._config = config
         self._online_validators: List[_OnlineValidator] = []
         self._validator_ids = 0
         self.models_generated = 0
@@ -115,13 +119,14 @@ class DetectorManager:
     # -- model generation ------------------------------------------------------
 
     def _fetch_training_data(self, query: Query):
-        """Documents or — under ``ATHENA_COLUMNAR`` — a feature frame.
+        """Documents or — with ``columnar`` configured — a feature frame.
 
         Aggregation queries have no frame shape and always take the
         document path; both paths feed the same downstream bytes
         (docs/PERF.md equivalence contract).
         """
-        if _columnar.ENABLED and query.to_db_pipeline() is None:
+        config = self._config or _config.current()
+        if config.columnar and query.to_db_pipeline() is None:
             return self.feature_manager.request_frame(query)
         return self.feature_manager.request_features(query)
 

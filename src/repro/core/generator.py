@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional, Set
 
+from repro import config as _config
+from repro.config import RuntimeConfig
 from repro.controller.events import (
     FlowRemovedEvent,
     MessageDirection,
@@ -39,7 +41,6 @@ from repro.openflow.messages import (
     PortStatsReply,
     TableStatsReply,
 )
-from repro.perf import sketch as _sketch
 from repro.sketch.features import SketchFeatureState
 from repro.telemetry import StageProfiler, get_telemetry
 
@@ -81,8 +82,11 @@ class FeatureGenerator:
         flow_rule_lookup: Optional[Callable] = None,
         port_speed_lookup: Optional[Callable[[int, int], float]] = None,
         stale_after: float = 60.0,
+        config: Optional[RuntimeConfig] = None,
     ) -> None:
         self.instance_id = instance_id
+        #: A pinned runtime config; None follows the process's current one.
+        self._config = config
         self.sink = sink
         self._flow_rule_lookup = flow_rule_lookup
         self._port_speed_lookup = port_speed_lookup
@@ -111,7 +115,7 @@ class FeatureGenerator:
         self._profiler = StageProfiler(
             metric="athena_feature_stage_seconds", registry=registry
         )
-        # Sketch path (ATHENA_SKETCH): lazily built so exact-only runs pay
+        # Sketch path (config.sketch): lazily built so exact-only runs pay
         # nothing; seeded from the instance id for run-to-run determinism.
         self.sketch_state: Optional[SketchFeatureState] = None
         self._metric_sketch_fill = registry.gauge(
@@ -178,13 +182,14 @@ class FeatureGenerator:
                 kept[name] = value
         return kept
 
-    # -- sketch path (ATHENA_SKETCH) ----------------------------------------
+    # -- sketch path (config.sketch) ----------------------------------------
 
     def _sketch_observe(
         self, dpid: int, indicators: Dict, packets: float, bytes_: float
     ) -> None:
-        """Fold one flow observation into the sketch window (flag-gated)."""
-        if not _sketch.ENABLED or not self._monitoring(dpid, FeatureScope.SKETCH):
+        """Fold one flow observation into the sketch window (config-gated)."""
+        config = self._config or _config.ACTIVE  # per event: no call
+        if not config.sketch or not self._monitoring(dpid, FeatureScope.SKETCH):
             return
         if self.sketch_state is None:
             self.sketch_state = SketchFeatureState(seed=self.instance_id)
@@ -198,7 +203,7 @@ class FeatureGenerator:
     def _emit_sketch_record(self, dpid: int, now: float) -> None:
         """Roll the switch's sketch window into one sketch-scoped record."""
         if (
-            not _sketch.ENABLED
+            not (self._config or _config.ACTIVE).sketch
             or self.sketch_state is None
             or not self._monitoring(dpid, FeatureScope.SKETCH)
             or not self.sketch_state.observations(dpid)

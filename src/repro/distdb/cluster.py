@@ -9,30 +9,28 @@ and aggregated centrally (the correctness-preserving fallback).
 
 from __future__ import annotations
 
-import hashlib
 import json
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.distdb.aggregation import aggregate, merge_grouped
+from repro.distdb.aggregation import aggregate as _aggregate
+from repro.distdb.aggregation import merge_grouped
+from repro.distdb.collection import Collection
+from repro.distdb.core import ShardedStore, replica_name, tracked
 from repro.distdb.frame import FeatureFrame, filter_mask, scan_fields
 from repro.distdb.query import equality_value, sort_documents, validate_filter
 from repro.distdb.shard import ShardNode
-from repro.errors import AllShardsDownError, DatabaseError, ShardDownError
+from repro.errors import DatabaseError
 from repro.telemetry import get_telemetry
 
-#: Operation labels shared by the router's telemetry instruments.
-_DB_OPS = ("insert", "delete", "update", "find", "find_frame", "count", "aggregate")
 
+class DatabaseCluster(ShardedStore):
+    """A sharded document store with a Mongo-like client interface.
 
-def _hash_value(value: Any) -> int:
-    digest = hashlib.md5(repr(value).encode()).digest()
-    return int.from_bytes(digest[:4], "big")
-
-
-class DatabaseCluster:
-    """A sharded document store with a Mongo-like client interface."""
+    The indexed-collection layout over the shared
+    :class:`~repro.distdb.core.ShardedStore` core.
+    """
 
     def __init__(
         self,
@@ -40,68 +38,20 @@ class DatabaseCluster:
         shard_key: str = "_id",
         replication: int = 2,
     ) -> None:
-        if n_shards < 1:
-            raise DatabaseError("cluster needs at least one shard")
-        if replication < 1:
-            raise DatabaseError("replication factor must be >= 1")
-        self.shards = [ShardNode(i) for i in range(n_shards)]
-        self.shard_key = shard_key
-        #: Copies of each document (1 primary + replicas), as in a Mongo
-        #: replica set; replicas live on the next shards round-robin.
-        self.replication = min(replication, n_shards) if n_shards > 1 else 1
+        super().__init__(
+            [ShardNode(i) for i in range(n_shards)], shard_key, replication
+        )
         self.router_ops = 0
         self.bytes_on_wire = 0
-        #: Bumped whenever a scan's result set could change; the columnar
-        #: frame cache keys on it.
-        self._generation = 0
-        #: collection -> (generation, full-scan frame, id(doc) -> row).
-        self._frame_cache: Dict[
-            str, Tuple[int, FeatureFrame, Dict[int, int]]
-        ] = {}
-        #: Shards with injected replication lag: replica copies destined
-        #: for a lagging shard queue here and apply when the lag ends.
-        self._replica_lag: Dict[int, List[Tuple[str, Dict[str, Any]]]] = {}
-        # Telemetry: the per-op counter takes a dynamic ``collection``
-        # label, so the hot write path guards on a captured enabled flag
-        # instead of paying the labels() lookup when disabled.
-        registry = get_telemetry().registry
-        self._telemetry_on = registry.enabled
-        self._metric_ops = registry.counter(
-            "athena_distdb_ops_total",
-            "Router operations served, by operation and collection.",
-            labelnames=("op", "collection"),
-        )
-        op_seconds = registry.histogram(
-            "athena_distdb_op_seconds",
-            "Wall seconds per router operation.",
-            labelnames=("op",),
-        )
-        self._op_timers = {op: op_seconds.labels(op=op) for op in _DB_OPS}
-        self._metric_wire_bytes = registry.counter(
+        self._metric_wire_bytes = get_telemetry().registry.counter(
             "athena_distdb_wire_bytes_total",
             "Driver-side wire bytes encoded for inserts.",
         )
 
-    # -- routing ---------------------------------------------------------
-
-    def _shard_for(self, value: Any) -> ShardNode:
-        shard = self.shards[_hash_value(value) % len(self.shards)]
-        shard.ensure_up()
-        return shard
-
-    def _live_shards(self) -> List[ShardNode]:
-        live = [s for s in self.shards if s.up]
-        if not live:
-            raise AllShardsDownError()
-        return live
-
     # -- writes ------------------------------------------------------------
 
-    @staticmethod
-    def _replica_name(collection: str) -> str:
-        return collection + "__replica"
-
-    def _insert_one_impl(self, collection: str, doc: Dict[str, Any]) -> Any:
+    @tracked("insert")
+    def insert_one(self, collection: str, doc: Dict[str, Any]) -> Any:
         self.router_ops += 1
         self._generation += 1
         # Driver-side wire encoding (the BSON step a real client performs);
@@ -110,70 +60,65 @@ class DatabaseCluster:
         encoded = len(json.dumps(doc, default=str, separators=(",", ":")))
         self.bytes_on_wire += encoded
         self._metric_wire_bytes.inc(encoded)
-        key_value = doc.get(self.shard_key)
-        if key_value is None:
-            # No shard key: route by insertion order hash of the whole doc.
-            key_value = id(doc)
-        home = self.shards[_hash_value(key_value) % len(self.shards)]
-        chain = [
-            self.shards[(home.node_id + offset) % len(self.shards)]
-            for offset in range(self.replication)
-        ]
-        # Replica-set semantics: the first live node in the chain acts as
-        # primary; with no replication a dead home shard fails the write.
-        live = [shard for shard in chain if shard.up]
-        if not live:
-            if not any(shard.up for shard in self.shards):
-                raise AllShardsDownError()
-            raise ShardDownError(home.node_id)
-        primary = live[0]
-        inserted_id = primary.collection(collection).insert_one(doc)
-        replica_name = self._replica_name(collection)
-        for replica in live[1:]:
-            copy = dict(doc)
-            copy["_id"] = inserted_id
+        stored, key_value = self._admit(doc)
+        primary, *replicas = self._write_chain(key_value)
+        primary.collection(collection).insert_stored(stored)
+        replicas_in = replica_name(collection)
+        for replica in replicas:
+            copy = dict(stored)
             lagged = self._replica_lag.get(replica.node_id)
             if lagged is not None:
-                lagged.append((replica_name, copy))
+                lagged.append((replicas_in, copy))
             else:
-                replica.collection(replica_name).insert_one(copy)
-        return inserted_id
+                replica.collection(replicas_in).insert_stored(copy)
+        return stored["_id"]
 
     def insert_many(self, collection: str, docs: List[Dict[str, Any]]) -> int:
         for doc in docs:
             self.insert_one(collection, doc)
         return len(docs)
 
-    def _delete_many_impl(self, collection: str, filter_: Optional[Dict[str, Any]] = None) -> int:
+    def _tables(
+        self, name: str, shards: Optional[List[ShardNode]] = None
+    ) -> List[Collection]:
+        """The named collection on every given (default: live) shard that
+        holds it, in shard order."""
+        shards = self._live_shards() if shards is None else shards
+        return [s.collection(name) for s in shards if s.has_collection(name)]
+
+    @tracked("delete")
+    def delete_many(self, collection: str, filter_: Optional[Dict[str, Any]] = None) -> int:
         self.router_ops += 1
         self._generation += 1
         validate_filter(filter_)
-        removed = 0
-        for name in (collection, self._replica_name(collection)):
-            for shard in self._live_shards():
-                if shard.has_collection(name):
-                    count = shard.collection(name).delete_many(filter_)
-                    if name == collection:
-                        removed += count
-        return removed
+        for replica in self._tables(replica_name(collection)):
+            replica.delete_many(filter_)
+        return sum(t.delete_many(filter_) for t in self._tables(collection))
 
-    def _update_many_impl(
+    @tracked("update")
+    def update_many(
         self, collection: str, filter_: Optional[Dict[str, Any]], changes: Dict[str, Any]
     ) -> int:
         self.router_ops += 1
         self._generation += 1
-        touched = 0
-        for name in (collection, self._replica_name(collection)):
-            for shard in self._live_shards():
-                if shard.has_collection(name):
-                    count = shard.collection(name).update_many(filter_, changes)
-                    if name == collection:
-                        touched += count
-        return touched
+        for replica in self._tables(replica_name(collection)):
+            replica.update_many(filter_, changes)
+        return sum(
+            t.update_many(filter_, changes) for t in self._tables(collection)
+        )
 
     # -- reads ----------------------------------------------------------------
 
-    def _find_impl(
+    def _read_shards(self, filter_: Optional[Dict[str, Any]]) -> List[ShardNode]:
+        """The pinned shard when the filter fixes the shard key, else every
+        live shard."""
+        pinned = equality_value(filter_, self.shard_key)
+        if pinned is not None:
+            return [self._shard_for(pinned)]
+        return self._live_shards()
+
+    @tracked("find")
+    def find(
         self,
         collection: str,
         filter_: Optional[Dict[str, Any]] = None,
@@ -183,19 +128,9 @@ class DatabaseCluster:
     ) -> List[Dict[str, Any]]:
         self.router_ops += 1
         validate_filter(filter_)
-        pinned = equality_value(filter_, self.shard_key)
-        if pinned is not None:
-            shards = [self._shard_for(pinned)]
-        else:
-            shards = self._live_shards()
         results: List[Dict[str, Any]] = []
-        for shard in shards:
-            if shard.has_collection(collection):
-                results.extend(
-                    shard.collection(collection).find(
-                        filter_, projection=projection
-                    )
-                )
+        for table in self._tables(collection, self._read_shards(filter_)):
+            results.extend(table.find(filter_, projection=projection))
         if sort:
             sort_documents(results, sort)
         if limit is not None:
@@ -216,15 +151,9 @@ class DatabaseCluster:
         Callers must treat the documents as read-only.
         """
         validate_filter(filter_)
-        pinned = equality_value(filter_, self.shard_key)
-        if pinned is not None:
-            shards = [self._shard_for(pinned)]
-        else:
-            shards = self._live_shards()
         return [
-            shard.collection(collection).raw_candidates(filter_)
-            for shard in shards
-            if shard.has_collection(collection)
+            table.raw_candidates(filter_)
+            for table in self._tables(collection, self._read_shards(filter_))
         ]
 
     def _frame_index(
@@ -238,20 +167,20 @@ class DatabaseCluster:
         identity — the cache holds references to the stored dicts, so the
         ids stay valid exactly as long as the generation does.
         """
-        cached = self._frame_cache.get(collection)
-        if cached is not None and cached[0] == self._generation:
-            return cached[1], cached[2]
-        frame = FeatureFrame.concat(
-            [
-                FeatureFrame.from_documents(docs)
-                for docs in self.shard_candidates(collection, None)
-            ]
-        )
-        rows = {id(doc): i for i, doc in enumerate(frame.documents())}
-        self._frame_cache[collection] = (self._generation, frame, rows)
-        return frame, rows
 
-    def _find_frame_impl(
+        def build() -> Tuple[FeatureFrame, Dict[int, int]]:
+            frame = FeatureFrame.concat(
+                [
+                    FeatureFrame.from_documents(docs)
+                    for docs in self.shard_candidates(collection, None)
+                ]
+            )
+            return frame, {id(doc): i for i, doc in enumerate(frame.documents())}
+
+        return self._cached_frame(collection, None, build)
+
+    @tracked("find_frame")
+    def find_frame(
         self,
         collection: str,
         filter_: Optional[Dict[str, Any]] = None,
@@ -297,15 +226,13 @@ class DatabaseCluster:
             frame = frame.select(columns)
         return frame
 
-    def _count_impl(self, collection: str, filter_: Optional[Dict[str, Any]] = None) -> int:
+    @tracked("count")
+    def count(self, collection: str, filter_: Optional[Dict[str, Any]] = None) -> int:
         self.router_ops += 1
-        return sum(
-            shard.collection(collection).count(filter_)
-            for shard in self._live_shards()
-            if shard.has_collection(collection)
-        )
+        return sum(t.count(filter_) for t in self._tables(collection))
 
-    def _aggregate_impl(
+    @tracked("aggregate")
+    def aggregate(
         self, collection: str, pipeline: List[Dict[str, Any]]
     ) -> List[Dict[str, Any]]:
         """Run a pipeline, pushing work to shards when mergeable."""
@@ -325,92 +252,17 @@ class DatabaseCluster:
             )
             if mergeable and prefix_ok:
                 partials = [
-                    aggregate(
-                        shard.collection(collection).all_documents(),
-                        pipeline[: group_idx + 1],
-                    )
-                    for shard in self._live_shards()
-                    if shard.has_collection(collection)
+                    _aggregate(table.all_documents(), pipeline[: group_idx + 1])
+                    for table in self._tables(collection)
                 ]
                 merged = merge_grouped(partials, spec)
-                return aggregate(merged, pipeline[group_idx + 1 :])
+                return _aggregate(merged, pipeline[group_idx + 1 :])
         docs = [
             doc
-            for shard in self._live_shards()
-            if shard.has_collection(collection)
-            for doc in shard.collection(collection).all_documents()
+            for table in self._tables(collection)
+            for doc in table.all_documents()
         ]
-        return aggregate(docs, pipeline)
-
-
-    # -- instrumented public surface ------------------------------------------
-
-    def _tracked(self, op: str, collection: str, impl, *args: Any) -> Any:
-        """Run one router op under its counter and latency timer."""
-        self._metric_ops.labels(op=op, collection=collection).inc()
-        with self._op_timers[op].time():
-            return impl(collection, *args)
-
-    def insert_one(self, collection: str, doc: Dict[str, Any]) -> Any:
-        if not self._telemetry_on:
-            return self._insert_one_impl(collection, doc)
-        return self._tracked("insert", collection, self._insert_one_impl, doc)
-
-    def delete_many(
-        self, collection: str, filter_: Optional[Dict[str, Any]] = None
-    ) -> int:
-        if not self._telemetry_on:
-            return self._delete_many_impl(collection, filter_)
-        return self._tracked("delete", collection, self._delete_many_impl, filter_)
-
-    def update_many(
-        self, collection: str, filter_: Optional[Dict[str, Any]], changes: Dict[str, Any]
-    ) -> int:
-        if not self._telemetry_on:
-            return self._update_many_impl(collection, filter_, changes)
-        return self._tracked(
-            "update", collection, self._update_many_impl, filter_, changes
-        )
-
-    def find(
-        self,
-        collection: str,
-        filter_: Optional[Dict[str, Any]] = None,
-        sort: Optional[List[Tuple[str, int]]] = None,
-        limit: Optional[int] = None,
-        projection: Optional[List[str]] = None,
-    ) -> List[Dict[str, Any]]:
-        if not self._telemetry_on:
-            return self._find_impl(collection, filter_, sort, limit, projection)
-        return self._tracked(
-            "find", collection, self._find_impl, filter_, sort, limit, projection
-        )
-
-    def find_frame(
-        self,
-        collection: str,
-        filter_: Optional[Dict[str, Any]] = None,
-        sort: Optional[List[Tuple[str, int]]] = None,
-        limit: Optional[int] = None,
-        columns: Optional[Tuple[str, ...]] = None,
-    ) -> FeatureFrame:
-        if not self._telemetry_on:
-            return self._find_frame_impl(collection, filter_, sort, limit, columns)
-        return self._tracked(
-            "find_frame", collection, self._find_frame_impl, filter_, sort, limit, columns
-        )
-
-    def count(self, collection: str, filter_: Optional[Dict[str, Any]] = None) -> int:
-        if not self._telemetry_on:
-            return self._count_impl(collection, filter_)
-        return self._tracked("count", collection, self._count_impl, filter_)
-
-    def aggregate(
-        self, collection: str, pipeline: List[Dict[str, Any]]
-    ) -> List[Dict[str, Any]]:
-        if not self._telemetry_on:
-            return self._aggregate_impl(collection, pipeline)
-        return self._tracked("aggregate", collection, self._aggregate_impl, pipeline)
+        return _aggregate(docs, pipeline)
 
     # -- administration -----------------------------------------------------------
 
@@ -421,36 +273,12 @@ class DatabaseCluster:
     def document_count(self) -> int:
         return sum(shard.document_count() for shard in self.shards)
 
-    def shard_status(self) -> List[Dict[str, Any]]:
-        """Per-shard liveness and size, for health endpoints and runbooks.
-
-        The serving tier's ``/api/health`` exposes these rows verbatim, so
-        the keys are API surface (docs/API.md).
-        """
-        return [
-            {
-                "node_id": shard.node_id,
-                "up": shard.up,
-                "documents": shard.document_count(),
-                "replica_lag_depth": self.replica_lag_depth(shard.node_id),
-            }
-            for shard in self.shards
-        ]
-
     def op_stats(self) -> Dict[str, Any]:
         totals: Dict[str, Any] = {"router_ops": self.router_ops}
         for shard in self.shards:
             for op, count in shard.op_stats().items():
                 totals[op] = totals.get(op, 0) + count
         return totals
-
-    def fail_shard(self, node_id: int) -> None:
-        self.shards[node_id].up = False
-        self._generation += 1
-
-    def recover_shard(self, node_id: int) -> None:
-        self.shards[node_id].up = True
-        self._generation += 1
 
     # -- injected replication lag -------------------------------------------
 
@@ -470,11 +298,7 @@ class DatabaseCluster:
         queued = self._replica_lag.pop(node_id, [])
         shard = self.shards[node_id]
         for name, doc in queued:
-            shard.collection(name).insert_one(doc)
+            shard.collection(name).insert_stored(doc)
         if queued:
             self._generation += 1
         return len(queued)
-
-    def replica_lag_depth(self, node_id: int) -> int:
-        """Replica writes queued for a lagging shard (0 if not lagging)."""
-        return len(self._replica_lag.get(node_id, []))

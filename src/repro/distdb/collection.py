@@ -5,14 +5,12 @@ Equality lookups on indexed fields use the hash index; everything else scans.
 The collection also counts operations and approximate bytes handled, which
 the Cbench experiment uses to report where overhead went.
 
-Reads take a zero-copy fast path by default (docs/PERF.md): ``find``
-filters the raw stored documents, memoizes each document's byte estimate
-per ``_id`` (invalidated on update/delete), sorts and limits *before*
-copying, and only the surviving documents are copied out.  Compound
-``(field, field)`` hash indexes serve the feature store's per-flow
-queries, whose filters pin a pair of fields inside an ``$and``.  With
-``ATHENA_FAST_PATH=0`` the original copy-then-trim read path runs
-instead; both return identical results and identical byte accounting.
+Reads are zero-copy until the end (docs/PERF.md): ``find`` filters the
+raw stored documents, memoizes each document's byte estimate per ``_id``
+(invalidated on update/delete), sorts and limits *before* copying, and
+only the surviving documents are copied out.  Compound ``(field, field)``
+hash indexes serve the feature store's per-flow queries, whose filters
+pin a pair of fields inside an ``$and``.
 """
 
 # athena-lint: hot-path
@@ -24,17 +22,14 @@ from collections import defaultdict
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.distdb.query import (
-    MISSING,
     collect_equality_pins,
-    equality_pin,
+    copy_out,
     filter_documents,
     get_path,
     matches_filter,
-    sort_documents,
     validate_filter,
 )
 from repro.errors import DatabaseError
-from repro.perf import fastpath as _fastpath
 
 _id_counter = itertools.count(1)
 
@@ -125,15 +120,25 @@ class Collection:
         stored = dict(doc)
         if "_id" not in stored:
             stored["_id"] = next(_id_counter)
-        if stored["_id"] in self._docs:
-            raise DatabaseError(f"duplicate _id {stored['_id']!r}")
-        self._docs[stored["_id"]] = stored
+        return self.insert_stored(stored)
+
+    def insert_stored(self, stored: Dict[str, Any]) -> Any:
+        """Take ownership of ``stored``, a private dict carrying its ``_id``.
+
+        The cluster router's write path: it has already copied the
+        caller's document and assigned the ``_id`` it routed by, so the
+        collection stores that dict as is instead of copying it again.
+        """
+        _id = stored["_id"]
+        if _id in self._docs:
+            raise DatabaseError(f"duplicate _id {_id!r}")
+        self._docs[_id] = stored
         self._index_add(stored)
         self.ops["insert"] += 1
         size = approx_size(stored)
-        self._size_cache[stored["_id"]] = size
+        self._size_cache[_id] = size
         self.bytes_written += size
-        return stored["_id"]
+        return _id
 
     def insert_many(self, docs: Iterable[Dict[str, Any]]) -> List[Any]:
         return [self.insert_one(doc) for doc in docs]
@@ -180,27 +185,17 @@ class Collection:
         """Use a hash index when the filter pins an indexed field.
 
         ``None`` is a legitimate pinned value (the sentinel-based pin
-        extraction keeps "pinned to None" distinct from "not pinned"); on
-        the fast path, pins inside ``$and`` conjuncts count and compound
-        indexes are consulted before single-field ones.
+        extraction keeps "pinned to None" distinct from "not pinned");
+        pins inside ``$and`` conjuncts count, and compound indexes are
+        consulted before single-field ones.
         """
-        if not _fastpath.ENABLED:
-            for field in self._indexes:
-                value = equality_pin(filter_, field)
-                if value is not MISSING:
-                    try:
-                        ids = self._indexes[field].get(value, set())
-                    except TypeError:  # unhashable pin value
-                        continue
-                    return [self._docs[_id] for _id in ids if _id in self._docs]
-            return self._docs.values()
         pins = collect_equality_pins(filter_)
         if pins:
             for fields, index in self._compound_indexes.items():
                 if all(f in pins for f in fields):
                     try:
                         ids = index.get(tuple(pins[f] for f in fields), set())
-                    except TypeError:
+                    except TypeError:  # unhashable pin value
                         continue
                     return [self._docs[_id] for _id in ids if _id in self._docs]
             for field in self._indexes:
@@ -238,42 +233,10 @@ class Collection:
         """Query the collection. ``sort`` is a list of (field, +1/-1)."""
         validate_filter(filter_)
         self.ops["find"] += 1
-        if not _fastpath.ENABLED:
-            return self._find_reference(filter_, sort, limit, projection)
         matched = list(filter_documents(self._candidates(filter_), filter_))
-        # Byte accounting covers every matched document (pre-limit), with
-        # the same totals as the reference path — just memoized.
+        # Byte accounting covers every matched document (pre-limit).
         self.bytes_read += sum(self._approx_size_cached(d) for d in matched)
-        if sort:
-            sort_documents(matched, sort)
-        if limit is not None:
-            matched = matched[: max(0, limit)]
-        results = [dict(doc) for doc in matched]
-        if projection:
-            keep = set(projection) | {"_id"}
-            results = [{k: v for k, v in doc.items() if k in keep} for doc in results]
-        return results
-
-    def _find_reference(
-        self,
-        filter_: Optional[Dict[str, Any]],
-        sort: Optional[List[Tuple[str, int]]],
-        limit: Optional[int],
-        projection: Optional[List[str]],
-    ) -> List[Dict[str, Any]]:
-        """The original copy-then-trim read path (``ATHENA_FAST_PATH=0``)."""
-        results = [
-            dict(doc) for doc in filter_documents(self._candidates(filter_), filter_)
-        ]
-        self.bytes_read += sum(approx_size(d) for d in results)
-        if sort:
-            sort_documents(results, sort)
-        if limit is not None:
-            results = results[: max(0, limit)]
-        if projection:
-            keep = set(projection) | {"_id"}
-            results = [{k: v for k, v in doc.items() if k in keep} for doc in results]
-        return results
+        return copy_out(matched, sort, limit, projection)
 
     def count(self, filter_: Optional[Dict[str, Any]] = None) -> int:
         validate_filter(filter_)

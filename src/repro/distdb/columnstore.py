@@ -8,8 +8,10 @@ log-structured store whose write path is an append — no secondary-index
 maintenance, no per-document wire encoding, replication via cheap buffered
 batches — at the cost of scan-based reads.
 
-The public surface duck-types :class:`~repro.distdb.cluster.DatabaseCluster`
-(insert/find/count/delete/aggregate/create_index), so
+Routing, replication, liveness, the frame cache and op accounting come
+from the :class:`~repro.distdb.core.ShardedStore` core it shares with
+:class:`~repro.distdb.cluster.DatabaseCluster`, and the public surface
+matches (insert/find/count/delete/aggregate/create_index), so
 :class:`~repro.core.feature_manager.FeatureManager` and the Cbench harness
 can swap backends; ``bench_cassandra_backend`` measures the resulting
 Table IX improvement.
@@ -17,20 +19,23 @@ Table IX improvement.
 
 from __future__ import annotations
 
-import hashlib
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.distdb.aggregation import aggregate as _aggregate
+from repro.distdb.core import (
+    REPLICA_SUFFIX,
+    ShardedStore,
+    StoreNode,
+    replica_name,
+    tracked,
+)
 from repro.distdb.frame import FeatureFrame, filter_mask
-from repro.distdb.query import filter_documents, sort_documents, validate_filter
-from repro.errors import DatabaseError
-from repro.perf import fastpath as _fastpath
-from repro.telemetry import get_telemetry
-
-
-def _hash_value(value: Any) -> int:
-    digest = hashlib.md5(repr(value).encode()).digest()
-    return int.from_bytes(digest[:4], "big")
+from repro.distdb.query import (
+    copy_out,
+    filter_documents,
+    matches_filter,
+    validate_filter,
+)
 
 
 class _ColumnFamily:
@@ -80,13 +85,12 @@ class _ColumnFamily:
         return len(self.memtable) + sum(len(s) for s in self.sstables)
 
 
-class _ColumnNode:
+class _ColumnNode(StoreNode):
     """One storage node."""
 
     def __init__(self, node_id: int) -> None:
-        self.node_id = node_id
+        super().__init__(node_id)
         self.families: Dict[str, _ColumnFamily] = {}
-        self.up = True
 
     def family(self, name: str) -> _ColumnFamily:
         if name not in self.families:
@@ -96,9 +100,16 @@ class _ColumnNode:
     def has_family(self, name: str) -> bool:
         return name in self.families
 
+    def document_count(self) -> int:
+        return sum(len(family) for family in self.families.values())
 
-class ColumnStoreCluster:
-    """A sharded, replicated, write-optimised document store."""
+
+class ColumnStoreCluster(ShardedStore):
+    """A sharded, replicated, write-optimised document store.
+
+    The memtable/sstable append layout over the shared
+    :class:`~repro.distdb.core.ShardedStore` core.
+    """
 
     def __init__(
         self,
@@ -106,71 +117,37 @@ class ColumnStoreCluster:
         partition_key: str = "switch_id",
         replication: int = 2,
     ) -> None:
-        if n_nodes < 1:
-            raise DatabaseError("cluster needs at least one node")
-        self.nodes = [_ColumnNode(i) for i in range(n_nodes)]
-        self.partition_key = partition_key
-        self.replication = min(max(1, replication), n_nodes)
-        self._id_counter = 0
-        self.writes = 0
-        #: Bumped whenever results of a scan could change; the columnar
-        #: frame cache keys on it.
-        self._generation = 0
-        #: collection -> (generation, columns-key, full-scan FeatureFrame).
-        self._frame_cache: Dict[str, Tuple[int, Any, FeatureFrame]] = {}
-        # Shares athena_distdb_ops_total with DatabaseCluster (the two are
-        # interchangeable backends behind the FeatureManager).
-        registry = get_telemetry().registry
-        self._telemetry_on = registry.enabled
-        self._metric_ops = registry.counter(
-            "athena_distdb_ops_total",
-            "Router operations served, by operation and collection.",
-            labelnames=("op", "collection"),
+        super().__init__(
+            [_ColumnNode(i) for i in range(n_nodes)], partition_key, replication
         )
+        self.writes = 0
 
-    def _count_op(self, op: str, collection: str) -> None:
-        if self._telemetry_on:
-            self._metric_ops.labels(op=op, collection=collection).inc()
-
-    # -- routing -----------------------------------------------------------
-
-    def _replica_nodes(self, key_value: Any) -> List[_ColumnNode]:
-        start = _hash_value(key_value) % len(self.nodes)
-        return [
-            self.nodes[(start + offset) % len(self.nodes)]
-            for offset in range(self.replication)
-        ]
-
-    def _live_nodes(self) -> List[_ColumnNode]:
-        live = [n for n in self.nodes if n.up]
-        if not live:
-            raise DatabaseError("all column-store nodes are down")
-        return live
+    def _scan(self, collection: str) -> Iterator[Dict[str, Any]]:
+        """Every stored document of the collection on the live nodes."""
+        for node in self._live_shards():
+            if node.has_family(collection):
+                yield from node.family(collection).scan()
 
     # -- writes ----------------------------------------------------------------
 
-    def insert_one(self, collection: str, doc: Dict[str, Any]) -> Any:
-        self._count_op("insert", collection)
-        self._generation += 1
-        stored = self._store_doc(doc)
-        key_value = stored.get(self.partition_key, stored["_id"])
-        primary, *replicas = self._replica_nodes(key_value)
+    @staticmethod
+    def _append(chain: List[_ColumnNode], collection: str, stored: Dict[str, Any]) -> None:
+        primary, *replicas = chain
         primary.family(collection).append(stored)
         for replica in replicas:
-            if replica.up:
-                # Replicas share the stored dict: the replication cost is a
-                # pointer append (hinted-handoff style), not a deep copy.
-                replica.family(collection + "__replica").append(stored)
+            # Replicas share the stored dict: the replication cost is a
+            # pointer append (hinted-handoff style), not a deep copy.
+            replica.family(replica_name(collection)).append(stored)
+
+    @tracked("insert")
+    def insert_one(self, collection: str, doc: Dict[str, Any]) -> Any:
+        self._generation += 1
+        stored, key_value = self._admit(doc)
+        self._append(self._write_chain(key_value), collection, stored)
         self.writes += 1
         return stored["_id"]
 
-    def _store_doc(self, doc: Dict[str, Any]) -> Dict[str, Any]:
-        stored = dict(doc)
-        if "_id" not in stored:
-            self._id_counter += 1
-            stored["_id"] = self._id_counter
-        return stored
-
+    @tracked("insert")
     def insert_many(self, collection: str, docs: List[Dict[str, Any]]) -> int:
         """Batch insert: one telemetry op, one route per partition key.
 
@@ -180,68 +157,56 @@ class ColumnStoreCluster:
         memtable contents, flush points, and scan order are identical to
         the per-doc loop's.
         """
-        self._count_op("insert", collection)
         self._generation += 1
-        replica_name = collection + "__replica"
         routes: Dict[Any, List[_ColumnNode]] = {}
         for doc in docs:
-            stored = self._store_doc(doc)
-            key_value = stored.get(self.partition_key, stored["_id"])
+            stored, key_value = self._admit(doc)
             try:
                 chain = routes.get(key_value)
-            except TypeError:  # unhashable key value: route directly
-                chain = None
-            else:
                 if chain is None:
-                    chain = self._replica_nodes(key_value)
-                    routes[key_value] = chain
-            if chain is None:
-                chain = self._replica_nodes(key_value)
-            chain[0].family(collection).append(stored)
-            for replica in chain[1:]:
-                if replica.up:
-                    replica.family(replica_name).append(stored)
+                    chain = routes[key_value] = self._write_chain(key_value)
+            except TypeError:  # unhashable key value: route directly
+                chain = self._write_chain(key_value)
+            self._append(chain, collection, stored)
         self.writes += len(docs)
         return len(docs)
 
+    @tracked("delete")
     def delete_many(self, collection: str, filter_: Optional[Dict[str, Any]] = None) -> int:
-        self._count_op("delete", collection)
         validate_filter(filter_)
         self._generation += 1
         removed = 0
-        for name in (collection, collection + "__replica"):
-            for node in self._live_nodes():
+        for name in (collection, replica_name(collection)):
+            for node in self._live_shards():
                 if not node.has_family(name):
                     continue
                 family = node.family(name)
                 kept = [
                     doc
                     for doc in family.scan()
-                    if not _matches(doc, filter_)
+                    if not matches_filter(doc, filter_)
                 ]
                 if name == collection:
                     removed += len(family) - len(kept)
                 family.rewrite(kept)
         return removed
 
+    @tracked("update")
     def update_many(
         self, collection: str, filter_: Optional[Dict[str, Any]], changes: Dict[str, Any]
     ) -> int:
-        self._count_op("update", collection)
         validate_filter(filter_)
         self._generation += 1
         touched = 0
-        for node in self._live_nodes():
-            if not node.has_family(collection):
-                continue
-            for doc in node.family(collection).scan():
-                if _matches(doc, filter_):
-                    doc.update(changes)
-                    touched += 1
+        for doc in self._scan(collection):
+            if matches_filter(doc, filter_):
+                doc.update(changes)
+                touched += 1
         return touched
 
     # -- reads --------------------------------------------------------------------
 
+    @tracked("find")
     def find(
         self,
         collection: str,
@@ -250,59 +215,12 @@ class ColumnStoreCluster:
         limit: Optional[int] = None,
         projection: Optional[List[str]] = None,
     ) -> List[Dict[str, Any]]:
-        self._count_op("find", collection)
         validate_filter(filter_)
-        if not _fastpath.ENABLED:
-            return self._find_reference(collection, filter_, sort, limit, projection)
-        # Zero-copy read (the PR-4 distdb contract): filter the raw stored
-        # documents, sort and trim the *references*, and copy only the
-        # post-limit survivors out.
-        matched: List[Dict[str, Any]] = []
-        for node in self._live_nodes():
-            if node.has_family(collection):
-                matched.extend(
-                    filter_documents(node.family(collection).scan(), filter_)
-                )
-        if sort:
-            sort_documents(matched, sort)
-        if limit is not None:
-            matched = matched[: max(0, limit)]
-        results = [dict(doc) for doc in matched]
-        if projection:
-            keep = set(projection) | {"_id"}
-            results = [
-                {k: v for k, v in doc.items() if k in keep} for doc in results
-            ]
-        return results
-
-    def _find_reference(
-        self,
-        collection: str,
-        filter_: Optional[Dict[str, Any]],
-        sort: Optional[List[Tuple[str, int]]],
-        limit: Optional[int],
-        projection: Optional[List[str]],
-    ) -> List[Dict[str, Any]]:
-        """The original copy-then-trim scan (``ATHENA_FAST_PATH=0``)."""
-        results: List[Dict[str, Any]] = []
-        for node in self._live_nodes():
-            if node.has_family(collection):
-                results.extend(
-                    dict(doc)
-                    for doc in filter_documents(
-                        node.family(collection).scan(), filter_
-                    )
-                )
-        if sort:
-            sort_documents(results, sort)
-        if limit is not None:
-            results = results[: max(0, limit)]
-        if projection:
-            keep = set(projection) | {"_id"}
-            results = [
-                {k: v for k, v in doc.items() if k in keep} for doc in results
-            ]
-        return results
+        # Zero-copy read (the distdb contract, docs/PERF.md): filter the
+        # raw stored documents, sort and trim the *references*, and copy
+        # only the post-limit survivors out.
+        matched = list(filter_documents(self._scan(collection), filter_))
+        return copy_out(matched, sort, limit, projection)
 
     def frame(
         self,
@@ -316,22 +234,15 @@ class ColumnStoreCluster:
         columnar path's answer to the store having no secondary indexes.
         Row order matches :meth:`find`'s pre-sort scan order exactly.
         """
-        columns_key = tuple(columns) if columns is not None else None
-        cached = self._frame_cache.get(collection)
-        if cached is not None:
-            generation, cached_key, frame = cached
-            if generation == self._generation and cached_key == columns_key:
-                return frame
-        docs = [
-            doc
-            for node in self._live_nodes()
-            if node.has_family(collection)
-            for doc in node.family(collection).scan()
-        ]
-        frame = FeatureFrame.from_documents(docs, columns)
-        self._frame_cache[collection] = (self._generation, columns_key, frame)
-        return frame
+        return self._cached_frame(
+            collection,
+            tuple(columns) if columns is not None else None,
+            lambda: FeatureFrame.from_documents(
+                list(self._scan(collection)), columns
+            ),
+        )
 
+    @tracked("find_frame")
     def find_frame(
         self,
         collection: str,
@@ -345,7 +256,6 @@ class ColumnStoreCluster:
         Selects exactly the rows :meth:`find` returns, in the same order,
         as a frame over the shared stored documents (no copies).
         """
-        self._count_op("find_frame", collection)
         validate_filter(filter_)
         frame = self.frame(collection, columns)
         if filter_:
@@ -356,27 +266,16 @@ class ColumnStoreCluster:
             frame = frame.head(limit)
         return frame
 
+    @tracked("count")
     def count(self, collection: str, filter_: Optional[Dict[str, Any]] = None) -> int:
-        self._count_op("count", collection)
         validate_filter(filter_)
-        return sum(
-            1
-            for node in self._live_nodes()
-            if node.has_family(collection)
-            for _doc in filter_documents(node.family(collection).scan(), filter_)
-        )
+        return sum(1 for _doc in filter_documents(self._scan(collection), filter_))
 
+    @tracked("aggregate")
     def aggregate(
         self, collection: str, pipeline: List[Dict[str, Any]]
     ) -> List[Dict[str, Any]]:
-        self._count_op("aggregate", collection)
-        docs = [
-            doc
-            for node in self._live_nodes()
-            if node.has_family(collection)
-            for doc in node.family(collection).scan()
-        ]
-        return _aggregate(docs, pipeline)
+        return _aggregate(list(self._scan(collection)), pipeline)
 
     # -- administration ----------------------------------------------------------------
 
@@ -384,41 +283,28 @@ class ColumnStoreCluster:
         """No-op: the write-optimised store has no secondary indexes."""
 
     def document_count(self) -> int:
+        """Primary copies only (replica families hold pointers to them)."""
         return sum(
             len(family)
-            for node in self.nodes
+            for node in self.shards
             for name, family in node.families.items()
-            if not name.endswith("__replica")
+            if not name.endswith(REPLICA_SUFFIX)
         )
 
     def compact_all(self) -> int:
         """Run compaction everywhere; returns segments merged."""
         return sum(
             family.compact()
-            for node in self.nodes
+            for node in self.shards
             for family in node.families.values()
         )
-
-    def fail_node(self, node_id: int) -> None:
-        self.nodes[node_id].up = False
-        self._generation += 1
-
-    def recover_node(self, node_id: int) -> None:
-        self.nodes[node_id].up = True
-        self._generation += 1
 
     def op_stats(self) -> Dict[str, Any]:
         return {
             "writes": self.writes,
             "flushes": sum(
                 family.flushes
-                for node in self.nodes
+                for node in self.shards
                 for family in node.families.values()
             ),
         }
-
-
-def _matches(doc: Dict[str, Any], filter_: Optional[Dict[str, Any]]) -> bool:
-    from repro.distdb.query import matches_filter
-
-    return matches_filter(doc, filter_)

@@ -1,0 +1,202 @@
+"""What every sharded store layout shares.
+
+:class:`ShardedStore` is the one core under both store layouts — the
+indexed document collections of
+:class:`~repro.distdb.cluster.DatabaseCluster` and the memtable/sstable
+append log of :class:`~repro.distdb.columnstore.ColumnStoreCluster`.  It
+owns the shard-key hash, ``_id`` assignment, the replica chain with
+first-live-primary routing, the typed liveness checks, the
+generation-keyed frame cache, the per-operation counter/timer wrapper and
+the ``fail_shard`` / ``recover_shard`` / ``shard_status`` surface.  A
+layout adds only how one node stores, scans and indexes documents.
+"""
+
+from __future__ import annotations
+
+import functools
+import hashlib
+import itertools
+from typing import Any, Callable, Dict, List, Sequence, Tuple
+
+from repro.errors import AllShardsDownError, DatabaseError, ShardDownError
+from repro.telemetry import get_telemetry
+
+#: Operation labels shared by the stores' telemetry instruments.
+_DB_OPS = ("insert", "delete", "update", "find", "find_frame", "count", "aggregate")
+#: Suffix of the table holding a collection's replica copies on a node.
+REPLICA_SUFFIX = "__replica"
+
+
+def _hash_value(value: Any) -> int:
+    digest = hashlib.md5(repr(value).encode()).digest()
+    return int.from_bytes(digest[:4], "big")
+
+
+def replica_name(collection: str) -> str:
+    return collection + REPLICA_SUFFIX
+
+
+def tracked(op: str) -> Callable:
+    """Count and time a store operation ``method(self, collection, ...)``;
+    with telemetry off, one flag test and no ``labels()`` lookup."""
+
+    def decorate(method: Callable) -> Callable:
+        @functools.wraps(method)
+        def tracked_method(self, collection: str, *args: Any, **kwargs: Any) -> Any:
+            if not self._telemetry_on:
+                return method(self, collection, *args, **kwargs)
+            self._metric_ops.labels(op=op, collection=collection).inc()
+            with self._op_timers[op].time():
+                return method(self, collection, *args, **kwargs)
+
+        return tracked_method
+
+    return decorate
+
+
+class StoreNode:
+    """One storage server: an id and a liveness bit; layouts add tables."""
+
+    def __init__(self, node_id: int) -> None:
+        self.node_id = node_id
+        self.up = True
+
+    def ensure_up(self) -> None:
+        if not self.up:
+            raise ShardDownError(self.node_id)
+
+    def document_count(self) -> int:
+        """Documents held on this node, replica copies included."""
+        raise NotImplementedError
+
+
+class ShardedStore:
+    """Routing, replication, liveness, frame cache and op accounting."""
+
+    def __init__(
+        self, shards: Sequence[StoreNode], shard_key: str, replication: int
+    ) -> None:
+        if not shards:
+            raise DatabaseError("cluster needs at least one shard")
+        if replication < 1:
+            raise DatabaseError("replication factor must be >= 1")
+        self.shards = list(shards)
+        self.shard_key = shard_key
+        #: Copies of each document (1 primary + replicas), as in a replica
+        #: set; replicas live on the next shards round-robin.
+        self.replication = min(replication, len(self.shards))
+        #: Per-store ``_id`` source, so placement depends only on the
+        #: documents a store was fed, never on what else the process ran.
+        self._ids = itertools.count(1)
+        #: Bumped whenever a scan's result set could change; the frame
+        #: cache keys on it.
+        self._generation = 0
+        #: collection -> ((generation, variant), cached value).
+        self._frame_cache: Dict[str, Tuple[Tuple[int, Any], Any]] = {}
+        #: Shards with injected replication lag (a layout that supports it
+        #: queues their replica copies here until the lag ends).
+        self._replica_lag: Dict[int, List[Tuple[str, Dict[str, Any]]]] = {}
+        # ``tracked`` guards on this captured flag: the per-op counter's
+        # dynamic ``collection`` label makes labels() too dear to pay off.
+        registry = get_telemetry().registry
+        self._telemetry_on = registry.enabled
+        self._metric_ops = registry.counter(
+            "athena_distdb_ops_total",
+            "Router operations served, by operation and collection.",
+            labelnames=("op", "collection"),
+        )
+        op_seconds = registry.histogram(
+            "athena_distdb_op_seconds",
+            "Wall seconds per router operation.",
+            labelnames=("op",),
+        )
+        self._op_timers = {op: op_seconds.labels(op=op) for op in _DB_OPS}
+
+    # -- routing -----------------------------------------------------------
+
+    def _admit(self, doc: Dict[str, Any]) -> Tuple[Dict[str, Any], Any]:
+        """The private copy to store and its routing key.  The ``_id`` is
+        assigned *before* hashing, so a document without a shard-key value
+        is routed by the ``_id`` a later ``find({"_id": ...})`` routes by."""
+        stored = dict(doc)
+        if "_id" not in stored:
+            stored["_id"] = next(self._ids)
+        key_value = stored.get(self.shard_key)
+        if key_value is None:
+            key_value = stored["_id"]
+        return stored, key_value
+
+    def _write_chain(self, key_value: Any) -> List[Any]:
+        """Live nodes of the key's replica chain; the first acts as primary.
+
+        A dead home shard hands the primary role to the next live node, so
+        acknowledged writes stay readable through a single-node outage; a
+        chain with no live node fails the write with a typed error.
+        """
+        shards = self.shards
+        home = _hash_value(key_value) % len(shards)
+        live = []
+        for offset in range(self.replication):
+            shard = shards[(home + offset) % len(shards)]
+            if shard.up:
+                live.append(shard)
+        if not live:
+            if not any(shard.up for shard in shards):
+                raise AllShardsDownError()
+            raise ShardDownError(home)
+        return live
+
+    def _shard_for(self, value: Any) -> Any:
+        """The live home shard of a pinned shard-key value."""
+        shard = self.shards[_hash_value(value) % len(self.shards)]
+        shard.ensure_up()
+        return shard
+
+    def _live_shards(self) -> List[Any]:
+        live = [shard for shard in self.shards if shard.up]
+        if not live:
+            raise AllShardsDownError()
+        return live
+
+    # -- frame cache ---------------------------------------------------------
+
+    def _cached_frame(self, collection: str, variant: Any, build: Callable[[], Any]) -> Any:
+        """``build()`` once per store generation and ``variant``; one entry
+        per collection, rebuilt after any write, failure or recovery."""
+        stamp = (self._generation, variant)
+        cached = self._frame_cache.get(collection)
+        if cached is not None and cached[0] == stamp:
+            return cached[1]
+        value = build()
+        self._frame_cache[collection] = (stamp, value)
+        return value
+
+    # -- administration --------------------------------------------------------
+
+    def fail_shard(self, node_id: int) -> None:
+        self.shards[node_id].up = False
+        self._generation += 1
+
+    def recover_shard(self, node_id: int) -> None:
+        self.shards[node_id].up = True
+        self._generation += 1
+
+    def replica_lag_depth(self, node_id: int) -> int:
+        """Replica writes queued for a lagging shard (0 if not lagging)."""
+        return len(self._replica_lag.get(node_id, ()))
+
+    def shard_status(self) -> List[Dict[str, Any]]:
+        """Per-shard liveness and size, for health endpoints and runbooks.
+
+        The serving tier's ``/api/health`` exposes these rows verbatim, so
+        the keys are API surface (docs/API.md).
+        """
+        return [
+            {
+                "node_id": shard.node_id,
+                "up": shard.up,
+                "documents": shard.document_count(),
+                "replica_lag_depth": self.replica_lag_depth(shard.node_id),
+            }
+            for shard in self.shards
+        ]

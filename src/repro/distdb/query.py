@@ -230,3 +230,21 @@ def filter_documents(
     for doc in docs:
         if matches_filter(doc, filter_):
             yield doc
+
+
+def copy_out(
+    matched: List[Dict[str, Any]],
+    sort: Optional[List[Tuple[str, int]]],
+    limit: Optional[int],
+    projection: Optional[List[str]],
+) -> List[Dict[str, Any]]:
+    """The tail of a zero-copy read: sort and trim the stored *references*,
+    then copy (and project) only the post-limit survivors out."""
+    if sort:
+        sort_documents(matched, sort)
+    if limit is not None:
+        matched = matched[: max(0, limit)]
+    if projection:
+        keep = set(projection) | {"_id"}
+        return [{k: v for k, v in doc.items() if k in keep} for doc in matched]
+    return [dict(doc) for doc in matched]

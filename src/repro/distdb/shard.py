@@ -2,19 +2,18 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict
 
 from repro.distdb.collection import Collection
-from repro.errors import ShardDownError
+from repro.distdb.core import StoreNode
 
 
-class ShardNode:
+class ShardNode(StoreNode):
     """One database node holding a subset of every collection."""
 
     def __init__(self, node_id: int) -> None:
-        self.node_id = node_id
+        super().__init__(node_id)
         self._collections: Dict[str, Collection] = {}
-        self.up = True
 
     def collection(self, name: str) -> Collection:
         if name not in self._collections:
@@ -24,15 +23,8 @@ class ShardNode:
     def has_collection(self, name: str) -> bool:
         return name in self._collections
 
-    def collection_names(self) -> List[str]:
-        return sorted(self._collections)
-
     def document_count(self) -> int:
         return sum(len(c) for c in self._collections.values())
-
-    def ensure_up(self) -> None:
-        if not self.up:
-            raise ShardDownError(self.node_id)
 
     def op_stats(self) -> Dict[str, Any]:
         """Aggregate op counters across this node's collections."""

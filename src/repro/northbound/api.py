@@ -35,7 +35,6 @@ from repro.errors import (
     QueryError,
     ReproError,
 )
-from repro.perf import sketch as _sketch
 from repro.telemetry import get_telemetry, to_prometheus_text
 from repro.northbound.cache import VersionedCache
 
@@ -261,9 +260,9 @@ class NorthboundAPI:
             # Streaming detector registrations happen outside sim events,
             # so the version must observe them directly.
             0 if d.streaming is None else d.streaming.detectors.detector_count,
-            # The sketch flag can be toggled at runtime; /api/status reports
-            # it, so a toggle must invalidate cached responses.
-            _sketch.ENABLED,
+            # The sketch switch can be overridden at runtime; /api/status
+            # reports it, so a toggle must invalidate cached responses.
+            d.config.sketch,
         )
 
     # -- WSGI entry point ----------------------------------------------------
@@ -425,7 +424,7 @@ class NorthboundAPI:
         d = self.deployment
         data = dict(d.summary())
         data["sim_events_processed"] = d.cluster.network.sim.processed
-        data["sketch"] = {"enabled": _sketch.ENABLED, **d.sketch_stats()}
+        data["sketch"] = {"enabled": d.config.sketch, **d.sketch_stats()}
         data["cache"] = {
             "entries": len(self.cache),
             "hits": self.cache.hits,

@@ -8,21 +8,18 @@ key on it directly.
 Matching is the innermost loop of the simulated dataplane — every packet
 through every switch evaluates at least one :meth:`Match.matches` — so a
 match compiles itself once at construction: the non-wildcard fields are
-frozen into tuples and a closure over only those fields replaces the
-per-call ``dataclasses.fields()`` introspection of the reference
-implementation (kept, and selectable with ``ATHENA_FAST_PATH=0``; see
-docs/PERF.md).
+frozen into tuples and a closure over only those fields does the work,
+with no per-call ``dataclasses.fields()`` introspection (docs/PERF.md).
 """
 
 # athena-lint: hot-path
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.errors import OpenFlowError
-from repro.perf import fastpath as _fastpath
 
 #: Names of all matchable fields in precedence-free order (this order is
 #: also the dataclass field order, which the compiled caches rely on).
@@ -138,19 +135,7 @@ class Match:
         ``headers`` maps field names to concrete values; missing header keys
         only satisfy wildcarded fields.
         """
-        if _fastpath.ENABLED:
-            return self._predicate(headers)
-        return self._matches_reference(headers)
-
-    def _matches_reference(self, headers: Dict[str, Any]) -> bool:
-        """The original introspecting implementation (``ATHENA_FAST_PATH=0``)."""
-        for field_ in fields(self):  # athena-lint: disable=ATH601
-            wanted = getattr(self, field_.name)  # athena-lint: disable=ATH602
-            if wanted is None:
-                continue
-            if headers.get(field_.name) != wanted:
-                return False
-        return True
+        return self._predicate(headers)
 
     def is_subset_of(self, other: "Match") -> bool:
         """True if every packet this match accepts, ``other`` also accepts."""

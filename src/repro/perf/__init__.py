@@ -1,69 +1,15 @@
-"""repro.perf — hot-path switches and the benchmark-regression harness.
+"""repro.perf — the measurement harness behind the ``BENCH_*.json`` gates.
 
-Two concerns live here (docs/PERF.md):
-
-* :mod:`repro.perf.fastpath` — the process-wide ``ATHENA_FAST_PATH``
-  switch the optimized data structures consult.  Fast paths are **on**
-  by default; ``ATHENA_FAST_PATH=0`` routes every hot call through the
-  original reference implementations, which is how the equivalence
-  tests and the regression bench compare the two.
-* :mod:`repro.perf.columnar` — the ``ATHENA_COLUMNAR`` switch (default
-  **off**) that opts batch detection into the numpy frame path of
-  :mod:`repro.distdb.frame`; the same equivalence contract applies, with
-  ``benchmarks/bench_scale.py`` comparing the two.
-* :mod:`repro.perf.sketch` — the ``ATHENA_SKETCH`` switch (default
-  **off**) that makes feature generation emit the sketch-backed
-  ``SKETCH_*`` scope from :mod:`repro.sketch` (docs/SKETCH.md);
-  ``benchmarks/bench_sketch.py`` gates its memory/recall contract.
-* :mod:`repro.perf.harness` — measurement and comparison machinery for
-  ``benchmarks/bench_hotpath.py`` and ``benchmarks/bench_scale.py``:
-  time a workload under both paths, check results are identical,
-  compute throughput and speedup, and persist ``BENCH_*.json`` so
-  successive PRs accumulate a perf trajectory.
+:mod:`repro.perf.harness` times a workload on two paths, checks the
+results are identical, computes throughput and speedup, and persists a
+``BENCH_*.json`` artifact so successive PRs accumulate a perf
+trajectory; ``benchmarks/bench_scale.py`` and
+``benchmarks/bench_sketch.py`` are built on it (docs/PERF.md).  The
+runtime switches those benches flip live in :mod:`repro.config`.
 """
 
 from __future__ import annotations
 
-from repro.perf.columnar import (
-    columnar_enabled,
-    columnar_scope,
-    refresh_columnar,
-    set_columnar,
-)
-from repro.perf.columnar import ENV_FLAG as COLUMNAR_ENV_FLAG
-from repro.perf.fastpath import (
-    ENV_FLAG,
-    fast_path_enabled,
-    fast_path_scope,
-    refresh_fast_path,
-    set_fast_path,
-)
 from repro.perf.harness import BenchResult, HotpathReport, measure_throughput
-from repro.perf.sketch import (
-    refresh_sketch,
-    set_sketch,
-    sketch_enabled,
-    sketch_scope,
-)
-from repro.perf.sketch import ENV_FLAG as SKETCH_ENV_FLAG
 
-__all__ = [
-    "BenchResult",
-    "COLUMNAR_ENV_FLAG",
-    "ENV_FLAG",
-    "HotpathReport",
-    "SKETCH_ENV_FLAG",
-    "columnar_enabled",
-    "columnar_scope",
-    "fast_path_enabled",
-    "fast_path_scope",
-    "measure_throughput",
-    "refresh_columnar",
-    "refresh_fast_path",
-    "refresh_sketch",
-    "set_columnar",
-    "set_fast_path",
-    "set_sketch",
-    "sketch_enabled",
-    "sketch_scope",
-]
+__all__ = ["BenchResult", "HotpathReport", "measure_throughput"]

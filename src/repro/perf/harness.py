@@ -1,9 +1,9 @@
-"""The benchmark-regression harness behind ``bench_hotpath``.
+"""The benchmark-regression harness behind the ``BENCH_*.json`` gates.
 
-A hot-path optimization is only done when three things hold: the fast
-path is *faster*, it is *equivalent* (same outputs as the reference
-path), and both facts are *recorded* so the next PR can see whether it
-regressed them.  This module packages those three steps:
+A two-path comparison is only done when three things hold: one path is
+*faster*, it is *equivalent* (same outputs as the other), and both facts
+are *recorded* so the next PR can see whether it regressed them.  This
+module packages those three steps:
 
 * :func:`measure_throughput` — time a callable over a known operation
   count with the sanctioned telemetry clocks, taking the median of
@@ -11,7 +11,7 @@ regressed them.  This module packages those three steps:
 * :class:`BenchResult` — one named comparison (fast vs slow ops/sec,
   speedup, and an equivalence verdict);
 * :class:`HotpathReport` — collects results, evaluates pass/fail gates,
-  and writes the ``BENCH_hotpath.json`` artifact CI uploads.
+  and writes the ``BENCH_<bench>.json`` artifact CI uploads.
 """
 
 from __future__ import annotations
@@ -82,9 +82,9 @@ class BenchResult:
 class HotpathReport:
     """Collects bench results and persists the regression artifact."""
 
-    def __init__(self, quick: bool = False, bench: str = "hotpath") -> None:
+    def __init__(self, bench: str, quick: bool = False) -> None:
         self.quick = quick
-        #: Artifact label ("hotpath", "scale", ...) recorded in the JSON.
+        #: Artifact label ("scale", "sketch", ...) recorded in the JSON.
         self.bench = bench
         self.results: List[BenchResult] = []
         #: name -> minimum required speedup; a result below its gate (or

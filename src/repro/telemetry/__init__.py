@@ -12,8 +12,9 @@ The observability substrate of the Athena reproduction (docs/TELEMETRY.md):
 * exposition — Prometheus text, JSON snapshots, and summary tables —
   surfaced by ``python -m repro.cli metrics`` and the UI Manager.
 
-Enable with ``ATHENA_TELEMETRY=1`` in the environment or
-``telemetry.configure(enabled=True)`` *before* constructing deployments
+Enable with ``ATHENA_TELEMETRY=1`` in the environment (the ``telemetry``
+field of :mod:`repro.config`) or ``telemetry.configure(enabled=True)``
+*before* constructing deployments
 (components bind their instruments at construction time).
 """
 
@@ -32,10 +33,8 @@ from repro.telemetry.registry import (
     NullInstrument,
 )
 from repro.telemetry.runtime import (
-    ENV_FLAG,
     Telemetry,
     configure,
-    env_enabled,
     get_telemetry,
     reset_telemetry,
 )
@@ -44,7 +43,6 @@ from repro.telemetry.tracing import SpanRecord, Tracer
 __all__ = [
     "Counter",
     "DEFAULT_BUCKETS",
-    "ENV_FLAG",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
@@ -57,7 +55,6 @@ __all__ = [
     "Tracer",
     "configure",
     "cpu_now",
-    "env_enabled",
     "get_telemetry",
     "reset_telemetry",
     "summary_rows",

@@ -2,9 +2,9 @@
 
 One :class:`Telemetry` facade bundles the metrics registry and the
 tracer.  A process has a single active facade, created lazily from the
-``ATHENA_TELEMETRY`` environment variable (default **off** — the
-instrumented framework must cost nothing when nobody is looking) and
-replaceable with :func:`configure`.
+``telemetry`` field of :func:`repro.config.current` (``ATHENA_TELEMETRY``,
+default **off** — the instrumented framework must cost nothing when
+nobody is looking) and replaceable with :func:`configure`.
 
 Components bind their instruments at construction time, so enable
 telemetry *before* building a deployment::
@@ -22,21 +22,11 @@ deterministic sim-clock durations.
 
 from __future__ import annotations
 
-import os
 from typing import Any, Callable, Dict, Optional
 
+from repro import config as _config
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.tracing import Tracer
-
-#: Environment switch: "1" / "true" / "yes" / "on" enable telemetry.
-ENV_FLAG = "ATHENA_TELEMETRY"
-
-
-def env_enabled() -> bool:
-    """Whether the environment asks for telemetry."""
-    return os.environ.get(ENV_FLAG, "0").strip().lower() in (
-        "1", "true", "yes", "on",
-    )
 
 
 class Telemetry:
@@ -48,7 +38,7 @@ class Telemetry:
         ring_size: int = 512,
         max_label_sets: int = 64,
     ) -> None:
-        self.enabled = env_enabled() if enabled is None else bool(enabled)
+        self.enabled = _config.current().telemetry if enabled is None else bool(enabled)
         self.registry = MetricsRegistry(
             enabled=self.enabled, max_label_sets=max_label_sets
         )
@@ -84,8 +74,8 @@ _ACTIVE: Optional[Telemetry] = None
 
 
 def get_telemetry() -> Telemetry:
-    """The process's active facade (created from the environment on
-    first use)."""
+    """The process's active facade (created from the current runtime
+    config on first use)."""
     global _ACTIVE
     if _ACTIVE is None:
         _ACTIVE = Telemetry()
@@ -110,6 +100,6 @@ def configure(
 
 
 def reset_telemetry() -> None:
-    """Drop the active facade; the next access re-reads the environment."""
+    """Drop the active facade; the next access re-reads the runtime config."""
     global _ACTIVE
     _ACTIVE = None

@@ -20,7 +20,7 @@ from repro.core.algorithm import GenerateAlgorithm
 from repro.core.preprocessor import GeneratePreprocessor
 from repro.dataplane.topologies import linear_topology
 from repro.distdb import DatabaseCluster
-from repro.perf import columnar_scope
+from repro.config import override
 from repro.workloads.ddos import DDoSDatasetGenerator, DDoSDatasetSpec
 from repro.workloads.flows import FlowSpec, TrafficSchedule
 
@@ -58,7 +58,7 @@ def _portscan_detection(athena, enabled):
         normalization=None, features=["SRC_FLOW_FANOUT"]
     )
     algorithm = GenerateAlgorithm("threshold", column=0, threshold=10.0)
-    with columnar_scope(enabled):
+    with override(columnar=enabled):
         model = athena.northbound.GenerateDetectionModel(
             query, preprocessor, algorithm
         )
@@ -114,9 +114,9 @@ class TestDDoSColumnarEquivalence:
         athena.register_app(app)
         athena.feature_manager.publish_documents(train)
 
-        with columnar_scope(False):
+        with override(columnar=False):
             doc_summary = app.run_batch(test_documents=test)
-        with columnar_scope(True):
+        with override(columnar=True):
             col_summary = app.run_batch(test_documents=test)
         assert np.array_equal(doc_summary.predictions, col_summary.predictions)
         assert doc_summary.to_dict() == col_summary.to_dict()

@@ -81,7 +81,7 @@ class TestColumnStoreCluster:
         store.insert_many("f", [{"switch_id": i, "v": i} for i in range(20)])
         replicas = sum(
             len(node.family("f__replica"))
-            for node in store.nodes
+            for node in store.shards
             if node.has_family("f__replica")
         )
         assert replicas == 20
@@ -92,13 +92,13 @@ class TestColumnStoreCluster:
             store.find("f", {"$weird": 1})
 
     def test_all_nodes_down(self, store):
-        for node in store.nodes:
+        for node in store.shards:
             node.up = False
         with pytest.raises(DatabaseError):
             store.find("f")
 
     def test_compact_all(self, store):
-        for node in store.nodes:
+        for node in store.shards:
             node.family("f").flush_threshold = 2
         store.insert_many("f", [{"switch_id": i, "v": i} for i in range(40)])
         store.compact_all()
@@ -153,7 +153,7 @@ class TestColumnStoreBatchAndFrames:
             loop.insert_one("f", dict(doc))
         # Same docs land on the same nodes in the same scan order, so the
         # memtable/sstable layout and every read are interchangeable.
-        for batch_node, loop_node in zip(batch.nodes, loop.nodes):
+        for batch_node, loop_node in zip(batch.shards, loop.shards):
             assert [d for d in batch_node.family("f").scan()] == [
                 d for d in loop_node.family("f").scan()
             ]
@@ -167,22 +167,19 @@ class TestColumnStoreBatchAndFrames:
         assert store.count("f") == 2
 
     def test_zero_copy_find_matches_reference(self, store):
-        from repro.perf import fast_path_scope
+        from tests.oracles import list_find
 
         store.insert_many(
             "f",
             [{"switch_id": i % 3, "v": i, "w": i % 5} for i in range(25)],
         )
+        stored = list(store._scan("f"))
         for kwargs in (
             {"filter_": {"v": {"$gte": 10}}},
             {"filter_": {"w": 2}, "sort": [("v", -1)], "limit": 3},
             {"projection": ["v"], "sort": [("v", 1)]},
         ):
-            with fast_path_scope(True):
-                fast = store.find("f", **kwargs)
-            with fast_path_scope(False):
-                slow = store.find("f", **kwargs)
-            assert fast == slow
+            assert store.find("f", **kwargs) == list_find(stored, **kwargs)[0]
 
     def test_zero_copy_find_returns_copies(self, store):
         store.insert_one("f", {"switch_id": 1, "v": 1})

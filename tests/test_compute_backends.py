@@ -14,8 +14,8 @@ import time
 import numpy as np
 import pytest
 
+from repro.config import from_env, override
 from repro.compute import (
-    BACKEND_ENV_VAR,
     ClusterConfig,
     ComputeCluster,
     PartitionedDataset,
@@ -91,17 +91,18 @@ class TestBackendSelection:
     def test_available_backends(self):
         assert available_backends() == ["process", "serial"]
 
-    def test_default_is_serial(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        assert ComputeCluster(2).backend_name == "serial"
+    def test_default_is_serial(self):
+        with override(compute_backend=from_env({}).compute_backend):
+            assert ComputeCluster(2).backend_name == "serial"
 
-    def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "process")
-        assert ComputeCluster(2).backend_name == "process"
+    def test_env_var_selects_backend(self):
+        config = from_env({"ATHENA_COMPUTE_BACKEND": "process"})
+        with override(compute_backend=config.compute_backend):
+            assert ComputeCluster(2).backend_name == "process"
 
-    def test_explicit_name_beats_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "process")
-        assert ComputeCluster(2, backend="serial").backend_name == "serial"
+    def test_explicit_name_beats_env(self):
+        with override(compute_backend="process"):
+            assert ComputeCluster(2, backend="serial").backend_name == "serial"
 
     def test_instance_accepted(self):
         backend = ProcessBackend()

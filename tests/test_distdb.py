@@ -7,6 +7,8 @@ from repro.distdb import Collection, DatabaseCluster, aggregate, matches_filter
 from repro.distdb.query import equality_value, get_path, validate_filter
 from repro.errors import DatabaseError, QueryError
 
+from tests.oracles import list_find
+
 
 class TestFilterLanguage:
     def test_empty_filter_matches(self):
@@ -349,11 +351,16 @@ class TestIndexAndFastPathRegressions:
     """Regressions from the hot-path overhaul (docs/PERF.md)."""
 
     @pytest.fixture(params=[True, False], ids=["fast", "slow"])
-    def enabled(self, request):
-        from repro.perf import fast_path_scope
+    def enabled(self, request, monkeypatch):
+        """Index-served reads, and the same cases answered by a full scan.
 
-        with fast_path_scope(request.param):
-            yield request.param
+        Every expectation below is index-independent: with ``create_index``
+        turned into a no-op ("slow") the scan must give the same answers
+        the index buckets give ("fast").
+        """
+        if not request.param:
+            monkeypatch.setattr(Collection, "create_index", lambda self, *f: None)
+        return request.param
 
     def test_indexed_field_pinned_to_none(self, enabled):
         """{'field': None} must probe the index bucket, not full-scan —
@@ -415,31 +422,30 @@ class TestIndexAndFastPathRegressions:
         assert [d["n"] for d in mixed] == [1, 2, 0, 3]
 
     def test_bytes_read_identical_across_paths(self):
-        from repro.perf import fast_path_scope
-
-        def drive(flag):
-            coll = Collection("c")
-            coll.create_index("k")
-            coll.insert_many({"k": i % 3, "pad": "x" * i} for i in range(30))
-            with fast_path_scope(flag):
-                coll.find({"k": 1}, sort=[("pad", 1)], limit=2)
-                coll.find({"k": {"$gt": 0}})
-            return coll.bytes_read
-
-        assert drive(True) == drive(False)
+        """Index-served, sorted and limited reads account the bytes of every
+        matched document, exactly as the copy-first oracle does."""
+        coll = Collection("c")
+        coll.create_index("k")
+        coll.insert_many({"k": i % 3, "pad": "x" * i} for i in range(30))
+        expected = 0
+        for kwargs in (
+            {"filter_": {"k": 1}, "sort": [("pad", 1)], "limit": 2},
+            {"filter_": {"k": {"$gt": 0}}},
+        ):
+            coll.find(**kwargs)
+            expected += list_find(coll.all_documents(), **kwargs)[1]
+        assert coll.bytes_read == expected
 
     def test_size_memo_invalidated_on_update(self):
         """After update_many grows a doc, bytes_read reflects the new size."""
         from repro.distdb.collection import approx_size
-        from repro.perf import fast_path_scope
 
         coll = Collection("c")
         coll.insert_one({"k": 1, "pad": "x"})
-        with fast_path_scope(True):
-            coll.find({"k": 1})
-            first = coll.bytes_read
-            coll.update_many({"k": 1}, {"pad": "y" * 100})
-            coll.find({"k": 1})
+        coll.find({"k": 1})
+        first = coll.bytes_read
+        coll.update_many({"k": 1}, {"pad": "y" * 100})
+        coll.find({"k": 1})
         grown = coll.bytes_read - first
         [doc] = coll.find({"k": 1})
         assert grown == approx_size({k: v for k, v in doc.items()})
@@ -540,3 +546,160 @@ class TestPartialShardAvailability:
         cluster.fail_shard(0)
         cluster.insert_one("c", {"k": key, "v": 1})
         assert cluster.count("c") == 1
+
+
+# -- reads against the copy-filter-sort-limit-project list oracle --------------
+
+_DOCS = st.lists(
+    st.fixed_dictionaries(
+        {"s": st.integers(0, 4), "pad": st.text("xy", max_size=6)},
+        optional={"k": st.sampled_from([None, 0, 1, 2])},
+    ),
+    max_size=25,
+)
+_FILTERS = st.sampled_from(
+    [
+        None,
+        {"k": 1},
+        {"k": None},
+        {"$and": [{"k": 2}, {"s": 3}]},
+        {"s": {"$gt": 1}},
+        {"k": {"$in": [0, 2]}, "s": {"$lte": 3}},
+        {"$or": [{"k": 0}, {"s": 4}]},
+    ]
+)
+# Total orders only ("_id" last): the oracle walks insertion order while
+# an index bucket walks set order, so ties must not decide the result.
+_SORTS = st.sampled_from(
+    [[("_id", 1)], [("s", 1), ("_id", 1)], [("s", -1), ("k", 1), ("_id", -1)]]
+)
+_LIMITS = st.sampled_from([None, 0, 1, 3])
+_PROJECTIONS = st.sampled_from([None, ["s"], ["k", "pad"]])
+
+
+class TestFindAgainstListOracle:
+    @given(_DOCS, st.sampled_from([(), ("k",), ("k", "s")]), _FILTERS, _SORTS,
+           _LIMITS, _PROJECTIONS)
+    def test_collection_find_equals_oracle(
+        self, docs, index, filter_, sort, limit, projection
+    ):
+        """Whatever index serves the read, results, order and bytes_read
+        equal the oracle's over the same stored documents."""
+        coll = Collection("c")
+        if index:
+            coll.create_index(*index)
+        coll.insert_many(docs)
+        expected, bytes_read = list_find(
+            coll.all_documents(), filter_, sort, limit, projection
+        )
+        assert coll.find(filter_, sort, limit, projection) == expected
+        assert coll.bytes_read == bytes_read
+        unsorted = coll.find(filter_)
+        assert sorted(unsorted, key=lambda d: d["_id"]) == list_find(
+            coll.all_documents(), filter_
+        )[0]
+
+    @given(_DOCS, _FILTERS, st.none() | _SORTS, _LIMITS, _PROJECTIONS)
+    def test_column_store_find_equals_oracle(
+        self, docs, filter_, sort, limit, projection
+    ):
+        """The append layout's zero-copy read equals the oracle over its
+        own scan order, unsorted reads included."""
+        from repro.distdb import ColumnStoreCluster
+
+        store = ColumnStoreCluster(n_nodes=3, partition_key="k")
+        store.insert_many("c", docs[: len(docs) // 2])
+        for doc in docs[len(docs) // 2 :]:
+            store.insert_one("c", doc)
+        stored = list(store._scan("c"))
+        expected, _ = list_find(stored, filter_, sort, limit, projection)
+        assert store.find("c", filter_, sort, limit, projection) == expected
+
+
+# -- the shared store core, through both layouts -------------------------------
+
+
+def _document_layout(replication):
+    return DatabaseCluster(n_shards=3, replication=replication)
+
+
+def _column_layout(replication):
+    from repro.distdb import ColumnStoreCluster
+
+    return ColumnStoreCluster(n_nodes=3, replication=replication)
+
+
+class TestIdRouting:
+    """Documents without a shard-key value are routed by the ``_id`` the
+    router assigns, so reads by that ``_id`` land on the same shard."""
+
+    def test_every_returned_id_is_findable(self):
+        cluster = DatabaseCluster(n_shards=3, replication=1)
+        ids = [cluster.insert_one("c", {"v": i}) for i in range(30)]
+        assert len(set(ids)) == 30
+        for i, _id in enumerate(ids):
+            assert [d["v"] for d in cluster.find("c", {"_id": _id})] == [i]
+
+    def test_placement_depends_only_on_the_documents(self):
+        def per_shard():
+            cluster = DatabaseCluster(n_shards=3, replication=1)
+            cluster.insert_many("c", [{"v": i} for i in range(30)])
+            return [shard.document_count() for shard in cluster.shards]
+
+        assert per_shard() == per_shard()
+
+    def test_caller_document_is_left_without_id(self):
+        cluster = DatabaseCluster(n_shards=3, replication=2)
+        doc = {"v": 1}
+        cluster.insert_one("c", doc)
+        assert doc == {"v": 1}
+
+
+@pytest.mark.parametrize("layout", [_document_layout, _column_layout],
+                         ids=["documents", "columns"])
+class TestOutagesOnEitherLayout:
+    """First-live-primary routing and the typed liveness checks are the
+    shared core's, so both layouts behave the same through an outage."""
+
+    def test_writes_during_single_node_outage_stay_readable(self, layout):
+        store = layout(replication=2)
+        store.fail_shard(0)
+        ids = [store.insert_one("c", {"switch_id": i, "v": i}) for i in range(30)]
+        assert store.count("c") == 30
+        assert sorted(d["v"] for d in store.find("c")) == list(range(30))
+        store.recover_shard(0)
+        assert store.count("c") == 30
+        assert {d["_id"] for d in store.find("c")} == set(ids)
+
+    def test_all_down_raises_all_shards_down(self, layout):
+        from repro.errors import AllShardsDownError
+
+        store = layout(replication=2)
+        store.insert_one("c", {"switch_id": 1})
+        for row in store.shard_status():
+            store.fail_shard(row["node_id"])
+        assert not any(row["up"] for row in store.shard_status())
+        for operation in (
+            lambda: store.find("c"),
+            lambda: store.count("c"),
+            lambda: store.insert_one("c", {"switch_id": 1}),
+        ):
+            with pytest.raises(AllShardsDownError):
+                operation()
+
+    def test_dead_home_without_replica_raises_shard_down(self, layout):
+        from repro.errors import ShardDownError
+
+        store = layout(replication=1)
+        store.fail_shard(0)
+        outcomes = []
+        for i in range(12):
+            try:
+                store.insert_one("c", {"_id": i, "switch_id": i})
+                outcomes.append(None)
+            except ShardDownError as error:
+                outcomes.append(error.node_id)
+        # Keys homed on the dead node fail typed; the rest are stored.
+        assert 0 in outcomes and None in outcomes
+        assert set(outcomes) <= {0, None}
+        assert store.count("c") == outcomes.count(None)

@@ -1,12 +1,15 @@
 """Tests for flow-table semantics (priority, modify/delete, expiry)."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.dataplane.flowtable import FlowTable
 from repro.errors import DataPlaneError
 from repro.openflow import ActionDrop, ActionOutput, FlowRemovedReason, Match
 from repro.openflow.flow import FlowEntry
+
+from tests.oracles import ListFlowTable
 
 
 def _entry(priority=10, actions=None, **match_fields):
@@ -216,22 +219,27 @@ def _exact_entry(i=0, priority=10, tcp_dst=80, **overrides):
     return entry
 
 
-@pytest.fixture(params=[True, False], ids=["fast", "slow"])
-def fast(request):
+@pytest.fixture(params=[FlowTable, ListFlowTable], ids=["fast", "slow"])
+def make_table(request):
+    """The indexed table, and the list oracle the stateful test trusts.
+
+    The hand-written winner/expiry/modify cases below are the OpenFlow
+    semantics both must encode, so the oracle is itself pinned by them.
+    """
     return request.param
 
 
 class TestFastPathSemantics:
-    """The indexed fast path keeps exact OpenFlow winner semantics."""
+    """The indexed table keeps exact OpenFlow winner semantics."""
 
-    def test_equal_priority_exact_beats_wildcard(self, fast):
-        table = FlowTable(fast_path=fast)
+    def test_equal_priority_exact_beats_wildcard(self, make_table):
+        table = make_table()
         exact = table.insert(_exact_entry(priority=10), now=0.0)
         table.insert(_entry(priority=10, tcp_dst=80), now=0.0)
         assert table.lookup(_exact_headers()) is exact
 
-    def test_exact_shadowed_by_higher_priority_wildcard(self, fast):
-        table = FlowTable(fast_path=fast)
+    def test_exact_shadowed_by_higher_priority_wildcard(self, make_table):
+        table = make_table()
         exact = table.insert(_exact_entry(priority=10), now=0.0)
         shadow = table.insert(_entry(priority=20, tcp_dst=80), now=0.0)
         assert table.lookup(_exact_headers()) is shadow
@@ -240,15 +248,15 @@ class TestFastPathSemantics:
         table.delete(Match(tcp_dst=80), priority=20, strict=True)
         assert table.lookup(_exact_headers()) is exact
 
-    def test_wildcard_between_exact_priorities(self, fast):
-        table = FlowTable(fast_path=fast)
+    def test_wildcard_between_exact_priorities(self, make_table):
+        table = make_table()
         table.insert(_exact_entry(priority=5), now=0.0)
         high = table.insert(_exact_entry(priority=30), now=0.0)
         table.insert(_entry(priority=20, tcp_dst=80), now=0.0)
         assert table.lookup(_exact_headers()) is high
 
-    def test_expiry_order_follows_precedence(self, fast):
-        table = FlowTable(fast_path=fast)
+    def test_expiry_order_follows_precedence(self, make_table):
+        table = make_table()
         entries = []
         for i, priority in enumerate((5, 50, 20)):
             entry = _exact_entry(i, priority=priority, hard_timeout=1.0)
@@ -262,8 +270,8 @@ class TestFastPathSemantics:
         }
         assert len(table) == 0
 
-    def test_heap_reschedules_after_idle_refresh(self, fast):
-        table = FlowTable(fast_path=fast)
+    def test_heap_reschedules_after_idle_refresh(self, make_table):
+        table = make_table()
         entry = table.insert(_exact_entry(idle_timeout=2.0), now=0.0)
         assert table.expire(1.5) == []
         entry.stats.record(100, now=1.5)
@@ -272,14 +280,14 @@ class TestFastPathSemantics:
         # ...and the refreshed one fires.
         assert table.expire(3.6) == [(entry, FlowRemovedReason.IDLE_TIMEOUT)]
 
-    def test_expired_entry_not_returned_by_lookup(self, fast):
-        table = FlowTable(fast_path=fast)
+    def test_expired_entry_not_returned_by_lookup(self, make_table):
+        table = make_table()
         table.insert(_exact_entry(hard_timeout=1.0), now=0.0)
         table.expire(2.0)
         assert table.lookup(_exact_headers()) is None
 
-    def test_strict_modify_after_insert_keeps_order(self, fast):
-        table = FlowTable(fast_path=fast)
+    def test_strict_modify_after_insert_keeps_order(self, make_table):
+        table = make_table()
         exact = table.insert(_exact_entry(priority=10), now=0.0)
         table.insert(_entry(priority=5, tcp_dst=80), now=0.0)
         touched = table.modify(
@@ -294,8 +302,8 @@ class TestFastPathSemantics:
         assert table.lookup(_exact_headers(1)) is high
         assert table.entries == sorted(table.entries, key=FlowEntry.sort_key)
 
-    def test_strict_modify_misses_other_priority(self, fast):
-        table = FlowTable(fast_path=fast)
+    def test_strict_modify_misses_other_priority(self, make_table):
+        table = make_table()
         exact = table.insert(_exact_entry(priority=10), now=0.0)
         assert (
             table.modify(exact.match, [ActionDrop()], priority=11, strict=True)
@@ -305,11 +313,11 @@ class TestFastPathSemantics:
 
 
 class TestPathEquivalence:
-    """Fast and reference tables agree on a mixed workload."""
+    """The table and the list oracle agree on a mixed workload."""
 
     @staticmethod
-    def _drive(fast):
-        table = FlowTable(fast_path=fast)
+    def _drive(make_table):
+        table = make_table()
         for i in range(20):
             table.insert(
                 _exact_entry(i, priority=10 + (i % 3), hard_timeout=float(i % 5)),
@@ -337,4 +345,114 @@ class TestPathEquivalence:
         return winners, evicted, remaining, table.lookup_count, table.matched_count
 
     def test_identical_outcomes(self):
-        assert self._drive(True) == self._drive(False)
+        assert self._drive(FlowTable) == self._drive(ListFlowTable)
+
+
+# -- stateful equivalence against the sorted-list oracle ----------------------
+
+#: A small value space, so adds overlap, shadow and replace one another.
+_MATCHES = st.one_of(
+    st.builds(
+        Match,
+        ip_src=st.sampled_from([None, "10.0.0.1", "10.0.0.2"]),
+        tcp_dst=st.sampled_from([None, 80, 81]),
+    ),
+    st.builds(
+        lambda i, dst: Match.exact_from_headers(_exact_headers(i, dst)),
+        st.integers(0, 2),
+        st.sampled_from([80, 81]),
+    ),
+)
+_PRIORITIES = st.integers(0, 3)
+_PORTS = st.integers(1, 2)
+#: Multiples of 0.5 are exact in binary, so "now - t0 >= timeout" and the
+#: heap's "t0 + timeout <= now" can never disagree by a rounding error.
+_TIMEOUTS = st.sampled_from([0.0, 0.5, 1.0, 2.0])
+_HEADERS = st.one_of(
+    st.builds(_exact_headers, st.integers(0, 3), st.sampled_from([80, 81, 82])),
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "ip_src": st.sampled_from(["10.0.0.1", "10.0.0.2", "10.0.0.3"]),
+            "tcp_dst": st.sampled_from([80, 81, 82]),
+        },
+    ),
+)
+
+
+class FlowTableMachine(RuleBasedStateMachine):
+    """Every operation runs on a ``FlowTable`` and the list oracle; their
+    winners, returns, counters, eviction order and contents must agree."""
+
+    def __init__(self):
+        super().__init__()
+        self.table, self.oracle, self.now = FlowTable(), ListFlowTable(), 0.0
+
+    @rule(match=_MATCHES, priority=_PRIORITIES, port=_PORTS)
+    def add_immortal(self, match, priority, port):
+        self.add(match, priority, port, idle=0.0, hard=0.0)
+
+    @rule(match=_MATCHES, priority=_PRIORITIES, port=_PORTS, idle=_TIMEOUTS,
+          hard=_TIMEOUTS)
+    def add(self, match, priority, port, idle, hard):
+        for table in (self.table, self.oracle):
+            table.insert(
+                FlowEntry(match=match, priority=priority,
+                          actions=[ActionOutput(port=port)],
+                          idle_timeout=idle, hard_timeout=hard),
+                now=self.now,
+            )
+
+    @rule(match=_MATCHES, priority=st.none() | _PRIORITIES, strict=st.booleans())
+    def modify(self, match, priority, strict):
+        assert self.table.modify(
+            match, [ActionDrop()], priority=priority, strict=strict
+        ) == self.oracle.modify(
+            match, [ActionDrop()], priority=priority, strict=strict
+        )
+
+    @rule(match=_MATCHES, priority=st.none() | _PRIORITIES, strict=st.booleans(),
+          out_port=st.none() | _PORTS)
+    def delete(self, match, priority, strict, out_port):
+        assert self.table.delete(
+            match, priority=priority, strict=strict, out_port=out_port
+        ) == self.oracle.delete(
+            match, priority=priority, strict=strict, out_port=out_port
+        )
+
+    @rule(step=st.sampled_from([0.0, 0.5, 1.0]))
+    def expire(self, step):
+        self.now += step
+        assert self.table.expire(self.now) == self.oracle.expire(self.now)
+
+    @rule(headers=_HEADERS)
+    def lookup(self, headers):
+        winner, expected = self.table.lookup(headers), self.oracle.lookup(headers)
+        assert winner == expected
+        # Traffic on the winner refreshes its idle deadline (the heap's
+        # reschedule-on-pop path).
+        if winner is not None:
+            winner.stats.record(64, now=self.now)
+            expected.stats.record(64, now=self.now)
+
+    @rule(match=_MATCHES, priority=st.none() | _PRIORITIES)
+    def find(self, match, priority):
+        assert self.table.find(match, priority) == self.oracle.find(match, priority)
+
+    @rule(match=_MATCHES)
+    def select(self, match):
+        assert list(self.table.select(match)) == self.oracle.select(match)
+
+    @invariant()
+    def same_contents_and_counters(self):
+        assert self.table.entries == self.oracle.entries
+        assert len(self.table) == len(self.oracle)
+        assert (self.table.lookup_count, self.table.matched_count) == (
+            self.oracle.lookup_count, self.oracle.matched_count
+        )
+
+
+TestFlowTableAgainstOracle = FlowTableMachine.TestCase
+TestFlowTableAgainstOracle.settings = settings(
+    max_examples=150, stateful_step_count=50, deadline=None
+)

@@ -31,7 +31,7 @@ from repro.openflow.messages import (
     FlowStatsReply,
     PacketIn,
 )
-from repro.perf import set_sketch, sketch_enabled, sketch_scope
+from repro.config import current, override
 from repro.sketch import SKETCH_FEATURE_NAMES, SketchFeatureState
 from repro.sketch.scenarios import (
     SKETCH_RECALL_TOLERANCE,
@@ -163,7 +163,7 @@ class TestShardRecovery:
         from repro.chaos import canned_plan
         from repro.chaos.scenarios import run_scenario
 
-        with sketch_scope(True):
+        with override(sketch=True):
             result = run_scenario("ddos", plan=canned_plan("shard-loss"), seed=0)
         assert result.detected
         assert result.faults_applied >= 1
@@ -213,7 +213,7 @@ class TestGeneratorWiring:
     def test_no_sketch_state_without_flag(self):
         sink = []
         generator = FeatureGenerator(instance_id=0, sink=sink.append)
-        with sketch_scope(False):
+        with override(sketch=False):
             generator.on_packet_in(_packet_in())
             generator.on_stats_event(_flow_stats())
         assert generator.sketch_state is None
@@ -223,7 +223,7 @@ class TestGeneratorWiring:
     def test_sketch_record_emitted_per_stats_round_under_flag(self):
         sink = []
         generator = FeatureGenerator(instance_id=0, sink=sink.append)
-        with sketch_scope(True):
+        with override(sketch=True):
             generator.on_packet_in(_packet_in(src="10.0.0.1", dport=80))
             generator.on_packet_in(_packet_in(src="10.0.0.2", dport=443))
             generator.on_stats_event(_flow_stats())
@@ -239,7 +239,7 @@ class TestGeneratorWiring:
     def test_window_rolls_between_rounds_bloom_persists(self):
         sink = []
         generator = FeatureGenerator(instance_id=0, sink=sink.append)
-        with sketch_scope(True):
+        with override(sketch=True):
             generator.on_packet_in(_packet_in(src="10.0.0.1", time=1.0))
             generator.on_stats_event(_flow_stats(time=5.0))
             generator.on_packet_in(_packet_in(src="10.0.0.1", time=6.0))
@@ -271,7 +271,7 @@ class TestNorthboundExposure:
     def test_status_reports_sketch_block(self, nb_client):
         data = nb_client.get("/api/status").json()["data"]
         sketch = data["sketch"]
-        assert sketch["enabled"] is sketch_enabled()
+        assert sketch["enabled"] is current().sketch
         for key in ("cms_fill_ratio", "cms_error_bound", "hll_relative_error",
                     "bloom_fill_ratio", "bloom_fp_bound", "observations"):
             assert key in sketch
@@ -279,13 +279,10 @@ class TestNorthboundExposure:
     def test_toggle_moves_cache_state_version(self, nb_client):
         # Flip to the opposite of however the suite is running (the
         # ATHENA_SKETCH=1 CI leg starts with the flag live).
-        baseline = sketch_enabled()
+        baseline = current().sketch
         first = nb_client.get("/api/status")
-        try:
-            set_sketch(not baseline)
+        with override(sketch=not baseline):
             second = nb_client.get("/api/status")
-        finally:
-            set_sketch(baseline)
         assert second.etag != first.etag
         assert second.json()["data"]["sketch"]["enabled"] is (not baseline)
         third = nb_client.get("/api/status")

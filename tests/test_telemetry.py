@@ -161,15 +161,17 @@ class TestDisabledFastPath:
         snap = tel.snapshot()
         assert snap == {"enabled": False, "metrics": [], "spans": []}
 
-    def test_configure_and_env_default(self, monkeypatch):
-        monkeypatch.delenv("ATHENA_TELEMETRY", raising=False)
-        reset_telemetry()
-        assert not get_telemetry().enabled
-        assert configure(enabled=True) is get_telemetry()
-        assert get_telemetry().enabled
-        monkeypatch.setenv("ATHENA_TELEMETRY", "1")
-        reset_telemetry()
-        assert get_telemetry().enabled
+    def test_configure_and_env_default(self):
+        from repro.config import from_env, override
+
+        with override(telemetry=from_env({}).telemetry):
+            reset_telemetry()
+            assert not get_telemetry().enabled
+            assert configure(enabled=True) is get_telemetry()
+            assert get_telemetry().enabled
+        with override(telemetry=from_env({"ATHENA_TELEMETRY": "1"}).telemetry):
+            reset_telemetry()
+            assert get_telemetry().enabled
 
 
 class TestTracing:
