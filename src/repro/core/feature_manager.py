@@ -123,7 +123,8 @@ class FeatureManager:
     def publish_documents(self, docs: List[Dict[str, Any]]) -> int:
         """Bulk-load pre-built feature documents (dataset replay path)."""
         if self.store_features:
-            self.database.insert_many(FEATURE_COLLECTION, [dict(d) for d in docs])
+            # The store takes its own private copy of every document.
+            self.database.insert_many(FEATURE_COLLECTION, docs)
         return len(docs)
 
     # -- application-facing ------------------------------------------------------

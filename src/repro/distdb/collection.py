@@ -34,22 +34,69 @@ from repro.errors import DatabaseError
 _id_counter = itertools.count(1)
 
 
-def approx_size(doc: Dict[str, Any]) -> int:
-    """Rough BSON-like size estimate used for byte accounting."""
+#: Types whose values cost a flat 9 bytes (type byte + 8-byte payload).
+_FIXED_WIDTH = frozenset((int, float, bool, type(None)))
+#: key tuple -> 8 (document header) + (len + 2) per key.  Feature
+#: documents share a handful of key tuples; the memo is dropped whenever
+#: it outgrows that assumption, so arbitrary documents cannot pin memory.
+_KEY_OVERHEAD: Dict[Tuple[str, ...], int] = {}
+_KEY_OVERHEAD_LIMIT = 4096
+
+
+def _remember_key_overhead(keys: Tuple[str, ...]) -> int:
     size = 8
-    for key, value in doc.items():
+    for key in keys:
         size += len(key) + 2
-        if isinstance(value, str):
-            size += len(value) + 5
-        elif isinstance(value, (int, float, bool)) or value is None:
-            size += 9
-        elif isinstance(value, dict):
-            size += approx_size(value)
-        elif isinstance(value, (list, tuple)):
-            size += 5 + 9 * len(value)
-        else:
-            size += 16
+    if len(_KEY_OVERHEAD) >= _KEY_OVERHEAD_LIMIT:
+        _KEY_OVERHEAD.clear()
+    _KEY_OVERHEAD[keys] = size
     return size
+
+
+def _value_size(value: Any) -> int:
+    """Values the exact-type dispatch in :func:`approx_size` passed on:
+    containers, subclasses of the scalar types, arbitrary objects."""
+    if isinstance(value, str):
+        return len(value) + 5
+    if isinstance(value, (int, float)):
+        return 9
+    if isinstance(value, dict):
+        return approx_size(value)
+    if isinstance(value, (list, tuple)):
+        return 5 + 9 * len(value)
+    return 16
+
+
+def approx_size(doc: Dict[str, Any]) -> int:
+    """Rough BSON-like size estimate used for byte accounting.
+
+    Every stored document is sized once per write, so the common values
+    dispatch on their exact type and the per-key overhead is looked up
+    per key tuple; ``tests/oracles.py`` keeps the plain formula.
+    """
+    keys = tuple(doc)
+    size = _KEY_OVERHEAD.get(keys)
+    if size is None:
+        size = _remember_key_overhead(keys)
+    fixed_width = _FIXED_WIDTH
+    for value in doc.values():
+        kind = type(value)
+        if kind in fixed_width:
+            size += 9
+        elif kind is str:
+            size += len(value) + 5
+        else:
+            size += _value_size(value)
+    return size
+
+
+def _fill_index(index: Dict[Any, set], keys: List[Any], ids: List[Any]) -> None:
+    for key, _id in zip(keys, ids):
+        bucket = index.get(key)
+        if bucket is None:
+            index[key] = {_id}
+        else:
+            bucket.add(_id)
 
 
 class Collection:
@@ -122,12 +169,14 @@ class Collection:
             stored["_id"] = next(_id_counter)
         return self.insert_stored(stored)
 
-    def insert_stored(self, stored: Dict[str, Any]) -> Any:
+    def insert_stored(self, stored: Dict[str, Any], size: Optional[int] = None) -> Any:
         """Take ownership of ``stored``, a private dict carrying its ``_id``.
 
         The cluster router's write path: it has already copied the
         caller's document and assigned the ``_id`` it routed by, so the
         collection stores that dict as is instead of copying it again.
+        ``size`` is the document's :func:`approx_size` when the router
+        already knows it (a replica copy sizes like its primary).
         """
         _id = stored["_id"]
         if _id in self._docs:
@@ -135,10 +184,52 @@ class Collection:
         self._docs[_id] = stored
         self._index_add(stored)
         self.ops["insert"] += 1
-        size = approx_size(stored)
+        if size is None:
+            size = approx_size(stored)
         self._size_cache[_id] = size
         self.bytes_written += size
         return _id
+
+    def new_ids(self, batch: List[Dict[str, Any]]) -> List[Any]:
+        """The batch's ``_id``s, none repeated or already stored."""
+        ids = [stored["_id"] for stored in batch]
+        if len(set(ids)) != len(ids) or not self._docs.keys().isdisjoint(ids):
+            seen = set(self._docs)
+            for _id in ids:
+                if _id in seen:
+                    raise DatabaseError(f"duplicate _id {_id!r}")
+                seen.add(_id)
+        return ids
+
+    def insert_stored_many(self, batch: List[Dict[str, Any]], sizes: List[int]) -> None:
+        """:meth:`insert_stored` for a batch, bookkeeping hoisted per batch.
+
+        Leaves the collection exactly as inserting the documents one by
+        one would (insertion order, index buckets, size cache, counters),
+        except that a duplicate ``_id`` rejects the whole batch before any
+        document is stored.  ``sizes[i]`` is ``approx_size(batch[i])``.
+        """
+        ids = self.new_ids(batch)
+        self._docs.update(zip(ids, batch))
+        self._size_cache.update(zip(ids, sizes))
+        columns: Dict[str, List[Any]] = {}
+
+        def column(field: str) -> List[Any]:
+            values = columns.get(field)
+            if values is None:
+                if "." in field:
+                    values = [get_path(stored, field) for stored in batch]
+                else:
+                    values = [stored.get(field) for stored in batch]
+                columns[field] = values
+            return values
+
+        for field, index in self._indexes.items():
+            _fill_index(index, column(field), ids)
+        for fields, index in self._compound_indexes.items():
+            _fill_index(index, list(zip(*map(column, fields))), ids)
+        self.ops["insert"] += len(batch)
+        self.bytes_written += sum(sizes)
 
     def insert_many(self, docs: Iterable[Dict[str, Any]]) -> List[Any]:
         return [self.insert_one(doc) for doc in docs]

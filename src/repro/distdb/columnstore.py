@@ -130,44 +130,40 @@ class ColumnStoreCluster(ShardedStore):
 
     # -- writes ----------------------------------------------------------------
 
-    @staticmethod
-    def _append(chain: List[_ColumnNode], collection: str, stored: Dict[str, Any]) -> None:
-        primary, *replicas = chain
+    @tracked("insert")
+    def insert_one(self, collection: str, doc: Dict[str, Any]) -> Any:
+        self._generation += 1
+        stored, key_value = self._admit(doc)
+        primary, *replicas = self._write_chain(key_value)
         primary.family(collection).append(stored)
         for replica in replicas:
             # Replicas share the stored dict: the replication cost is a
             # pointer append (hinted-handoff style), not a deep copy.
             replica.family(replica_name(collection)).append(stored)
-
-    @tracked("insert")
-    def insert_one(self, collection: str, doc: Dict[str, Any]) -> Any:
-        self._generation += 1
-        stored, key_value = self._admit(doc)
-        self._append(self._write_chain(key_value), collection, stored)
         self.writes += 1
         return stored["_id"]
 
     @tracked("insert")
     def insert_many(self, collection: str, docs: List[Dict[str, Any]]) -> int:
-        """Batch insert: one telemetry op, one route per partition key.
+        """Batch insert: one telemetry op, one routing pass for the batch.
 
-        Replica chains are resolved once per distinct partition-key value
-        (the batch shape the feature writers produce is many docs per few
-        switches), while documents still land in arrival order — so
-        memtable contents, flush points, and scan order are identical to
-        the per-doc loop's.
+        Documents still land on every node in arrival order — so memtable
+        contents, flush points, and scan order are identical to the
+        per-doc loop's — but a key with no live replica chain rejects the
+        whole batch before anything is appended.
         """
+        if not docs:
+            return 0
+        stored, primaries, replicas = self._route_batch(docs)
         self._generation += 1
-        routes: Dict[Any, List[_ColumnNode]] = {}
-        for doc in docs:
-            stored, key_value = self._admit(doc)
-            try:
-                chain = routes.get(key_value)
-                if chain is None:
-                    chain = routes[key_value] = self._write_chain(key_value)
-            except TypeError:  # unhashable key value: route directly
-                chain = self._write_chain(key_value)
-            self._append(chain, collection, stored)
+        for name, targets in (
+            (collection, primaries),
+            (replica_name(collection), replicas),
+        ):
+            for node_id, positions in targets.items():
+                append = self.shards[node_id].family(name).append
+                for position in positions:
+                    append(stored[position])
         self.writes += len(docs)
         return len(docs)
 

@@ -28,7 +28,11 @@ REPLICA_SUFFIX = "__replica"
 
 
 def _hash_value(value: Any) -> int:
-    digest = hashlib.md5(repr(value).encode()).digest()
+    return _hash_repr(repr(value))
+
+
+def _hash_repr(text: str) -> int:
+    digest = hashlib.md5(text.encode()).digest()
     return int.from_bytes(digest[:4], "big")
 
 
@@ -127,14 +131,17 @@ class ShardedStore:
         return stored, key_value
 
     def _write_chain(self, key_value: Any) -> List[Any]:
-        """Live nodes of the key's replica chain; the first acts as primary.
+        """Live nodes of the key's replica chain; the first acts as primary."""
+        return self._live_chain(_hash_value(key_value) % len(self.shards))
+
+    def _live_chain(self, home: int) -> List[Any]:
+        """Live nodes of the replica chain homed on shard ``home``.
 
         A dead home shard hands the primary role to the next live node, so
         acknowledged writes stay readable through a single-node outage; a
         chain with no live node fails the write with a typed error.
         """
         shards = self.shards
-        home = _hash_value(key_value) % len(shards)
         live = []
         for offset in range(self.replication):
             shard = shards[(home + offset) % len(shards)]
@@ -145,6 +152,48 @@ class ShardedStore:
                 raise AllShardsDownError()
             raise ShardDownError(home)
         return live
+
+    def _route_batch(
+        self, docs: Sequence[Dict[str, Any]]
+    ) -> Tuple[List[Dict[str, Any]], Dict[int, List[int]], Dict[int, List[int]]]:
+        """Admit and route a whole batch before anything is written.
+
+        Returns the stored copies in arrival order, then for the primary
+        and for the replica role ``node_id -> positions`` of the documents
+        that node receives.  Positions ascend, so each node sees its
+        documents in the order a per-document loop would deliver them.  A
+        key whose chain has no live node raises here, with nothing stored.
+        """
+        admit, n_shards = self._admit, len(self.shards)
+        admitted: List[Dict[str, Any]] = []
+        primaries: Dict[int, List[int]] = {}
+        replicas: Dict[int, List[int]] = {}
+        # home shard -> the append of every position list of its chain.
+        routes: Dict[int, List[Callable[[int], None]]] = {}
+        homes: Dict[str, int] = {}
+        for position, doc in enumerate(docs):
+            stored, key_value = admit(doc)
+            admitted.append(stored)
+            # A shard-key value repeats across a batch (few switches, many
+            # documents), an ``_id`` never does: hash the former once per
+            # distinct repr, which is what the hash is taken over.
+            text = repr(key_value)
+            if key_value is stored["_id"]:
+                home = _hash_repr(text) % n_shards
+            else:
+                home = homes.get(text)
+                if home is None:
+                    home = homes[text] = _hash_repr(text) % n_shards
+            route = routes.get(home)
+            if route is None:
+                primary, *rest = self._live_chain(home)
+                route = routes[home] = [
+                    primaries.setdefault(primary.node_id, []).append,
+                    *(replicas.setdefault(r.node_id, []).append for r in rest),
+                ]
+            for append in route:
+                append(position)
+        return admitted, primaries, replicas
 
     def _shard_for(self, value: Any) -> Any:
         """The live home shard of a pinned shard-key value."""

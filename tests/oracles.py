@@ -6,7 +6,6 @@ took over the equivalence duty of the linear-scan, per-call and copy-first
 reference implementations that used to ship in ``src/`` behind a switch.
 """
 
-from repro.distdb.collection import approx_size
 from repro.distdb.query import matches_filter, sort_documents
 from repro.openflow.constants import FlowRemovedReason
 from repro.openflow.flow import FlowEntry
@@ -22,10 +21,28 @@ def oracle_matches(match, headers):
     )
 
 
+def oracle_approx_size(doc):
+    """The BSON-like size formula, one isinstance chain per value."""
+    size = 8
+    for key, value in doc.items():
+        size += len(key) + 2
+        if isinstance(value, str):
+            size += len(value) + 5
+        elif isinstance(value, (int, float, bool)) or value is None:
+            size += 9
+        elif isinstance(value, dict):
+            size += oracle_approx_size(value)
+        elif isinstance(value, (list, tuple)):
+            size += 5 + 9 * len(value)
+        else:
+            size += 16
+    return size
+
+
 def list_find(docs, filter_=None, sort=None, limit=None, projection=None):
     """Copy, filter, sort, limit, project; returns (results, bytes read)."""
     results = [dict(doc) for doc in docs if matches_filter(doc, filter_)]
-    bytes_read = sum(approx_size(doc) for doc in results)
+    bytes_read = sum(oracle_approx_size(doc) for doc in results)
     if sort:
         sort_documents(results, sort)
     if limit is not None:
