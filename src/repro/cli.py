@@ -51,19 +51,15 @@ def _cmd_features(args: argparse.Namespace) -> int:
 def _cmd_ddos(args: argparse.Namespace) -> int:
     from repro.apps.ddos import DDoSDetectorApp
     from repro.compute import ComputeCluster
-    from repro.config import current, override
     from repro.controller import ControllerCluster
     from repro.core import AthenaDeployment
     from repro.dataplane.topologies import enterprise_topology
     from repro.workloads.ddos import DDoSDatasetGenerator, DDoSDatasetSpec
 
-    columnar = args.columnar or current().columnar
     generator = DDoSDatasetGenerator(DDoSDatasetSpec(scale=args.scale))
     documents = generator.generate()
     train, test = generator.train_test_split(documents)
-    path = "columnar" if columnar else "document"
-    print(f"dataset: {len(documents):,} entries at scale {args.scale} "
-          f"({path} batch path)")
+    print(f"dataset: {len(documents):,} entries at scale {args.scale}")
     topo = enterprise_topology()
     cluster = ControllerCluster(topo.network, n_instances=3)
     cluster.adopt_domains(topo.domains)
@@ -76,14 +72,9 @@ def _cmd_ddos(args: argparse.Namespace) -> int:
     app = DDoSDetectorApp(algorithm=args.algorithm)
     athena.register_app(app)
     # Load the train split into the feature store so the training fetch
-    # goes through the Feature Manager — request_features on the document
-    # path, request_frame under --columnar — and the two paths stay
-    # byte-equivalent on the same store state (docs/PERF.md).
+    # goes through the Feature Manager's batch path (docs/PERF.md).
     athena.feature_manager.publish_documents(train)
-    # Scoped to the run: an in-process main([...]) must leave the caller's
-    # runtime config as it found it.
-    with override(columnar=columnar):
-        summary = app.run_batch(test_documents=test)
+    summary = app.run_batch(test_documents=test)
     print(summary.render())
     report = getattr(athena.detector_manager, "last_job_report", None)
     if report is not None:
@@ -398,9 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "$ATHENA_COMPUTE_BACKEND or serial)")
     ddos.add_argument("--workers", type=int, default=4,
                       help="compute cluster worker count")
-    ddos.add_argument("--columnar", action="store_true",
-                      help="run batch detection on the numpy frame path "
-                      "(equivalent to ATHENA_COLUMNAR=1)")
     ddos.add_argument("--distributed-threshold", type=int, default=50_000,
                       help="dataset rows above which jobs run distributed")
     ddos.set_defaults(handler=_cmd_ddos)

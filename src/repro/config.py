@@ -24,11 +24,8 @@ _ENABLING = ("1", "true", "yes", "on")
 
 @dataclass(frozen=True)
 class RuntimeConfig:
-    """The four independently settable runtime values."""
+    """The three independently settable runtime values."""
 
-    #: ``ATHENA_COLUMNAR`` — batch detection fetches numpy feature frames
-    #: instead of documents (docs/PERF.md); byte-identical results.
-    columnar: bool = False
     #: ``ATHENA_SKETCH`` — feature generation also emits the approximate,
     #: bounded-memory ``SKETCH_*`` scope (docs/SKETCH.md).
     sketch: bool = False

@@ -85,8 +85,8 @@ class AthenaDeployment:
     """The full Athena framework over a controller cluster.
 
     ``config`` pins a :class:`~repro.config.RuntimeConfig` for this
-    deployment's lifetime (its generators, detector manager, default
-    compute cluster and telemetry); left out, the deployment follows
+    deployment's lifetime (its generators, default compute cluster and
+    telemetry); left out, the deployment follows
     :func:`repro.config.current` on every use.
     """
 
@@ -151,7 +151,6 @@ class AthenaDeployment:
         self.detector_manager = DetectorManager(
             self.feature_manager,
             self.instances[0].southbound.detector,
-            config=config,
         )
         self.reaction_manager = ReactionManager(
             self.feature_manager,

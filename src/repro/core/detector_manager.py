@@ -14,13 +14,12 @@ execution by dataset size); results come back as
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro import config as _config
-from repro.config import RuntimeConfig
 from repro.core.algorithm import Algorithm
 from repro.core.feature_manager import FeatureManager
 from repro.core.preprocessor import Preprocessor
@@ -32,6 +31,9 @@ from repro.ml.base import ClusteringModel, Estimator
 from repro.telemetry import Stopwatch, get_telemetry
 
 Document = Dict[str, Any]
+
+#: The fields that tell one flow from another in a validation summary.
+_FLOW_KEY = ("ip_src", "ip_dst", "ip_proto", "tcp_src", "tcp_dst")
 
 
 @dataclass
@@ -67,12 +69,9 @@ class DetectorManager:
         self,
         feature_manager: FeatureManager,
         attack_detector,
-        config: Optional[RuntimeConfig] = None,
     ) -> None:
         self.feature_manager = feature_manager
         self.attack_detector = attack_detector
-        #: A pinned runtime config; None follows the process's current one.
-        self._config = config
         self._online_validators: List[_OnlineValidator] = []
         self._validator_ids = 0
         self.models_generated = 0
@@ -118,17 +117,16 @@ class DetectorManager:
 
     # -- model generation ------------------------------------------------------
 
-    def _fetch_training_data(self, query: Query):
-        """Documents or — with ``columnar`` configured — a feature frame.
-
-        Aggregation queries have no frame shape and always take the
-        document path; both paths feed the same downstream bytes
-        (docs/PERF.md equivalence contract).
-        """
-        config = self._config or _config.current()
-        if config.columnar and query.to_db_pipeline() is None:
-            return self.feature_manager.request_frame(query)
-        return self.feature_manager.request_features(query)
+    def _fetch(self, query: Query, preprocessor: Preprocessor):
+        """The query's rows as a feature frame holding the preprocessor's
+        columns.  Aggregation queries have no frame shape and come back
+        as documents; both feed the same downstream bytes (docs/PERF.md
+        equivalence contract)."""
+        if query.to_db_pipeline() is not None:
+            return self.feature_manager.request_features(query)
+        return self.feature_manager.request_frame(
+            query, columns=preprocessor.frame_columns()
+        )
 
     def generate_detection_model(
         self,
@@ -149,7 +147,7 @@ class DetectorManager:
         watch = Stopwatch()
         with self._telemetry.span("detector.generate_model"):
             if documents is None:
-                documents = self._fetch_training_data(query)
+                documents = self._fetch(query, preprocessor)
             if not documents:
                 raise AthenaError("no features matched the training query")
             if isinstance(documents, FeatureFrame):
@@ -211,15 +209,15 @@ class DetectorManager:
         """
         watch = Stopwatch()
         with self._telemetry.span("detector.validate"):
-            if documents is None:
-                documents = self._fetch_training_data(query)
-            if not documents:
-                raise AthenaError("no features matched the validation query")
             # The model's *fitted* preprocessor guarantees train/test consistency;
             # the passed preprocessor contributes marking if the fitted one lacks it.
             active = model.preprocessor
             if active.marking is None and preprocessor is not None:
                 active.marking = preprocessor.marking
+            if documents is None:
+                documents = self._fetch(query, active)
+            if not documents:
+                raise AthenaError("no features matched the validation query")
             if isinstance(documents, FeatureFrame):
                 matrix, marks, kept = active.transform_frame(documents)
                 docs = kept.documents()
@@ -258,7 +256,7 @@ class DetectorManager:
         ``athena_detector_recovered_total``.
         """
         try:
-            documents = self._fetch_training_data(query)
+            documents = self._fetch(query, model.preprocessor)
         except DatabaseError:
             self._flag_degraded(self._metric_degraded_db)
             return None
@@ -292,17 +290,11 @@ class DetectorManager:
             marks = np.zeros(len(predictions))
         malicious = marks == 1
         positive = predictions == 1
-        benign_flows: set = set()
-        malicious_flows: set = set()
-        for doc, is_malicious in zip(docs, malicious):
-            key = (
-                doc.get("ip_src"),
-                doc.get("ip_dst"),
-                doc.get("ip_proto"),
-                doc.get("tcp_src"),
-                doc.get("tcp_dst"),
-            )
-            (malicious_flows if is_malicious else benign_flows).add(key)
+        # One list per key field, zipped into flow keys: the values are
+        # read as stored, so keys compare exactly as the documents' do.
+        flows = list(zip(*([doc.get(name) for doc in docs] for name in _FLOW_KEY)))
+        malicious_flows = set(itertools.compress(flows, malicious.tolist()))
+        benign_flows = set(itertools.compress(flows, (~malicious).tolist()))
         summary = ValidationSummary(
             total_entries=len(predictions),
             benign_entries=int((~malicious).sum()),

@@ -164,12 +164,15 @@ class FeatureManager:
         backend=None,
         n_partitions: Optional[int] = None,
     ) -> FeatureFrame:
-        """RequestFeatures on the columnar path: a frame, not documents.
+        """RequestFeatures as a frame, not documents: what detection jobs
+        fetch (docs/PERF.md, "The batch path").
 
         Compiles the query to a boolean mask over numpy columns and
         returns a :class:`~repro.distdb.frame.FeatureFrame` holding
         exactly the rows :meth:`request_features` would return, in the
-        same order, as zero-copy views over the stored documents.  Pass a
+        same order, as zero-copy views over the stored documents.
+        ``columns`` names the fields the caller will read, so the store
+        slices them from the columns it keeps per generation.  Pass a
         :class:`~repro.compute.cluster.ComputeCluster` as ``compute`` to
         extract shard partitions in parallel through its execution
         backends (``backend``/``n_partitions`` as for any map job).

@@ -159,7 +159,14 @@ class Preprocessor:
         self.fit(docs)
         return self.transform(docs)
 
-    # -- columnar path (bit-identical to the document methods above) --------
+    # -- frame path (bit-identical to the document methods above) -----------
+
+    def frame_columns(self) -> List[str]:
+        """The stored fields the frame methods read: what a fetch should
+        ask :meth:`FeatureManager.request_frame` to have ready."""
+        if isinstance(self.marking, str):
+            return [*self.features, self.marking]
+        return list(self.features)
 
     def _sample_frame(self, frame: FeatureFrame) -> FeatureFrame:
         if self.sampling is None or not frame.n_rows:

@@ -9,6 +9,7 @@ and aggregated centrally (the correctness-preserving fallback).
 
 from __future__ import annotations
 
+import itertools
 import json
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -63,7 +64,7 @@ class DatabaseCluster(ShardedStore):
     @tracked("insert")
     def insert_one(self, collection: str, doc: Dict[str, Any]) -> Any:
         self.router_ops += 1
-        self._generation += 1
+        self._bump()
         # Driver-side wire encoding (the BSON step a real client performs);
         # this is genuine per-insert CPU work, which is what makes the
         # Table IX 'DB operations dominate' result measurable.
@@ -119,7 +120,7 @@ class DatabaseCluster(ShardedStore):
             table.new_ids(batch)
         # Everything that can reject the batch has run; now write.
         self.router_ops += len(docs)
-        self._generation += 1
+        self._bump()
         self.bytes_on_wire += encoded
         self._metric_wire_bytes.inc(encoded)
         for table, batch, batch_sizes in tables:
@@ -139,7 +140,7 @@ class DatabaseCluster(ShardedStore):
     @tracked("delete")
     def delete_many(self, collection: str, filter_: Optional[Dict[str, Any]] = None) -> int:
         self.router_ops += 1
-        self._generation += 1
+        self._bump()
         validate_filter(filter_)
         for replica in self._tables(replica_name(collection)):
             replica.delete_many(filter_)
@@ -150,7 +151,7 @@ class DatabaseCluster(ShardedStore):
         self, collection: str, filter_: Optional[Dict[str, Any]], changes: Dict[str, Any]
     ) -> int:
         self.router_ops += 1
-        self._generation += 1
+        self._bump()
         for replica in self._tables(replica_name(collection)):
             replica.update_many(filter_, changes)
         return sum(
@@ -209,25 +210,22 @@ class DatabaseCluster(ShardedStore):
     def _frame_index(
         self, collection: str
     ) -> Tuple[FeatureFrame, Dict[int, int]]:
-        """The cached full-scan frame plus its document -> row map.
+        """The generation's full-scan frame plus its document -> row map.
 
-        Columns are materialised once per store generation (any write,
-        shard failure, or recovery invalidates); every ``find_frame``
-        afterwards is pure array work.  The row map keys on document
-        identity — the cache holds references to the stored dicts, so the
-        ids stay valid exactly as long as the generation does.
+        The frame starts as the row index alone; a column is built over
+        the whole generation the first time a read names it and kept
+        until the generation ends (docs/PERF.md, "The batch path").  The
+        row map keys on document identity — the cache holds references
+        to the stored dicts, so the ids stay valid exactly as long as the
+        generation does.
         """
 
         def build() -> Tuple[FeatureFrame, Dict[int, int]]:
-            frame = FeatureFrame.concat(
-                [
-                    FeatureFrame.from_documents(docs)
-                    for docs in self.shard_candidates(collection, None)
-                ]
-            )
-            return frame, {id(doc): i for i, doc in enumerate(frame.documents())}
+            docs = [doc for t in self._tables(collection) for doc in t.raw_candidates()]
+            frame = FeatureFrame.from_documents(docs, columns=())
+            return frame, {id(doc): i for i, doc in enumerate(docs)}
 
-        return self._cached_frame(collection, None, build)
+        return self._cached_frame(collection, build)
 
     @tracked("find_frame")
     def find_frame(
@@ -238,36 +236,55 @@ class DatabaseCluster(ShardedStore):
         limit: Optional[int] = None,
         columns: Optional[Tuple[str, ...]] = None,
     ) -> FeatureFrame:
-        """Vectorised find: cached columns, candidate gather, mask, sort.
+        """Vectorised find: candidate gather, mask, sort.
 
         Returns a :class:`FeatureFrame` over the shared stored documents
         holding exactly the rows :meth:`find` would return, in the same
         order (docs/PERF.md equivalence contract): the rows are gathered
         in the document path's own candidate order before masking, so
-        index-served filters line up byte-for-byte.
+        index-served filters line up byte-for-byte.  ``columns`` names
+        what the caller will read, so those come sliced from the
+        generation's cached columns; any other field still resolves, from
+        the result rows.
         """
         self.router_ops += 1
-        full, rows = self._frame_index(collection)
-        scan = scan_fields(columns, filter_, sort)
-        if scan is not None:
-            full = full.select(scan)
+        validate_filter(filter_)
+        scan = scan_fields(columns or (), filter_, sort)
+        tables = self._tables(collection, self._read_shards(filter_))
         if filter_ is None:
             # Full scan: candidate order is the cached frame's row order.
-            frame = full
+            n_rows = [len(table) for table in tables]
+            frame = self._frame_index(collection)[0].select(scan)
         else:
             # Index-served candidates come back in bucket order, not
-            # insertion order, so the gather must follow the document
+            # insertion order, so the rows must follow the document
             # path's own candidate sequence even when it covers every row.
-            partitions = self.shard_candidates(collection, filter_)
-            indices = np.fromiter(
-                (rows[id(doc)] for part in partitions for doc in part),
-                dtype=np.intp,
-                count=sum(len(part) for part in partitions),
-            )
-            frame = full.take(indices)
+            partitions = [table.raw_candidates(filter_) for table in tables]
+            n_rows = [len(part) for part in partitions]
+            candidates = itertools.chain.from_iterable(partitions)
+            if 2 * sum(n_rows) < sum(map(len, self._tables(collection))):
+                # An index narrowed the read to a minority of the
+                # collection: extract from those documents alone, so a
+                # selective read never costs a scan of the whole store.
+                frame = FeatureFrame.from_documents(list(candidates), scan)
+            else:
+                full, rows = self._frame_index(collection)
+                indices = np.fromiter(
+                    (rows[id(doc)] for doc in candidates),
+                    dtype=np.intp,
+                    count=sum(n_rows),
+                )
+                frame = full.select(scan).take(indices)
         keep = filter_mask(frame, filter_)
         if not keep.all():
             frame = frame.mask(keep)
+        # Byte accounting as in ``Collection.find``: every matched
+        # document of each shard, pre-limit.
+        matched, start = iter(frame.documents()), 0
+        for table, n in zip(tables, n_rows):
+            n_matched = int(np.count_nonzero(keep[start : start + n]))
+            table.account_read(itertools.islice(matched, n_matched))
+            start += n
         if sort:
             frame = frame.sort(sort)
         if limit is not None:
@@ -350,5 +367,5 @@ class DatabaseCluster(ShardedStore):
         for name, doc in queued:
             shard.collection(name).insert_stored(doc)
         if queued:
-            self._generation += 1
+            self._bump()
         return len(queued)

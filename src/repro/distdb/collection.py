@@ -270,6 +270,11 @@ class Collection:
             self._size_cache[_id] = size
         return size
 
+    def account_read(self, matched: Iterable[Dict[str, Any]]) -> None:
+        """Count one read that matched these stored documents (pre-limit)."""
+        self.ops["find"] += 1
+        self.bytes_read += sum(map(self._approx_size_cached, matched))
+
     def _candidates(
         self, filter_: Optional[Dict[str, Any]]
     ) -> Iterable[Dict[str, Any]]:
@@ -323,10 +328,8 @@ class Collection:
     ) -> List[Dict[str, Any]]:
         """Query the collection. ``sort`` is a list of (field, +1/-1)."""
         validate_filter(filter_)
-        self.ops["find"] += 1
         matched = list(filter_documents(self._candidates(filter_), filter_))
-        # Byte accounting covers every matched document (pre-limit).
-        self.bytes_read += sum(self._approx_size_cached(d) for d in matched)
+        self.account_read(matched)
         return copy_out(matched, sort, limit, projection)
 
     def count(self, filter_: Optional[Dict[str, Any]] = None) -> int:

@@ -29,7 +29,7 @@ from repro.distdb.core import (
     replica_name,
     tracked,
 )
-from repro.distdb.frame import FeatureFrame, filter_mask
+from repro.distdb.frame import FeatureFrame, filter_mask, scan_fields
 from repro.distdb.query import (
     copy_out,
     filter_documents,
@@ -132,7 +132,7 @@ class ColumnStoreCluster(ShardedStore):
 
     @tracked("insert")
     def insert_one(self, collection: str, doc: Dict[str, Any]) -> Any:
-        self._generation += 1
+        self._bump()
         stored, key_value = self._admit(doc)
         primary, *replicas = self._write_chain(key_value)
         primary.family(collection).append(stored)
@@ -155,7 +155,7 @@ class ColumnStoreCluster(ShardedStore):
         if not docs:
             return 0
         stored, primaries, replicas = self._route_batch(docs)
-        self._generation += 1
+        self._bump()
         for name, targets in (
             (collection, primaries),
             (replica_name(collection), replicas),
@@ -170,7 +170,7 @@ class ColumnStoreCluster(ShardedStore):
     @tracked("delete")
     def delete_many(self, collection: str, filter_: Optional[Dict[str, Any]] = None) -> int:
         validate_filter(filter_)
-        self._generation += 1
+        self._bump()
         removed = 0
         for name in (collection, replica_name(collection)):
             for node in self._live_shards():
@@ -192,7 +192,7 @@ class ColumnStoreCluster(ShardedStore):
         self, collection: str, filter_: Optional[Dict[str, Any]], changes: Dict[str, Any]
     ) -> int:
         validate_filter(filter_)
-        self._generation += 1
+        self._bump()
         touched = 0
         for doc in self._scan(collection):
             if matches_filter(doc, filter_):
@@ -218,24 +218,18 @@ class ColumnStoreCluster(ShardedStore):
         matched = list(filter_documents(self._scan(collection), filter_))
         return copy_out(matched, sort, limit, projection)
 
-    def frame(
-        self,
-        collection: str,
-        columns: Optional[Tuple[str, ...]] = None,
-    ) -> FeatureFrame:
+    def frame(self, collection: str) -> FeatureFrame:
         """Full-scan :class:`FeatureFrame` over the collection, cached.
 
-        Columns are materialised once per store generation (any write
-        invalidates) straight from the shared stored documents — the
-        columnar path's answer to the store having no secondary indexes.
-        Row order matches :meth:`find`'s pre-sort scan order exactly.
+        One lazy frame per store generation (any write invalidates): it
+        starts as the row index over the shared stored documents and
+        builds each column the first time a read names it — the batch
+        path's answer to the store having no secondary indexes.  Row
+        order matches :meth:`find`'s pre-sort scan order exactly.
         """
         return self._cached_frame(
             collection,
-            tuple(columns) if columns is not None else None,
-            lambda: FeatureFrame.from_documents(
-                list(self._scan(collection)), columns
-            ),
+            lambda: FeatureFrame.from_documents(self._scan(collection), columns=()),
         )
 
     @tracked("find_frame")
@@ -250,10 +244,14 @@ class ColumnStoreCluster(ShardedStore):
         """Vectorised find: scan → boolean mask → argsort → head.
 
         Selects exactly the rows :meth:`find` returns, in the same order,
-        as a frame over the shared stored documents (no copies).
+        as a frame over the shared stored documents (no copies), with
+        ``columns`` plus the filter and sort fields sliced from the
+        generation's cached columns.
         """
         validate_filter(filter_)
-        frame = self.frame(collection, columns)
+        frame = self.frame(collection).select(
+            scan_fields(columns or (), filter_, sort)
+        )
         if filter_:
             frame = frame.mask(filter_mask(frame, filter_))
         if sort:

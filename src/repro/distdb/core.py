@@ -92,11 +92,11 @@ class ShardedStore:
         #: Per-store ``_id`` source, so placement depends only on the
         #: documents a store was fed, never on what else the process ran.
         self._ids = itertools.count(1)
-        #: Bumped whenever a scan's result set could change; the frame
-        #: cache keys on it.
+        #: Bumped whenever a scan's result set could change.
         self._generation = 0
-        #: collection -> ((generation, variant), cached value).
-        self._frame_cache: Dict[str, Tuple[Tuple[int, Any], Any]] = {}
+        #: collection -> the current generation's full-scan frame; emptied
+        #: by every generation bump (:meth:`_bump`).
+        self._frame_cache: Dict[str, Any] = {}
         #: Shards with injected replication lag (a layout that supports it
         #: queues their replica copies here until the lag ends).
         self._replica_lag: Dict[int, List[Tuple[str, Dict[str, Any]]]] = {}
@@ -209,26 +209,30 @@ class ShardedStore:
 
     # -- frame cache ---------------------------------------------------------
 
-    def _cached_frame(self, collection: str, variant: Any, build: Callable[[], Any]) -> Any:
-        """``build()`` once per store generation and ``variant``; one entry
-        per collection, rebuilt after any write, failure or recovery."""
-        stamp = (self._generation, variant)
+    def _bump(self) -> None:
+        """A write, delete, update, shard failure or recovery happened:
+        start a new generation and drop the last one's frames at once, so
+        a stale frame never keeps deleted documents alive."""
+        self._generation += 1
+        if self._frame_cache:
+            self._frame_cache.clear()
+
+    def _cached_frame(self, collection: str, build: Callable[[], Any]) -> Any:
+        """``build()`` once per collection and store generation."""
         cached = self._frame_cache.get(collection)
-        if cached is not None and cached[0] == stamp:
-            return cached[1]
-        value = build()
-        self._frame_cache[collection] = (stamp, value)
-        return value
+        if cached is None:
+            cached = self._frame_cache[collection] = build()
+        return cached
 
     # -- administration --------------------------------------------------------
 
     def fail_shard(self, node_id: int) -> None:
         self.shards[node_id].up = False
-        self._generation += 1
+        self._bump()
 
     def recover_shard(self, node_id: int) -> None:
         self.shards[node_id].up = True
-        self._generation += 1
+        self._bump()
 
     def replica_lag_depth(self, node_id: int) -> int:
         """Replica writes queued for a lagging shard (0 if not lagging)."""

@@ -29,12 +29,6 @@ import numpy as np
 from repro.distdb.query import _compare, get_path, matches_filter
 from repro.errors import QueryError
 
-class _Virtual:
-    """Sentinel distinguishing 'never materialised' from a real column."""
-
-
-_VIRTUAL = _Virtual()
-
 
 def _is_plain_number(value: Any) -> bool:
     """Numeric for column-typing purposes: int/float but not bool.
@@ -44,6 +38,11 @@ def _is_plain_number(value: Any) -> bool:
     (``Preprocessor._matrix`` treats bools as non-numeric).
     """
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+#: Exact value types of a numeric column; any other type is numeric only
+#: as a non-bool subclass of one of them.
+_NUMERIC_TYPES = frozenset((int, float, type(None)))
 
 
 def _build_column(docs: Sequence[Dict[str, Any]], name: str) -> Tuple[np.ndarray, Optional[np.ndarray]]:
@@ -56,19 +55,17 @@ def _build_column(docs: Sequence[Dict[str, Any]], name: str) -> Tuple[np.ndarray
     ``missing is None`` (the values themselves carry ``None``).
     """
     raw = [doc.get(name) for doc in docs]
-    numeric = True
-    for value in raw:
-        if value is None or type(value) is float or type(value) is int:
-            continue
-        if _is_plain_number(value):
-            continue
-        numeric = False
-        break
-    if numeric:
-        values = np.array(raw, dtype=np.float64) if raw else np.empty(0, dtype=np.float64)
+    kinds = set(map(type, raw))
+    for kind in kinds - _NUMERIC_TYPES:
+        if issubclass(kind, bool) or not issubclass(kind, (int, float)):
+            # fromiter keeps a list- or tuple-valued field one value per row.
+            return np.fromiter(raw, dtype=object, count=len(raw)), None
+    values = np.array(raw, dtype=np.float64)
+    if type(None) in kinds:
         missing = np.fromiter((v is None for v in raw), dtype=bool, count=len(raw))
-        return values, missing
-    return np.array(raw, dtype=object), None
+    else:
+        missing = np.zeros(len(raw), dtype=bool)
+    return values, missing
 
 
 class FeatureFrame:
@@ -116,16 +113,6 @@ class FeatureFrame:
                 continue
             values[name], missing[name] = _build_column(docs, name)
         return cls(values, missing, docs)
-
-    @classmethod
-    def from_columns(
-        cls,
-        values: Dict[str, np.ndarray],
-        missing: Dict[str, Optional[np.ndarray]],
-        docs: List[Dict[str, Any]],
-    ) -> "FeatureFrame":
-        """Assemble a frame from prebuilt arrays (parallel extraction)."""
-        return cls(dict(values), dict(missing), docs)
 
     @classmethod
     def concat(cls, frames: Sequence["FeatureFrame"]) -> "FeatureFrame":
@@ -198,11 +185,10 @@ class FeatureFrame:
         first use — so filters, sorts, and markings never see a phantom
         all-missing column just because the caller trimmed the scan.
         """
-        column = self._values.get(name, _VIRTUAL)
-        if column is _VIRTUAL:
-            column, missing = _build_column(self._docs, name)
+        column = self._values.get(name)
+        if column is None:
+            column, self._missing[name] = _build_column(self._docs, name)
             self._values[name] = column
-            self._missing[name] = missing
         return column
 
     def is_missing(self, name: str) -> np.ndarray:
@@ -586,5 +572,5 @@ def assemble_chunks(
     frames = []
     for (values, missing, keep), docs in zip(chunk_results, partitions):
         kept_docs = [docs[i] for i in keep.tolist()]
-        frames.append(FeatureFrame.from_columns(values, missing, kept_docs))
+        frames.append(FeatureFrame(values, missing, kept_docs))
     return FeatureFrame.concat(frames)

@@ -29,19 +29,6 @@ class TestCli:
         out = capsys.readouterr().out
         assert "Detection Rate" in out
 
-    def test_ddos_columnar_flag_does_not_leak(self, capsys):
-        """--columnar scopes the frame path to the command: an in-process
-        main([...]) leaves the runtime config exactly as it found it."""
-        from repro.config import current, override
-
-        with override(columnar=False):
-            before = current()
-            assert main(["ddos", "--scale", "0.0004", "--columnar"]) == 0
-            assert current() is before
-        out = capsys.readouterr().out
-        assert "columnar batch path" in out
-        assert "Detection Rate" in out
-
     def test_cbench_command(self, capsys):
         assert main(["cbench", "--rounds", "1", "--seconds", "0.1"]) == 0
         out = capsys.readouterr().out

@@ -1,15 +1,19 @@
-"""Byte-identical equivalence of the columnar batch path (docs/PERF.md).
+"""Byte-identical equivalence of the batch path (docs/PERF.md).
 
-``ATHENA_COLUMNAR`` swaps the store→model pipeline from per-document
-dicts onto numpy frames, and the swap must be invisible: the same frozen
-store state run through batch detection with the flag on and off has to
+Detection jobs fetch numpy frames from the store, never per-document
+dicts, and that must be invisible: the same frozen store state run
+through batch detection by the default fetch and by the ``documents=``
+argument fed from ``RequestFeatures`` (the document oracle) has to
 produce the same training matrices, the same fitted models, the same
 predictions, and the same validation summaries.  Two anomaly scenarios
 check that end to end — a simulated port scan detected with a threshold
 model, and the paper's DDoS dataset detected with k-means — plus direct
 ``find_frame``/``find`` parity on the sharded store, including the
-generation-keyed frame cache's invalidation edges.
+per-generation frame cache's invalidation edges.
 """
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -19,8 +23,8 @@ from repro.core import AthenaDeployment, GenerateQuery
 from repro.core.algorithm import GenerateAlgorithm
 from repro.core.preprocessor import GeneratePreprocessor
 from repro.dataplane.topologies import linear_topology
-from repro.distdb import DatabaseCluster
-from repro.config import override
+from repro.core.feature_manager import FEATURE_COLLECTION, FeatureManager
+from repro.distdb import ColumnStoreCluster, DatabaseCluster
 from repro.workloads.ddos import DDoSDatasetGenerator, DDoSDatasetSpec
 from repro.workloads.flows import FlowSpec, TrafficSchedule
 
@@ -51,26 +55,28 @@ def portscan_stack():
     return topo, athena
 
 
-def _portscan_detection(athena, enabled):
-    """One batch train+validate pass under the given columnar setting."""
+def _portscan_detection(athena, from_documents):
+    """One batch train+validate pass: fetched by the job itself (frames),
+    or fed the documents ``RequestFeatures`` returns (the oracle)."""
     query = GenerateQuery("feature_scope == flow && FLOW_PACKET_COUNT > 0")
     preprocessor = GeneratePreprocessor(
         normalization=None, features=["SRC_FLOW_FANOUT"]
     )
     algorithm = GenerateAlgorithm("threshold", column=0, threshold=10.0)
-    with override(columnar=enabled):
-        model = athena.northbound.GenerateDetectionModel(
-            query, preprocessor, algorithm
-        )
-        summary = athena.northbound.ValidateFeatures(query, preprocessor, model)
+    nb = athena.northbound
+    documents = nb.RequestFeatures(query) if from_documents else None
+    model = nb.GenerateDetectionModel(
+        query, preprocessor, algorithm, documents=documents
+    )
+    summary = nb.ValidateFeatures(query, preprocessor, model, documents=documents)
     return model, summary
 
 
 class TestPortscanColumnarEquivalence:
     def test_snapshots_byte_identical(self, portscan_stack):
         _topo, athena = portscan_stack
-        doc_model, doc_summary = _portscan_detection(athena, enabled=False)
-        col_model, col_summary = _portscan_detection(athena, enabled=True)
+        doc_model, doc_summary = _portscan_detection(athena, from_documents=True)
+        col_model, col_summary = _portscan_detection(athena, from_documents=False)
         assert doc_model.trained_entries == col_model.trained_entries
         assert doc_summary.to_dict() == col_summary.to_dict()
         assert (
@@ -114,10 +120,12 @@ class TestDDoSColumnarEquivalence:
         athena.register_app(app)
         athena.feature_manager.publish_documents(train)
 
-        with override(columnar=False):
-            doc_summary = app.run_batch(test_documents=test)
-        with override(columnar=True):
-            col_summary = app.run_batch(test_documents=test)
+        query = GenerateQuery("feature_scope == flow").time_window(0.0, 1800.0)
+        doc_summary = app.run_batch(
+            train_documents=athena.northbound.RequestFeatures(query),
+            test_documents=test,
+        )
+        col_summary = app.run_batch(test_documents=test)
         assert np.array_equal(doc_summary.predictions, col_summary.predictions)
         assert doc_summary.to_dict() == col_summary.to_dict()
         assert doc_summary.clusters == col_summary.clusters
@@ -144,8 +152,8 @@ class TestFindFrameParity:
             )
         return cluster
 
-    def _assert_parity(self, cluster, **kwargs):
-        frame = cluster.find_frame("features", **kwargs)
+    def _assert_parity(self, cluster, columns=None, **kwargs):
+        frame = cluster.find_frame("features", columns=columns, **kwargs)
         assert frame.copy_documents() == cluster.find("features", **kwargs)
 
     def test_indexed_filter_preserves_candidate_order(self, cluster):
@@ -216,3 +224,73 @@ class TestFindFrameParity:
         second = cluster.find_frame("features", self.FILTER)
         assert cluster._frame_cache["features"] is cached
         assert first.copy_documents() == second.copy_documents()
+
+    def test_cached_columns_are_built_once_per_generation_on_first_use(self, cluster):
+        cluster.find_frame("features", self.FILTER, columns=("PAIR_FLOW",))
+        full, _rows = cluster._frame_cache["features"]
+        assert full.n_rows == 60  # the whole generation, not the 40 matches
+        assert full.column_names == ["PAIR_FLOW", "feature_scope"]
+        pair_flow = full.values("PAIR_FLOW")
+        cluster.find_frame("features", None, sort=[("timestamp", 1)])
+        assert full.column_names == ["PAIR_FLOW", "feature_scope", "timestamp"]
+        assert full.values("PAIR_FLOW") is pair_flow
+
+    def test_narrow_indexed_read_leaves_the_full_scan_cache_unbuilt(self, cluster):
+        cluster.create_index("features", "timestamp")
+        narrow = {"timestamp": 2.0}  # an index bucket of 9 of the 60 documents
+        self._assert_parity(cluster, filter_=narrow, columns=("PAIR_FLOW",))
+        self._assert_parity(cluster, filter_={"switch_id": 3})  # one shard's table
+        assert not cluster._frame_cache
+        cluster.create_index("features", "feature_scope")
+        self._assert_parity(cluster, filter_=self.FILTER)  # 40 of 60: cached route
+        assert "features" in cluster._frame_cache
+        self._assert_parity(cluster, filter_=narrow, columns=("PAIR_FLOW",))
+
+    @pytest.mark.parametrize(
+        "filter_", [None, FILTER, {"timestamp": 2.0}, {"switch_id": 3}]
+    )
+    def test_bytes_read_counts_the_matched_rows_like_find(self, cluster, filter_):
+        from tests.oracles import list_find
+
+        cluster.create_index("features", "timestamp")
+        stored = [
+            doc
+            for shard in cluster.shards
+            for doc in shard.collection("features").all_documents()
+        ]
+        before = cluster.op_stats()["bytes_read"]
+        cluster.find_frame("features", filter_, limit=5)  # counted pre-limit
+        after_frame = cluster.op_stats()["bytes_read"]
+        cluster.find("features", filter_, limit=5)
+        after_find = cluster.op_stats()["bytes_read"]
+        expected = list_find(stored, filter_)[1]
+        assert after_frame - before == after_find - after_frame == expected > 0
+
+
+class _Payload:
+    """A stored value that, unlike a dict, can be weakly referenced."""
+
+
+@pytest.mark.parametrize("layout", [DatabaseCluster, ColumnStoreCluster])
+@pytest.mark.parametrize("drop", ["clear_features", "delete_many"])
+def test_dropped_documents_are_not_pinned_by_a_stale_frame(layout, drop):
+    """Deleting ends the generation, and the generation's frame goes with
+    it at once — not at the next frame read — so the deleted stored
+    documents (and all they reference) are garbage straight away."""
+    manager = FeatureManager(layout(), store_features=True)
+    payload = _Payload()
+    alive = weakref.ref(payload)
+    manager.publish_documents(
+        [{"switch_id": i % 3, "feature_scope": "flow", "payload": payload}
+         for i in range(9)]
+    )
+    del payload
+    assert manager.request_frame(GenerateQuery("feature_scope == flow")).n_rows == 9
+    assert manager.database._frame_cache
+    if drop == "clear_features":
+        manager.clear_features()
+    else:
+        manager.database.delete_many(FEATURE_COLLECTION, {"feature_scope": "flow"})
+    assert not manager.database._frame_cache
+    gc.collect()
+    assert alive() is None

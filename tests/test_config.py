@@ -8,11 +8,11 @@ from repro.config import RuntimeConfig, current, from_env, override
 
 
 class TestRuntimeConfig:
-    def test_exactly_the_four_fields_with_off_defaults(self):
+    def test_exactly_the_three_fields_with_off_defaults(self):
         assert [f.name for f in dataclasses.fields(RuntimeConfig)] == [
-            "columnar", "sketch", "telemetry", "compute_backend",
+            "sketch", "telemetry", "compute_backend",
         ]
-        assert RuntimeConfig() == RuntimeConfig(False, False, False, "serial")
+        assert RuntimeConfig() == RuntimeConfig(False, False, "serial")
         assert from_env({}) == RuntimeConfig()
 
     def test_frozen(self):
@@ -21,8 +21,8 @@ class TestRuntimeConfig:
 
     @pytest.mark.parametrize("raw", ["1", "true", "YES", " on "])
     def test_switches_accept_the_enabling_words(self, raw):
-        config = from_env({"ATHENA_COLUMNAR": raw, "ATHENA_TELEMETRY": raw})
-        assert config.columnar and config.telemetry and not config.sketch
+        config = from_env({"ATHENA_TELEMETRY": raw})
+        assert config.telemetry and not config.sketch
 
     @pytest.mark.parametrize("raw", ["0", "false", "off", "", "2"])
     def test_anything_else_is_off(self, raw):
@@ -43,15 +43,15 @@ class TestOverride:
             with override(sketch=not before.sketch) as scoped:
                 assert current() is scoped
                 assert scoped.sketch is (not before.sketch)
-                assert scoped.columnar is before.columnar
+                assert scoped.telemetry is before.telemetry
                 raise RuntimeError("boom")
         assert current() is before
 
     def test_nests(self):
-        with override(columnar=True):
+        with override(compute_backend="process"):
             with override(sketch=True):
-                assert current().columnar and current().sketch
-            assert current().columnar
+                assert current().compute_backend == "process" and current().sketch
+            assert current().compute_backend == "process"
 
     def test_unknown_field_rejected(self):
         before = current()
@@ -78,18 +78,17 @@ class TestDeploymentPin:
 
     def test_follows_current_config_by_default(self):
         athena = self._deployment()
-        with override(sketch=True, columnar=True):
-            assert athena.config.sketch and athena.config.columnar
-        with override(sketch=False, columnar=False):
-            assert not athena.config.sketch and not athena.config.columnar
+        with override(sketch=True):
+            assert athena.config.sketch
+        with override(sketch=False):
+            assert not athena.config.sketch
 
     def test_pinned_config_ignores_overrides(self):
-        pinned = RuntimeConfig(columnar=True, compute_backend="serial")
-        with override(columnar=False, sketch=True, compute_backend="process"):
+        pinned = RuntimeConfig(compute_backend="serial")
+        with override(sketch=True, compute_backend="process"):
             athena = self._deployment(config=pinned)
             assert athena.config is pinned
             assert athena.compute.backend_name == "serial"
-            assert athena.detector_manager._config is pinned
             assert all(i.generator._config is pinned for i in athena.instances)
 
     def test_pinned_telemetry_is_honoured(self):
