@@ -121,15 +121,12 @@ class AthenaDeployment:
             self.database, store_features=store_features, scheduler=sim
         )
         self.instances: List[AthenaInstance] = []
-        network = cluster.network
         for controller in cluster.instances:
             generator = FeatureGenerator(
                 instance_id=controller.instance_id,
                 sink=self.feature_manager.publish,
                 flow_rule_lookup=cluster.flow_rules.app_of_flow,
-                port_speed_lookup=lambda dpid, port: self._port_speed(
-                    network, dpid, port
-                ),
+                port_speed_lookup=self._port_speed,
                 config=config,
             )
             southbound = SouthboundElement(
@@ -181,9 +178,8 @@ class AthenaDeployment:
         location = self.cluster.hosts.locate_ip(ip)
         return location.mac if location is not None else None
 
-    @staticmethod
-    def _port_speed(network, dpid: int, port: int) -> float:
-        switch = network.switches.get(dpid)
+    def _port_speed(self, dpid: int, port: int) -> float:
+        switch = self.cluster.network.switches.get(dpid)
         if switch is None:
             return 1e9
         if port in switch.ports:
@@ -238,7 +234,9 @@ class AthenaDeployment:
             StreamingRuntime,
         )
 
-        pipeline = StreamingPipeline(stale_after=stale_after)
+        pipeline = StreamingPipeline(
+            stale_after=stale_after, port_speed_lookup=self._port_speed
+        )
         detectors = StreamingDetectorManager()
         pipeline.add_sink(detectors.on_event)
         pipeline.attach(self)

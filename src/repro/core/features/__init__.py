@@ -10,7 +10,9 @@ Table I category; the sibling modules compute them:
 * :mod:`~repro.core.features.stateful` — values that need network state
   (pair flows, flow origins, per-source flow fan-out),
 * :mod:`~repro.core.features.variation` — deltas against the previous
-  sample of the same entity, kept in hash tables.
+  sample of the same entity, kept in hash tables,
+* :mod:`~repro.core.features.engine` — the per-consumer state engine
+  that folds one flow observation through all of the above.
 """
 
 from repro.core.features.catalog import (

@@ -88,11 +88,12 @@ def switch_fields(
 def control_fields(
     counters: Dict[str, float], delta_seconds: Optional[float]
 ) -> Dict[str, float]:
-    """Combination features at control scope (message rates)."""
+    """Combination features at control scope: message rates, from the
+    counters' ``*_VAR`` deltas over the ``delta_seconds`` they span."""
     if not delta_seconds or delta_seconds <= 0:
         return {"PACKET_IN_RATE": 0.0, "FLOW_MOD_RATE": 0.0, "CONTROL_MSG_RATE": 0.0}
     return {
-        "PACKET_IN_RATE": counters.get("PACKET_IN_COUNT_DELTA", 0.0) / delta_seconds,
-        "FLOW_MOD_RATE": counters.get("FLOW_MOD_COUNT_DELTA", 0.0) / delta_seconds,
-        "CONTROL_MSG_RATE": counters.get("CONTROL_MSG_TOTAL_DELTA", 0.0) / delta_seconds,
+        "PACKET_IN_RATE": counters.get("PACKET_IN_COUNT_VAR", 0.0) / delta_seconds,
+        "FLOW_MOD_RATE": counters.get("FLOW_MOD_COUNT_VAR", 0.0) / delta_seconds,
+        "CONTROL_MSG_RATE": counters.get("CONTROL_MSG_TOTAL_VAR", 0.0) / delta_seconds,
     }

@@ -16,34 +16,32 @@ from repro.openflow.messages import (
 )
 
 
-def flow_fields(entry: FlowStatsEntry) -> Dict[str, float]:
-    """Protocol features of one flow-stats entry."""
-    duration = float(entry.duration_sec)
+def _flow_fields(source, idle_timeout=0.0, hard_timeout=0.0, table_id=0.0):
+    """The flow-scope protocol fields of a stats entry or a removal notice."""
+    duration = float(source.duration_sec)
     return {
-        "FLOW_PACKET_COUNT": float(entry.packet_count),
-        "FLOW_BYTE_COUNT": float(entry.byte_count),
+        "FLOW_PACKET_COUNT": float(source.packet_count),
+        "FLOW_BYTE_COUNT": float(source.byte_count),
         "FLOW_DURATION_SEC": float(int(duration)),
         "FLOW_DURATION_N_SEC": (duration - int(duration)) * 1e9,
-        "FLOW_PRIORITY": float(entry.priority),
-        "FLOW_IDLE_TIMEOUT": float(entry.idle_timeout),
-        "FLOW_HARD_TIMEOUT": float(entry.hard_timeout),
-        "FLOW_TABLE_ID": float(entry.table_id),
+        "FLOW_PRIORITY": float(source.priority),
+        "FLOW_IDLE_TIMEOUT": float(idle_timeout),
+        "FLOW_HARD_TIMEOUT": float(hard_timeout),
+        "FLOW_TABLE_ID": float(table_id),
     }
+
+
+def flow_fields(entry: FlowStatsEntry) -> Dict[str, float]:
+    """Protocol features of one flow-stats entry."""
+    return _flow_fields(entry, entry.idle_timeout, entry.hard_timeout, entry.table_id)
 
 
 def removed_flow_fields(msg: FlowRemoved) -> Dict[str, float]:
-    """Protocol features carried by a FLOW_REMOVED notification."""
-    duration = float(msg.duration_sec)
-    return {
-        "FLOW_PACKET_COUNT": float(msg.packet_count),
-        "FLOW_BYTE_COUNT": float(msg.byte_count),
-        "FLOW_DURATION_SEC": float(int(duration)),
-        "FLOW_DURATION_N_SEC": (duration - int(duration)) * 1e9,
-        "FLOW_PRIORITY": float(msg.priority),
-        "FLOW_IDLE_TIMEOUT": 0.0,
-        "FLOW_HARD_TIMEOUT": 0.0,
-        "FLOW_TABLE_ID": 0.0,
-    }
+    """Protocol features carried by a FLOW_REMOVED notification.
+
+    The notification has no timeouts or table id; they read as zero.
+    """
+    return _flow_fields(msg)
 
 
 def port_fields(entry: PortStatsEntry) -> Dict[str, float]:
@@ -78,32 +76,23 @@ def aggregate_fields(packet_count: int, byte_count: int, flow_count: int) -> Dic
     }
 
 
+#: Control feature → the message counter it reports (also the summed set).
+_CONTROL_COUNTERS = (
+    ("PACKET_IN_COUNT", "packet_in"),
+    ("PACKET_OUT_COUNT", "packet_out"),
+    ("FLOW_MOD_COUNT", "flow_mod"),
+    ("FLOW_REMOVED_COUNT", "flow_removed"),
+    ("PORT_STATUS_COUNT", "port_status"),
+    ("STATS_REQUEST_COUNT", "stats_request"),
+    ("STATS_REPLY_COUNT", "stats_reply"),
+    ("ECHO_COUNT", "echo"),
+    ("BARRIER_COUNT", "barrier"),
+)
+
+
 def control_counter_fields(counters: Dict[str, int]) -> Dict[str, float]:
     """Protocol features from the per-switch control-message counters."""
-    total = sum(
-        counters.get(key, 0)
-        for key in (
-            "packet_in",
-            "packet_out",
-            "flow_mod",
-            "flow_removed",
-            "port_status",
-            "stats_request",
-            "stats_reply",
-            "echo",
-            "barrier",
-        )
-    )
-    return {
-        "PACKET_IN_COUNT": float(counters.get("packet_in", 0)),
-        "PACKET_OUT_COUNT": float(counters.get("packet_out", 0)),
-        "FLOW_MOD_COUNT": float(counters.get("flow_mod", 0)),
-        "FLOW_REMOVED_COUNT": float(counters.get("flow_removed", 0)),
-        "PORT_STATUS_COUNT": float(counters.get("port_status", 0)),
-        "STATS_REQUEST_COUNT": float(counters.get("stats_request", 0)),
-        "STATS_REPLY_COUNT": float(counters.get("stats_reply", 0)),
-        "ECHO_COUNT": float(counters.get("echo", 0)),
-        "BARRIER_COUNT": float(counters.get("barrier", 0)),
-        "CONTROL_MSG_TOTAL": float(total),
-        "CONTROL_MSG_BYTES": float(counters.get("bytes", 0)),
-    }
+    fields = {name: float(counters.get(key, 0)) for name, key in _CONTROL_COUNTERS}
+    fields["CONTROL_MSG_TOTAL"] = float(sum(fields.values()))
+    fields["CONTROL_MSG_BYTES"] = float(counters.get("bytes", 0))
+    return fields

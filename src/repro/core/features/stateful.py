@@ -32,12 +32,19 @@ def reverse_indicators(indicators: Dict[str, Any]) -> Dict[str, Any]:
     return {k: v for k, v in flipped.items() if v is not None}
 
 
+def flow_keys(indicators: Dict[str, Any]) -> Tuple[FlowKey, FlowKey]:
+    """A flow's key and the key of its reverse direction."""
+    return (
+        flow_key_from_indicators(indicators),
+        flow_key_from_indicators(reverse_indicators(indicators)),
+    )
+
+
 @dataclass
 class _FlowState:
     """Tracked state of one live flow."""
 
     indicators: Dict[str, Any]
-    first_seen: float
     last_seen: float
     samples: int = 0
     packet_count: float = 0.0
@@ -65,18 +72,7 @@ class _SwitchState:
         dst = indicators.get("ip_dst") or indicators.get("eth_dst")
         return src, dst
 
-    def add_flow(self, key: FlowKey, flow: "_FlowState") -> None:
-        self.flows[key] = flow
-        src, dst = self.endpoints(flow.indicators)
-        self.src_counts[src] = self.src_counts.get(src, 0) + 1
-        self.dst_counts[dst] = self.dst_counts.get(dst, 0) + 1
-        reverse_key = flow_key_from_indicators(
-            reverse_indicators(flow.indicators)
-        )
-        if reverse_key in self.flows and reverse_key != key:
-            self.pair_count += 2
-
-    def drop_flow(self, key: FlowKey) -> Optional["_FlowState"]:
+    def drop_flow(self, key: FlowKey, reverse_key: FlowKey) -> Optional["_FlowState"]:
         flow = self.flows.pop(key, None)
         if flow is None:
             return None
@@ -87,16 +83,19 @@ class _SwitchState:
                 counts.pop(endpoint, None)
             else:
                 counts[endpoint] = remaining
-        reverse_key = flow_key_from_indicators(
-            reverse_indicators(flow.indicators)
-        )
         if reverse_key in self.flows and reverse_key != key:
             self.pair_count -= 2
         return flow
 
 
 class FlowStateTable:
-    """Live-flow state for the switches one Athena instance monitors."""
+    """Live-flow state for the switches one Athena instance monitors.
+
+    The update methods take the flow's ``keys`` (:func:`flow_keys`) from a
+    caller that has them — the feature-state engine builds them once per
+    fold.  No key is stored per flow: garbage collection rebuilds the
+    reverse key of each flow it evicts.
+    """
 
     def __init__(self, stale_after: float = 60.0) -> None:
         self.stale_after = stale_after
@@ -115,80 +114,47 @@ class FlowStateTable:
         indicators: Dict[str, Any],
         now: float,
         packet_count: float = 0.0,
+        keys: Optional[Tuple[FlowKey, FlowKey]] = None,
     ) -> Dict[str, float]:
         """Record a sample of a flow; returns its flow-scoped stateful fields."""
         state = self._state(dpid)
-        key = flow_key_from_indicators(indicators)
+        key, reverse_key = keys or flow_keys(indicators)
+        has_pair = reverse_key in state.flows and reverse_key != key
+        src, dst = state.endpoints(indicators)
         flow = state.flows.get(key)
         is_new = flow is None
         if is_new:
-            flow = _FlowState(
-                indicators=dict(indicators), first_seen=now, last_seen=now
-            )
-            state.add_flow(key, flow)
+            flow = state.flows[key] = _FlowState(dict(indicators), last_seen=now)
+            state.src_counts[src] = state.src_counts.get(src, 0) + 1
+            state.dst_counts[dst] = state.dst_counts.get(dst, 0) + 1
+            if has_pair:
+                state.pair_count += 2
             state.new_flows_since_sample += 1
         flow.last_seen = now
         flow.samples += 1
         flow.packet_count = packet_count
-        reverse_key = flow_key_from_indicators(reverse_indicators(indicators))
-        has_pair = reverse_key in state.flows and reverse_key != key
-        src, dst = state.endpoints(indicators)
-        fanout = state.src_counts.get(src, 0)
-        fanin = state.dst_counts.get(dst, 0)
         return {
             "PAIR_FLOW": 1.0 if has_pair else 0.0,
             "FLOW_IS_NEW": 1.0 if is_new else 0.0,
             "FLOW_SAMPLE_COUNT": float(flow.samples),
-            "SRC_FLOW_FANOUT": float(fanout),
-            "DST_FLOW_FANIN": float(fanin),
+            "SRC_FLOW_FANOUT": float(state.src_counts.get(src, 0)),
+            "DST_FLOW_FANIN": float(state.dst_counts.get(dst, 0)),
         }
 
-    def remove_flow(self, dpid: int, indicators: Dict[str, Any]) -> bool:
+    def remove_flow(
+        self,
+        dpid: int,
+        indicators: Dict[str, Any],
+        keys: Optional[Tuple[FlowKey, FlowKey]] = None,
+    ) -> bool:
         """Drop a flow on FLOW_REMOVED; returns whether it was tracked."""
         state = self._state(dpid)
-        key = flow_key_from_indicators(indicators)
-        if state.drop_flow(key) is not None:
+        if state.drop_flow(*(keys or flow_keys(indicators))) is not None:
             state.expired_since_sample += 1
             return True
         return False
 
     # -- switch-level snapshot --------------------------------------------------
-
-    def switch_fields(self, dpid: int, now: float) -> Dict[str, float]:
-        """Stateful switch-scope features, resetting per-sample counters."""
-        state = self._state(dpid)
-        flows = list(state.flows.values())
-        total = len(flows)
-        paired = state.pair_count
-        sources = state.src_counts
-        destinations = state.dst_counts
-        elapsed = (
-            now - state.last_sample_time if state.last_sample_time is not None else 0.0
-        )
-        new_rate = state.new_flows_since_sample / elapsed if elapsed > 0 else 0.0
-        expired_rate = state.expired_since_sample / elapsed if elapsed > 0 else 0.0
-        single = total - paired
-        fields = {
-            "PAIR_FLOW_RATIO": paired / total if total else 0.0,
-            "SINGLE_FLOW_RATIO": single / total if total else 0.0,
-            "TOTAL_TRACKED_FLOWS": float(total),
-            "UNIQUE_SRC_COUNT": float(len(sources)),
-            "UNIQUE_DST_COUNT": float(len(destinations)),
-            "FLOWS_PER_SRC": total / len(sources) if sources else 0.0,
-            "FLOWS_PER_DST": total / len(destinations) if destinations else 0.0,
-            "NEW_FLOW_RATE": new_rate,
-            "EXPIRED_FLOW_RATE": expired_rate,
-            "MEDIAN_FLOW_PACKETS": (
-                float(statistics.median(f.packet_count for f in flows)) if flows else 0.0
-            ),
-            "GROWTH_SINGLE_FLOWS": float(
-                state.new_flows_since_sample - state.expired_since_sample
-            ),
-        }
-        state.new_flows_since_sample = 0
-        state.expired_since_sample = 0
-        state.last_sample_time = now
-        return fields
 
     def switch_snapshot(self, dpid: int) -> Dict[str, float]:
         """Read-only switch-scope view that does NOT reset sample counters.
@@ -197,9 +163,10 @@ class FlowStateTable:
         often than the batch sampling round; resetting the per-sample
         counters here would starve :meth:`switch_fields` (and rate features)
         of their accumulation window, so this snapshot leaves all state
-        untouched.
+        untouched — a switch never observed reads as zeros and stays
+        untracked.
         """
-        state = self._state(dpid)
+        state = self._switches.get(dpid) or _SwitchState()
         total = len(state.flows)
         paired = state.pair_count
         sources = state.src_counts
@@ -214,6 +181,27 @@ class FlowStateTable:
             "FLOWS_PER_DST": total / len(destinations) if destinations else 0.0,
         }
 
+    def switch_fields(self, dpid: int, now: float) -> Dict[str, float]:
+        """Stateful switch-scope features, resetting per-sample counters."""
+        state = self._state(dpid)
+        fields = self.switch_snapshot(dpid)
+        elapsed = (
+            now - state.last_sample_time if state.last_sample_time is not None else 0.0
+        )
+        new, expired = state.new_flows_since_sample, state.expired_since_sample
+        fields["NEW_FLOW_RATE"] = new / elapsed if elapsed > 0 else 0.0
+        fields["EXPIRED_FLOW_RATE"] = expired / elapsed if elapsed > 0 else 0.0
+        fields["MEDIAN_FLOW_PACKETS"] = (
+            float(statistics.median(f.packet_count for f in state.flows.values()))
+            if state.flows
+            else 0.0
+        )
+        fields["GROWTH_SINGLE_FLOWS"] = float(new - expired)
+        state.new_flows_since_sample = 0
+        state.expired_since_sample = 0
+        state.last_sample_time = now
+        return fields
+
     # -- garbage collection ----------------------------------------------------
 
     def collect_garbage(self, now: float) -> int:
@@ -221,16 +209,17 @@ class FlowStateTable:
         evicted = 0
         for state in self._switches.values():
             stale = [
-                key
+                (key, flow_key_from_indicators(reverse_indicators(flow.indicators)))
                 for key, flow in state.flows.items()
                 if now - flow.last_seen > self.stale_after
             ]
-            for key in stale:
-                state.drop_flow(key)
+            for key, reverse_key in stale:
+                state.drop_flow(key, reverse_key)
                 evicted += 1
         return evicted
 
     def tracked_flow_count(self, dpid: Optional[int] = None) -> int:
         if dpid is not None:
-            return len(self._state(dpid).flows)
+            state = self._switches.get(dpid)
+            return len(state.flows) if state is not None else 0
         return sum(len(s.flows) for s in self._switches.values())

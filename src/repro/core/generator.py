@@ -32,8 +32,7 @@ from repro.controller.events import (
 from repro.core.feature_format import AthenaFeature, FeatureScope
 from repro.core.features import combination, protocol
 from repro.core.features.catalog import FEATURE_CATALOG, FeatureCategory
-from repro.core.features.stateful import FlowStateTable
-from repro.core.features.variation import VariationTracker
+from repro.core.features.engine import FeatureStateEngine
 from repro.openflow.messages import (
     AggregateStatsReply,
     FlowStatsReply,
@@ -46,17 +45,7 @@ from repro.telemetry import StageProfiler, get_telemetry
 
 FeatureSink = Callable[[AthenaFeature], None]
 
-#: Indicator keys copied from a flow match into record index fields.
-_INDICATOR_KEYS = (
-    "eth_src",
-    "eth_dst",
-    "ip_src",
-    "ip_dst",
-    "ip_proto",
-    "tcp_src",
-    "tcp_dst",
-)
-
+#: OpenFlow message type → the control counter the tap bumps.
 _TAP_COUNTER_KEYS = {
     "PACKET_IN": "packet_in",
     "PACKET_OUT": "packet_out",
@@ -69,6 +58,13 @@ _TAP_COUNTER_KEYS = {
     "ECHO_REPLY": "echo",
     "BARRIER_REQUEST": "barrier",
     "BARRIER_REPLY": "barrier",
+}
+
+#: Sketch structure → its (fill, error) entries in the window's fill stats.
+_SKETCH_GAUGES = {
+    "cms": ("cms_fill_ratio", "cms_error_bound"),
+    "hll": ("hll_fill_ratio", "hll_relative_error"),
+    "bloom": ("bloom_fill_ratio", "bloom_fp_bound"),
 }
 
 
@@ -90,9 +86,16 @@ class FeatureGenerator:
         self.sink = sink
         self._flow_rule_lookup = flow_rule_lookup
         self._port_speed_lookup = port_speed_lookup
-        self.flow_state = FlowStateTable(stale_after=stale_after)
-        self.variation = VariationTracker(stale_after=2 * stale_after)
-        self._control_counters: Dict[int, Dict[str, int]] = {}
+        #: The hash tables (Section III-A2); the sketch window is seeded
+        #: from the instance id for run-to-run determinism.
+        self.state = FeatureStateEngine(
+            stale_after=stale_after,
+            port_speed_lookup=port_speed_lookup,
+            window_gate=self._sketching,
+            window_seed=instance_id,
+        )
+        self.flow_state = self.state.flow_state
+        self.variation = self.state.variation
         self._last_table_fields: Dict[int, Dict[str, float]] = {}
         self._last_agg_fields: Dict[int, Dict[str, float]] = {}
         # Fidelity controls (driven by the Resource Manager).
@@ -115,9 +118,6 @@ class FeatureGenerator:
         self._profiler = StageProfiler(
             metric="athena_feature_stage_seconds", registry=registry
         )
-        # Sketch path (config.sketch): lazily built so exact-only runs pay
-        # nothing; seeded from the instance id for run-to-run determinism.
-        self.sketch_state: Optional[SketchFeatureState] = None
         self._metric_sketch_fill = registry.gauge(
             "athena_sketch_fill_ratio",
             "Mean sketch fill ratio across switches, by structure.",
@@ -144,9 +144,22 @@ class FeatureGenerator:
             return False
         return True
 
-    def _emit(self, record: AthenaFeature) -> None:
+    def _emit(
+        self, scope, dpid, now, fields, indicators=None, app_id=None, port_no=None
+    ) -> None:
+        """Emit one record of ``scope`` with the enabled categories' fields."""
+        record = AthenaFeature(
+            scope=scope,
+            switch_id=dpid,
+            instance_id=self.instance_id,
+            timestamp=now,
+            indicators=indicators if indicators is not None else {},
+            app_id=app_id,
+            port_no=port_no,
+            fields=self._filter_categories(fields),
+        )
         self.features_generated += 1
-        self._metric_records[record.scope].inc()
+        self._metric_records[scope].inc()
         if self.sink is not None:
             self.sink(record)
 
@@ -184,63 +197,33 @@ class FeatureGenerator:
 
     # -- sketch path (config.sketch) ----------------------------------------
 
-    def _sketch_observe(
-        self, dpid: int, indicators: Dict, packets: float, bytes_: float
-    ) -> None:
-        """Fold one flow observation into the sketch window (config-gated)."""
+    def _sketching(self, dpid: int) -> bool:
+        """Whether the switch's observations feed the sketch window."""
         config = self._config or _config.ACTIVE  # per event: no call
-        if not config.sketch or not self._monitoring(dpid, FeatureScope.SKETCH):
-            return
-        if self.sketch_state is None:
-            self.sketch_state = SketchFeatureState(seed=self.instance_id)
-        src = indicators.get("ip_src") or indicators.get("eth_src") or ""
-        dst_port = indicators.get("tcp_dst") or 0
-        flow_key = tuple(sorted(indicators.items()))
-        self.sketch_state.observe(
-            dpid, flow_key, src, dst_port, packets=int(packets), bytes_=int(bytes_)
-        )
+        return config.sketch and self._monitoring(dpid, FeatureScope.SKETCH)
+
+    @property
+    def sketch_state(self) -> Optional[SketchFeatureState]:
+        """The engine's sketch window; None until something was sketched."""
+        return self.state.window
 
     def _emit_sketch_record(self, dpid: int, now: float) -> None:
         """Roll the switch's sketch window into one sketch-scoped record."""
-        if (
-            not (self._config or _config.ACTIVE).sketch
-            or self.sketch_state is None
-            or not self._monitoring(dpid, FeatureScope.SKETCH)
-            or not self.sketch_state.observations(dpid)
-        ):
+        window = self.state.window
+        if window is None or not self._sketching(dpid) or not window.observations(dpid):
             return
         # Snapshot fill/error stats before the roll resets the window.
-        stats = self.sketch_state.fill_stats()
-        fields = self.sketch_state.roll(dpid)
-        self._metric_sketch_fill.labels(structure="cms").set(stats["cms_fill_ratio"])
-        self._metric_sketch_fill.labels(structure="hll").set(stats["hll_fill_ratio"])
-        self._metric_sketch_fill.labels(structure="bloom").set(
-            stats["bloom_fill_ratio"]
-        )
-        self._metric_sketch_error.labels(structure="cms").set(
-            stats["cms_error_bound"]
-        )
-        self._metric_sketch_error.labels(structure="hll").set(
-            stats["hll_relative_error"]
-        )
-        self._metric_sketch_error.labels(structure="bloom").set(
-            stats["bloom_fp_bound"]
-        )
-        self._emit(
-            AthenaFeature(
-                scope=FeatureScope.SKETCH,
-                switch_id=dpid,
-                instance_id=self.instance_id,
-                timestamp=now,
-                fields=self._filter_categories(fields),
-            )
-        )
+        stats = window.fill_stats()
+        fields = window.roll(dpid)
+        for structure, (fill, error) in _SKETCH_GAUGES.items():
+            self._metric_sketch_fill.labels(structure=structure).set(stats[fill])
+            self._metric_sketch_error.labels(structure=structure).set(stats[error])
+        self._emit(FeatureScope.SKETCH, dpid, now, fields)
 
     def sketch_stats(self) -> Optional[Dict[str, float]]:
         """Aggregate sketch fill/error stats, or None while inactive."""
-        if self.sketch_state is None:
-            return None
-        return self.sketch_state.fill_stats()
+        window = self.state.window
+        return window.fill_stats() if window is not None else None
 
     # -- event entry points -----------------------------------------------------
 
@@ -267,150 +250,48 @@ class FeatureGenerator:
         stresses: every punted packet updates the stateful tables and emits
         a record (which the deployment then publishes to the database).
         """
-        dpid = event.dpid
-        if not self._monitoring(dpid, FeatureScope.FLOW):
-            return
-        with self._profiler.stage("packet_in"):
-            self._on_packet_in(event, dpid)
-
-    def _on_packet_in(self, event: PacketInEvent, dpid: int) -> None:
-        indicators = self._indicators(event.message.headers)
-        fields = self.flow_state.observe_flow(dpid, indicators, event.time)
-        fields["FLOW_PACKET_COUNT"] = 0.0
-        fields["FLOW_BYTE_COUNT"] = float(event.message.total_len)
-        self._sketch_observe(dpid, indicators, 1, event.message.total_len)
-        self._emit(
-            AthenaFeature(
-                scope=FeatureScope.FLOW,
-                switch_id=dpid,
-                instance_id=self.instance_id,
-                timestamp=event.time,
-                indicators=indicators,
-                fields=self._filter_categories(fields),
-            )
-        )
+        self._on_flow_event("packet_in", self.state.fold_packet_in, event)
 
     def on_flow_removed(self, event: FlowRemovedEvent) -> None:
         """Final sample of an evicted flow, then forget its state."""
+        self._on_flow_event(
+            "flow_removed", self.state.fold_flow_removed, event, event.message.app_id
+        )
+
+    def _on_flow_event(self, stage: str, fold, event, app_id=None) -> None:
+        """Fold one flow event through the engine into a flow record."""
         dpid = event.dpid
         if not self._monitoring(dpid, FeatureScope.FLOW):
             return
-        with self._profiler.stage("flow_removed"):
-            self._on_flow_removed(event, dpid)
-
-    def _on_flow_removed(self, event: FlowRemovedEvent, dpid: int) -> None:
-        indicators = self._indicators(event.message.match.to_dict())
-        fields = protocol.removed_flow_fields(event.message)
-        fields.update(combination.flow_fields(fields))
-        fields.update(
-            self.flow_state.observe_flow(
-                dpid, indicators, event.time, fields.get("FLOW_PACKET_COUNT", 0.0)
-            )
-        )
-        entity = (
-            dpid,
-            "flow",
-            tuple(sorted(indicators.items())),
-            event.message.priority,
-            event.message.cookie,
-        )
-        fields.update(self.variation.diff(entity, fields, event.time))
-        self.flow_state.remove_flow(dpid, indicators)
-        self.variation.forget(entity)
-        self._emit(
-            AthenaFeature(
-                scope=FeatureScope.FLOW,
-                switch_id=dpid,
-                instance_id=self.instance_id,
-                timestamp=event.time,
-                indicators=indicators,
-                app_id=event.message.app_id,
-                fields=self._filter_categories(fields),
-            )
-        )
+        with self._profiler.stage(stage):
+            indicators, fields = fold(dpid, event.message, event.time)
+            self._emit(FeatureScope.FLOW, dpid, event.time, fields, indicators, app_id)
 
     def on_message_tap(
         self, msg: OpenFlowMessage, direction: MessageDirection, instance_id: int
     ) -> None:
         """Count every control message crossing the instance."""
-        counters = self._control_counters.setdefault(
-            msg.dpid, {"bytes": 0}
+        self.state.count_message(
+            msg.dpid, _TAP_COUNTER_KEYS.get(msg.msg_type.name), msg.size_bytes()
         )
-        key = _TAP_COUNTER_KEYS.get(msg.msg_type.name)
-        if key is not None:
-            counters[key] = counters.get(key, 0) + 1
-        counters["bytes"] += msg.size_bytes()
 
     # -- per-message-type handlers ---------------------------------------------------
-
-    @staticmethod
-    def _indicators(match_dict: Dict) -> Dict:
-        return {k: v for k, v in match_dict.items() if k in _INDICATOR_KEYS}
 
     def _on_flow_stats(self, dpid: int, reply: FlowStatsReply, now: float) -> None:
         if not self._monitoring(dpid, FeatureScope.FLOW):
             return
         for entry in reply.entries:
-            indicators = self._indicators(entry.match.to_dict())
-            fields = protocol.flow_fields(entry)
-            port_speed = None
-            if self._port_speed_lookup is not None:
-                port_speed = self._port_speed_lookup(dpid, -1)
-            fields.update(combination.flow_fields(fields, port_speed))
-            fields.update(
-                self.flow_state.observe_flow(
-                    dpid, indicators, now, fields["FLOW_PACKET_COUNT"]
-                )
-            )
-            # The entity is the *rule* (priority + cookie), not just the
-            # match: distinct rules covering the same headers must not share
-            # a variation baseline, and a reinstalled rule (fresh cookie)
-            # restarts from zero rather than producing a negative delta.
-            entity = (
-                dpid,
-                "flow",
-                tuple(sorted(indicators.items())),
-                entry.priority,
-                entry.cookie,
-            )
-            fields.update(self.variation.diff(entity, fields, now))
-            # Sketch ingestion uses the per-sample delta when the flow was
-            # seen before (cumulative counters would double-count), and
-            # the full count on its first sample.
-            self._sketch_observe(
-                dpid,
-                indicators,
-                fields.get("FLOW_PACKET_COUNT_VAR", fields["FLOW_PACKET_COUNT"]),
-                fields.get("FLOW_BYTE_COUNT_VAR", fields["FLOW_BYTE_COUNT"]),
-            )
+            indicators, fields = self.state.fold_flow_stats_entry(dpid, entry, now)
             app_id = entry.app_id
             if app_id is None and self._flow_rule_lookup is not None:
                 app_id = self._flow_rule_lookup(dpid, entry.match)
-            self._emit(
-                AthenaFeature(
-                    scope=FeatureScope.FLOW,
-                    switch_id=dpid,
-                    instance_id=self.instance_id,
-                    timestamp=now,
-                    indicators=indicators,
-                    app_id=app_id,
-                    fields=self._filter_categories(fields),
-                )
-            )
+            self._emit(FeatureScope.FLOW, dpid, now, fields, indicators, app_id)
         # One switch-scope stateful record per flow-stats round.
         if self._monitoring(dpid, FeatureScope.SWITCH):
             switch_fields = self.flow_state.switch_fields(dpid, now)
             entity = (dpid, "switch-state")
             switch_fields.update(self.variation.diff(entity, switch_fields, now))
-            self._emit(
-                AthenaFeature(
-                    scope=FeatureScope.SWITCH,
-                    switch_id=dpid,
-                    instance_id=self.instance_id,
-                    timestamp=now,
-                    fields=self._filter_categories(switch_fields),
-                )
-            )
+            self._emit(FeatureScope.SWITCH, dpid, now, switch_fields)
         # Sketch-scope record: the window accumulated since the last round.
         self._emit_sketch_record(dpid, now)
         # Control-plane record: counters accumulated since the last round.
@@ -440,16 +321,7 @@ class FeatureGenerator:
                 combination.port_fields(fields, speed, delta_seconds, delta_bytes)
             )
             fields.update(self.variation.diff(entity, fields, now))
-            self._emit(
-                AthenaFeature(
-                    scope=FeatureScope.PORT,
-                    switch_id=dpid,
-                    instance_id=self.instance_id,
-                    timestamp=now,
-                    port_no=entry.port_no,
-                    fields=self._filter_categories(fields),
-                )
-            )
+            self._emit(FeatureScope.PORT, dpid, now, fields, port_no=entry.port_no)
 
     def _on_table_stats(self, dpid: int, reply: TableStatsReply, now: float) -> None:
         if not self._monitoring(dpid, FeatureScope.SWITCH):
@@ -467,15 +339,7 @@ class FeatureGenerator:
             )
             entity = (dpid, "table", entry.table_id)
             merged.update(self.variation.diff(entity, merged, now))
-            self._emit(
-                AthenaFeature(
-                    scope=FeatureScope.SWITCH,
-                    switch_id=dpid,
-                    instance_id=self.instance_id,
-                    timestamp=now,
-                    fields=self._filter_categories(merged),
-                )
-            )
+            self._emit(FeatureScope.SWITCH, dpid, now, merged)
 
     def _on_aggregate_stats(
         self, dpid: int, reply: AggregateStatsReply, now: float
@@ -492,53 +356,24 @@ class FeatureGenerator:
         )
         entity = (dpid, "aggregate")
         merged.update(self.variation.diff(entity, merged, now))
-        self._emit(
-            AthenaFeature(
-                scope=FeatureScope.SWITCH,
-                switch_id=dpid,
-                instance_id=self.instance_id,
-                timestamp=now,
-                fields=self._filter_categories(merged),
-            )
-        )
+        self._emit(FeatureScope.SWITCH, dpid, now, merged)
 
     def _emit_control_record(self, dpid: int, now: float) -> None:
         if not self._monitoring(dpid, FeatureScope.CONTROL):
             return
-        counters = self._control_counters.get(dpid)
-        if not counters:
+        fields = self.state.control_fields(dpid)
+        if fields is None:
             return
-        fields = protocol.control_counter_fields(counters)
         entity = (dpid, "control")
-        previous = self.variation.previous_fields(entity)
         last_time = self.variation.last_sample_time(entity)
         variations = self.variation.diff(entity, fields, now)
         fields.update(variations)
         delta_seconds = now - last_time if last_time is not None else None
-        fields.update(
-            combination.control_fields(
-                {
-                    "PACKET_IN_COUNT_DELTA": fields.get("PACKET_IN_COUNT_VAR", 0.0),
-                    "FLOW_MOD_COUNT_DELTA": fields.get("FLOW_MOD_COUNT_VAR", 0.0),
-                    "CONTROL_MSG_TOTAL_DELTA": fields.get("CONTROL_MSG_TOTAL_VAR", 0.0),
-                },
-                delta_seconds,
-            )
-        )
-        self._emit(
-            AthenaFeature(
-                scope=FeatureScope.CONTROL,
-                switch_id=dpid,
-                instance_id=self.instance_id,
-                timestamp=now,
-                fields=self._filter_categories(fields),
-            )
-        )
+        fields.update(combination.control_fields(variations, delta_seconds))
+        self._emit(FeatureScope.CONTROL, dpid, now, fields)
 
     # -- housekeeping ---------------------------------------------------------------
 
     def collect_garbage(self, now: float) -> int:
         """Evict stale entries from every hash table; returns eviction count."""
-        return self.flow_state.collect_garbage(now) + self.variation.collect_garbage(
-            now
-        )
+        return self.state.collect_garbage(now)

@@ -30,19 +30,24 @@ class BloomFilter:
     __slots__ = ("capacity", "fp_rate", "seed", "n_bits", "n_hashes", "items", "_bits")
 
     def __init__(self, capacity: int = 100_000, fp_rate: float = 0.01, seed: int = 0):
-        if capacity < 1:
-            raise SketchError(f"Bloom capacity must be >= 1; got {capacity}")
-        if not 0 < fp_rate < 1:
-            raise SketchError(f"Bloom fp_rate must be in (0, 1); got {fp_rate}")
+        self.n_bits = self._bit_count(capacity, fp_rate)
         self.capacity = int(capacity)
         self.fp_rate = float(fp_rate)
         self.seed = int(seed)
-        n_bits = math.ceil(-capacity * math.log(fp_rate) / (math.log(2) ** 2))
-        self.n_bits = ((n_bits + 7) // 8) * 8  # round up to whole bytes
         self.n_hashes = max(1, round((self.n_bits / capacity) * math.log(2)))
         #: Number of (not necessarily distinct) items added.
         self.items = 0
         self._bits = bytearray(self.n_bits // 8)
+
+    @staticmethod
+    def _bit_count(capacity: int, fp_rate: float) -> int:
+        """Bits for the sizing parameters (whole bytes), without allocating."""
+        if capacity < 1:
+            raise SketchError(f"Bloom capacity must be >= 1; got {capacity}")
+        if not 0 < fp_rate < 1:
+            raise SketchError(f"Bloom fp_rate must be in (0, 1); got {fp_rate}")
+        n_bits = math.ceil(-capacity * math.log(fp_rate) / (math.log(2) ** 2))
+        return ((n_bits + 7) // 8) * 8
 
     def add(self, key: Any) -> bool:
         """Insert ``key``; returns True when it was (probably) already present.
@@ -110,15 +115,18 @@ class BloomFilter:
     @classmethod
     def from_bytes(cls, data: bytes) -> "BloomFilter":
         header_size = struct.calcsize("<4sQdqQ")
+        if len(data) < header_size:
+            raise SketchError("truncated Bloom serialisation")
         magic, capacity, fp_rate, seed, items = struct.unpack(
             "<4sQdqQ", data[:header_size]
         )
         if magic != _MAGIC:
             raise SketchError("not a Bloom serialisation")
-        sketch = cls(capacity=capacity, fp_rate=fp_rate, seed=seed)
         bits = data[header_size:]
-        if len(bits) != sketch.n_bits // 8:
+        # Checked before a filter is built: see CountMinSketch.from_bytes.
+        if len(bits) != cls._bit_count(capacity, fp_rate) // 8:
             raise SketchError("truncated Bloom serialisation")
+        sketch = cls(capacity=capacity, fp_rate=fp_rate, seed=seed)
         sketch._bits = bytearray(bits)
         sketch.items = items
         return sketch

@@ -18,7 +18,7 @@ import math
 import struct
 import sys
 from array import array
-from typing import Any
+from typing import Any, Tuple
 
 from repro.errors import ReproError
 from repro.sketch.hashing import hash_pair
@@ -36,16 +36,23 @@ class CountMinSketch:
     __slots__ = ("epsilon", "delta", "seed", "width", "depth", "total", "_counters")
 
     def __init__(self, epsilon: float = 0.001, delta: float = 0.01, seed: int = 0):
-        if not 0 < epsilon < 1 or not 0 < delta < 1:
-            raise SketchError(f"CMS needs 0 < epsilon, delta < 1; got {epsilon}, {delta}")
+        self.width, self.depth = self._dimensions(epsilon, delta)
         self.epsilon = float(epsilon)
         self.delta = float(delta)
         self.seed = int(seed)
-        self.width = math.ceil(math.e / epsilon)
-        self.depth = math.ceil(math.log(1.0 / delta))
         #: Total count added across all keys (the N of the ε·N bound).
         self.total = 0
         self._counters = array("q", bytes(8 * self.width * self.depth))
+
+    @staticmethod
+    def _dimensions(epsilon: float, delta: float) -> Tuple[int, int]:
+        """``(width, depth)`` for the error parameters, without allocating."""
+        try:
+            if 0 < epsilon < 1 and 0 < delta < 1:
+                return math.ceil(math.e / epsilon), math.ceil(math.log(1.0 / delta))
+        except OverflowError:  # a denormal parameter: its dimension is infinite
+            pass
+        raise SketchError(f"CMS needs 0 < epsilon, delta < 1; got {epsilon}, {delta}")
 
     def add(self, key: Any, count: int = 1) -> int:
         """Add ``count`` to ``key``; returns the key's new estimate.
@@ -132,31 +139,27 @@ class CountMinSketch:
     @classmethod
     def from_bytes(cls, data: bytes) -> "CountMinSketch":
         header_size = struct.calcsize("<4sddqIIq")
+        if len(data) < header_size:
+            raise SketchError("truncated CMS serialisation")
         magic, epsilon, delta, seed, width, depth, total = struct.unpack(
             "<4sddqIIq", data[:header_size]
         )
         if magic != _MAGIC:
             raise SketchError("not a CMS serialisation")
-        sketch = cls(epsilon=epsilon, delta=delta, seed=seed)
-        if (sketch.width, sketch.depth) != (width, depth):
+        # Checked before a sketch is built: parameters read from the bytes
+        # must not ask for more memory than the bytes fill.
+        if cls._dimensions(epsilon, delta) != (width, depth):
             raise SketchError("CMS dimensions disagree with parameters")
+        if len(data) - header_size != 8 * width * depth:
+            raise SketchError("truncated CMS serialisation")
+        sketch = cls(epsilon=epsilon, delta=delta, seed=seed)
         counters = array("q")
         counters.frombytes(data[header_size:])
         if sys.byteorder == "big":  # pragma: no cover
             counters.byteswap()
-        if len(counters) != width * depth:
-            raise SketchError("truncated CMS serialisation")
         sketch._counters = counters
         sketch.total = total
         return sketch
-
-    def __getstate__(self):
-        return self.to_bytes()
-
-    def __setstate__(self, state):
-        restored = CountMinSketch.from_bytes(state)
-        for slot in self.__slots__:
-            setattr(self, slot, getattr(restored, slot))
 
     def __reduce__(self):
         return (CountMinSketch.from_bytes, (self.to_bytes(),))

@@ -1,30 +1,33 @@
-"""The ``SKETCH_*`` feature scope: sketch-backed per-switch features.
+"""The ``SKETCH_*`` feature scope: per-switch window features.
 
-:class:`SketchFeatureState` is the sketch-path counterpart of the exact
-:class:`~repro.core.features.stateful.FlowStateTable`: the generator
-feeds it every flow observation, and once per sampling round it *rolls*
-a switch's window into one sketch-scoped feature record.  Per window and
-per switch it keeps two Count-Min sketches (packet and byte counts, with
-running heavy-hitter maxima), two HyperLogLogs (unique sources, unique
-destination ports) and exact tallies; a *persistent* per-switch Bloom
-filter remembers every source host ever observed, so the
+A window state is fed every flow observation and once per sampling round
+*rolls* a switch's window into one sketch-scoped feature record.  Per
+window and per switch it keeps a per-flow packet/byte counter (with
+running heavy-hitter maxima), two cardinality estimators (unique sources,
+unique destination ports) and exact tallies; a *persistent* per-switch
+membership structure remembers every source host ever observed, so the
 previously-seen-host ratio survives across windows.
 
-Memory is bounded by the sketch parameters — independent of how many
-distinct flows pass through a window — which is what the million-flow
-workload in :mod:`repro.workloads.sketchscale` exercises.
+There is one window implementation (:class:`_WindowState`: ``observe``,
+``roll``, the field formulas) and two estimator backends:
 
-:class:`ExactWindowState` exposes the same ``observe``/``roll`` API and
-emits the same field names computed from exact dicts and sets.  It is
-the equivalence baseline for the scenario recall tests and the
-linear-memory reference the benchmark extrapolates against.
+* :class:`SketchFeatureState` — Count-Min / HyperLogLog / Bloom.  Memory
+  is bounded by the sketch parameters, independent of how many distinct
+  flows pass through a window, which is what the million-flow workload
+  in :mod:`repro.workloads.sketchscale` exercises; mergeable and
+  byte-serialisable.
+* :class:`ExactWindowState` — dict / set / set.  Exact values at memory
+  linear in distinct flows: the equivalence baseline for the scenario
+  recall tests and the reference the benchmark extrapolates against.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+import sys
+from dataclasses import astuple, dataclass
+from operator import attrgetter
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.sketch.bloom import BloomFilter
 from repro.sketch.cms import CountMinSketch, SketchError
@@ -46,6 +49,9 @@ SKETCH_FEATURE_NAMES: Tuple[str, ...] = (
 )
 
 _STATE_MAGIC = b"SKST"
+_HEADER = struct.Struct("<4sqddIQdI")
+_SWITCH_RECORD = struct.Struct("<qqqQQQQ")
+_BLOB_LENGTH = struct.Struct("<I")
 
 
 @dataclass(frozen=True)
@@ -59,15 +65,17 @@ class SketchParams:
     bloom_fp: float = 0.01
 
 
-class _SwitchSketches:
-    """One switch's window sketches plus its persistent seen-host Bloom."""
+class _Window:
+    """One switch's open window plus its persistent seen-host membership.
 
-    __slots__ = (
-        "cms_packets",
-        "cms_bytes",
-        "hll_src",
-        "hll_dst_port",
-        "bloom_hosts",
+    The estimator roles: ``flows.add(key, packets, bytes) -> (packets,
+    bytes)`` counted for the key so far; ``srcs`` / ``dst_ports`` with
+    ``add(item)`` and ``cardinality()``; ``hosts.add(item) -> bool``,
+    whether the item was there before.
+    """
+
+    #: The window's exact counts, in serialisation order.
+    TALLIES = (
         "hh_packets",
         "hh_bytes",
         "observations",
@@ -75,43 +83,40 @@ class _SwitchSketches:
         "total_packets",
         "total_bytes",
     )
+    __slots__ = ("flows", "srcs", "dst_ports", "hosts") + TALLIES
 
-    def __init__(self, params: SketchParams, seed: int):
-        self.bloom_hosts = BloomFilter(
-            capacity=params.bloom_capacity, fp_rate=params.bloom_fp, seed=seed
-        )
-        self._fresh_window(params, seed)
+    def __init__(self, hosts, flows, srcs, dst_ports, tallies=(0,) * len(TALLIES)):
+        self.hosts = hosts
+        self.open(flows, srcs, dst_ports, tallies)
 
-    def _fresh_window(self, params: SketchParams, seed: int) -> None:
-        self.cms_packets = CountMinSketch(params.cms_epsilon, params.cms_delta, seed)
-        self.cms_bytes = CountMinSketch(params.cms_epsilon, params.cms_delta, seed + 1)
-        self.hll_src = HyperLogLog(params.hll_p, seed + 2)
-        self.hll_dst_port = HyperLogLog(params.hll_p, seed + 3)
-        self.hh_packets = 0
-        self.hh_bytes = 0
-        self.observations = 0
-        self.seen_hits = 0
-        self.total_packets = 0
-        self.total_bytes = 0
+    def open(self, flows, srcs, dst_ports, tallies=(0,) * len(TALLIES)) -> None:
+        """Start a window on fresh estimators; ``hosts`` persists."""
+        self.flows, self.srcs, self.dst_ports = flows, srcs, dst_ports
+        for name, value in zip(self.TALLIES, tallies):
+            setattr(self, name, value)
+
+    tallies = property(attrgetter(*TALLIES), doc="The counts, as ``open`` takes them.")
 
 
-class SketchFeatureState:
-    """Per-switch sketch windows with deterministic rolling and merging."""
+class _WindowState:
+    """Per-switch windows over a backend's estimators.
+
+    A backend supplies ``_estimators(dpid) -> (flows, srcs, dst_ports)``
+    for a fresh window and ``_membership(dpid)`` for a switch's
+    seen-host structure.
+    """
 
     def __init__(self, params: Optional[SketchParams] = None, seed: int = 0):
         self.params = params or SketchParams()
         self.seed = int(seed)
-        self._switches: Dict[int, _SwitchSketches] = {}
+        self._switches: Dict[int, _Window] = {}
 
-    # -- ingestion -----------------------------------------------------
-
-    def _switch(self, dpid: int) -> _SwitchSketches:
+    def _switch(self, dpid: int) -> _Window:
         state = self._switches.get(dpid)
         if state is None:
-            # Derive the switch seed deterministically so shards built in
-            # any dpid order serialise identically.
-            state = _SwitchSketches(self.params, self.seed + 1000 * dpid)
-            self._switches[dpid] = state
+            state = self._switches[dpid] = _Window(
+                self._membership(dpid), *self._estimators(dpid)
+            )
         return state
 
     def observe(
@@ -127,26 +132,25 @@ class SketchFeatureState:
         state = self._switch(dpid)
         packets = max(0, int(packets))
         bytes_ = max(0, int(bytes_))
-        estimate = state.cms_packets.add(flow_key, packets)
-        if estimate > state.hh_packets:
-            state.hh_packets = estimate
-        estimate = state.cms_bytes.add(flow_key, bytes_)
-        if estimate > state.hh_bytes:
-            state.hh_bytes = estimate
-        state.hll_src.add(src)
-        state.hll_dst_port.add(dst_port)
-        state.seen_hits += state.bloom_hosts.add(src)
+        # Counts only grow inside a window, so the running maximum of the
+        # per-key counts is the window's heaviest flow.
+        flow_packets, flow_bytes = state.flows.add(flow_key, packets, bytes_)
+        if flow_packets > state.hh_packets:
+            state.hh_packets = flow_packets
+        if flow_bytes > state.hh_bytes:
+            state.hh_bytes = flow_bytes
+        state.srcs.add(src)
+        state.dst_ports.add(dst_port)
+        state.seen_hits += state.hosts.add(src)
         state.observations += 1
         state.total_packets += packets
         state.total_bytes += bytes_
 
-    # -- emission ------------------------------------------------------
-
     @staticmethod
-    def _fields(state: _SwitchSketches) -> Dict[str, float]:
+    def _fields(state: _Window) -> Dict[str, float]:
         observations = state.observations
-        unique_src = state.hll_src.cardinality() if observations else 0.0
-        unique_port = state.hll_dst_port.cardinality() if observations else 0.0
+        unique_src = state.srcs.cardinality() if observations else 0.0
+        unique_port = state.dst_ports.cardinality() if observations else 0.0
         return {
             "SKETCH_OBSERVATIONS": float(observations),
             "SKETCH_TOTAL_PACKETS": float(state.total_packets),
@@ -170,18 +174,24 @@ class SketchFeatureState:
         }
 
     def switch_fields(self, dpid: int) -> Dict[str, float]:
-        """The current window's features without closing the window."""
-        return self._fields(self._switch(dpid))
+        """The current window's features without closing the window.
+
+        A read: a switch never observed reads as zeros and stays unknown.
+        """
+        state = self._switches.get(dpid)
+        if state is None:
+            return dict.fromkeys(SKETCH_FEATURE_NAMES, 0.0)
+        return self._fields(state)
 
     def roll(self, dpid: int) -> Dict[str, float]:
         """Close the switch's window: emit its features and start fresh.
 
-        The seen-host Bloom filter persists across windows; everything
+        The seen-host membership persists across windows; everything
         else (counts, cardinalities, heavy hitters) is window-scoped.
         """
         state = self._switch(dpid)
         fields = self._fields(state)
-        state._fresh_window(self.params, self.seed + 1000 * dpid)
+        state.open(*self._estimators(dpid))
         return fields
 
     def switches(self) -> List[int]:
@@ -191,6 +201,56 @@ class SketchFeatureState:
         """Observations in the switch's current window (0 if unseen)."""
         state = self._switches.get(dpid)
         return state.observations if state is not None else 0
+
+
+class _SketchFlows:
+    """The flow-counter role on two Count-Min sketches."""
+
+    __slots__ = ("packets", "bytes")
+
+    def __init__(self, packets: CountMinSketch, bytes_: CountMinSketch):
+        self.packets = packets
+        self.bytes = bytes_
+
+    def add(self, key: Any, packets: int, bytes_: int) -> Tuple[int, int]:
+        return self.packets.add(key, packets), self.bytes.add(key, bytes_)
+
+
+class SketchFeatureState(_WindowState):
+    """Sketch-backed windows with deterministic rolling and merging."""
+
+    # -- backend --------------------------------------------------------
+
+    def _estimators(self, dpid: int):
+        # The switch seed derives from the dpid so shards built in any
+        # dpid order serialise identically.
+        params, seed = self.params, self.seed + 1000 * dpid
+        return (
+            _SketchFlows(
+                CountMinSketch(params.cms_epsilon, params.cms_delta, seed),
+                CountMinSketch(params.cms_epsilon, params.cms_delta, seed + 1),
+            ),
+            HyperLogLog(params.hll_p, seed + 2),
+            HyperLogLog(params.hll_p, seed + 3),
+        )
+
+    def _membership(self, dpid: int) -> BloomFilter:
+        return BloomFilter(
+            capacity=self.params.bloom_capacity,
+            fp_rate=self.params.bloom_fp,
+            seed=self.seed + 1000 * dpid,
+        )
+
+    @staticmethod
+    def _sketches(state: _Window) -> tuple:
+        """The switch's five sketches, in serialisation order."""
+        return (
+            state.flows.packets,
+            state.flows.bytes,
+            state.srcs,
+            state.dst_ports,
+            state.hosts,
+        )
 
     # -- distribution --------------------------------------------------
 
@@ -205,11 +265,8 @@ class SketchFeatureState:
             raise SketchError("cannot merge sketch states with differing params/seed")
         for dpid, theirs in other._switches.items():
             mine = self._switch(dpid)
-            mine.cms_packets.merge(theirs.cms_packets)
-            mine.cms_bytes.merge(theirs.cms_bytes)
-            mine.hll_src.merge(theirs.hll_src)
-            mine.hll_dst_port.merge(theirs.hll_dst_port)
-            mine.bloom_hosts.merge(theirs.bloom_hosts)
+            for sketch, shard in zip(self._sketches(mine), self._sketches(theirs)):
+                sketch.merge(shard)
             mine.hh_packets = max(mine.hh_packets, theirs.hh_packets)
             mine.hh_bytes = max(mine.hh_bytes, theirs.hh_bytes)
             mine.observations += theirs.observations
@@ -221,87 +278,54 @@ class SketchFeatureState:
     def to_bytes(self) -> bytes:
         """Deterministic serialisation (switches in dpid order)."""
         parts = [
-            struct.pack(
-                "<4sqddIQdI",
-                _STATE_MAGIC,
-                self.seed,
-                self.params.cms_epsilon,
-                self.params.cms_delta,
-                self.params.hll_p,
-                self.params.bloom_capacity,
-                self.params.bloom_fp,
-                len(self._switches),
+            _HEADER.pack(
+                _STATE_MAGIC, self.seed, *astuple(self.params), len(self._switches)
             )
         ]
         for dpid in sorted(self._switches):
             state = self._switches[dpid]
-            blobs = [
-                state.cms_packets.to_bytes(),
-                state.cms_bytes.to_bytes(),
-                state.hll_src.to_bytes(),
-                state.hll_dst_port.to_bytes(),
-                state.bloom_hosts.to_bytes(),
-            ]
-            parts.append(
-                struct.pack(
-                    "<qqqQQQQ",
-                    dpid,
-                    state.hh_packets,
-                    state.hh_bytes,
-                    state.observations,
-                    state.seen_hits,
-                    state.total_packets,
-                    state.total_bytes,
-                )
-            )
-            for blob in blobs:
-                parts.append(struct.pack("<I", len(blob)))
+            parts.append(_SWITCH_RECORD.pack(dpid, *state.tallies))
+            for sketch in self._sketches(state):
+                blob = sketch.to_bytes()
+                parts.append(_BLOB_LENGTH.pack(len(blob)))
                 parts.append(blob)
         return b"".join(parts)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SketchFeatureState":
-        header_fmt = "<4sqddIQdI"
-        header_size = struct.calcsize(header_fmt)
-        magic, seed, eps, delta, hll_p, bloom_cap, bloom_fp, n_switches = struct.unpack(
-            header_fmt, data[:header_size]
-        )
+        """Rebuild a state; anything but a whole serialisation is a SketchError."""
+        offset = 0
+
+        def take(size: int) -> bytes:
+            nonlocal offset
+            chunk = data[offset : offset + size]
+            if len(chunk) != size:
+                raise SketchError("truncated sketch-state serialisation")
+            offset += size
+            return chunk
+
+        magic, seed, *params, n_switches = _HEADER.unpack(take(_HEADER.size))
         if magic != _STATE_MAGIC:
             raise SketchError("not a sketch-state serialisation")
-        params = SketchParams(
-            cms_epsilon=eps,
-            cms_delta=delta,
-            hll_p=hll_p,
-            bloom_capacity=bloom_cap,
-            bloom_fp=bloom_fp,
-        )
-        restored = cls(params=params, seed=seed)
-        offset = header_size
-        switch_fmt = "<qqqQQQQ"
-        switch_size = struct.calcsize(switch_fmt)
+        restored = cls(params=SketchParams(*params), seed=seed)
         for _ in range(n_switches):
-            (dpid, hh_p, hh_b, obs, seen, tot_p, tot_b) = struct.unpack(
-                switch_fmt, data[offset : offset + switch_size]
+            dpid, *tallies = _SWITCH_RECORD.unpack(take(_SWITCH_RECORD.size))
+            blobs = [take(_BLOB_LENGTH.unpack(take(4))[0]) for _ in range(5)]
+            packets, bytes_ = map(CountMinSketch.from_bytes, blobs[:2])
+            srcs, dst_ports = map(HyperLogLog.from_bytes, blobs[2:4])
+            hosts = BloomFilter.from_bytes(blobs[4])
+            # The header's parameters size every later window; they must
+            # be the ones the restored sketches were built with.
+            built_with = SketchParams(
+                packets.epsilon, packets.delta, srcs.p, hosts.capacity, hosts.fp_rate
             )
-            offset += switch_size
-            blobs = []
-            for _ in range(5):
-                (length,) = struct.unpack("<I", data[offset : offset + 4])
-                offset += 4
-                blobs.append(data[offset : offset + length])
-                offset += length
-            state = restored._switch(dpid)
-            state.cms_packets = CountMinSketch.from_bytes(blobs[0])
-            state.cms_bytes = CountMinSketch.from_bytes(blobs[1])
-            state.hll_src = HyperLogLog.from_bytes(blobs[2])
-            state.hll_dst_port = HyperLogLog.from_bytes(blobs[3])
-            state.bloom_hosts = BloomFilter.from_bytes(blobs[4])
-            state.hh_packets = hh_p
-            state.hh_bytes = hh_b
-            state.observations = obs
-            state.seen_hits = seen
-            state.total_packets = tot_p
-            state.total_bytes = tot_b
+            if built_with != restored.params:
+                raise SketchError("switch sketches disagree with state parameters")
+            restored._switches[dpid] = _Window(
+                hosts, _SketchFlows(packets, bytes_), srcs, dst_ports, tallies
+            )
+        if offset != len(data):
+            raise SketchError("bytes left over after the sketch state")
         return restored
 
     def __reduce__(self):
@@ -311,61 +335,62 @@ class SketchFeatureState:
 
     def nbytes(self) -> int:
         """Resident sketch bytes across all switches."""
-        total = 0
-        for state in self._switches.values():
-            total += state.cms_packets.nbytes() + state.cms_bytes.nbytes()
-            total += state.hll_src.nbytes() + state.hll_dst_port.nbytes()
-            total += state.bloom_hosts.nbytes()
-        return total
+        return sum(
+            sketch.nbytes()
+            for state in self._switches.values()
+            for sketch in self._sketches(state)
+        )
 
     def fill_stats(self) -> Dict[str, float]:
         """Aggregate fill/error stats for northbound and telemetry."""
         switches = list(self._switches.values())
-        if not switches:
-            return {
-                "switches": 0,
-                "observations": 0,
-                "nbytes": 0,
-                "cms_fill_ratio": 0.0,
-                "cms_error_bound": 0.0,
-                "hll_fill_ratio": 0.0,
-                "hll_relative_error": HyperLogLog(self.params.hll_p).relative_error(),
-                "bloom_fill_ratio": 0.0,
-                "bloom_fp_bound": 0.0,
-            }
-        n = len(switches)
+        n = len(switches) or 1  # the means of no switches read 0.0
         return {
-            "switches": n,
+            "switches": len(switches),
             "observations": sum(s.observations for s in switches),
             "nbytes": self.nbytes(),
-            "cms_fill_ratio": sum(s.cms_packets.fill_ratio() for s in switches) / n,
-            "cms_error_bound": max(s.cms_packets.error_bound() for s in switches),
-            "hll_fill_ratio": sum(s.hll_src.fill_ratio() for s in switches) / n,
-            "hll_relative_error": switches[0].hll_src.relative_error(),
-            "bloom_fill_ratio": sum(s.bloom_hosts.fill_ratio() for s in switches) / n,
-            "bloom_fp_bound": max(s.bloom_hosts.fp_bound() for s in switches),
+            "cms_fill_ratio": sum(s.flows.packets.fill_ratio() for s in switches) / n,
+            "cms_error_bound": max(
+                (s.flows.packets.error_bound() for s in switches), default=0.0
+            ),
+            "hll_fill_ratio": sum(s.srcs.fill_ratio() for s in switches) / n,
+            "hll_relative_error": HyperLogLog(self.params.hll_p).relative_error(),
+            "bloom_fill_ratio": sum(s.hosts.fill_ratio() for s in switches) / n,
+            "bloom_fp_bound": max((s.hosts.fp_bound() for s in switches), default=0.0),
         }
 
 
-class _SwitchExact:
-    """Exact mirror of one switch's window: linear in distinct flows."""
+class _ExactFlows(dict):
+    """The flow-counter role, exactly: key → ``[packets, bytes]``."""
 
-    __slots__ = ("flows", "srcs", "dst_ports", "seen_hosts", "observations", "seen_hits")
+    __slots__ = ()
 
-    def __init__(self):
-        self.seen_hosts: set = set()
-        self._fresh_window()
-
-    def _fresh_window(self) -> None:
-        self.flows: Dict[Any, List[int]] = {}
-        self.srcs: set = set()
-        self.dst_ports: set = set()
-        self.observations = 0
-        self.seen_hits = 0
+    def add(self, key: Any, packets: int, bytes_: int) -> List[int]:
+        counters = self.get(key)
+        if counters is None:
+            counters = self[key] = [packets, bytes_]
+        else:
+            counters[0] += packets
+            counters[1] += bytes_
+        return counters
 
 
-class ExactWindowState:
-    """Exact-state reference implementing the sketch ``observe``/``roll`` API.
+class _ExactSet(set):
+    """The cardinality and membership roles, exactly."""
+
+    __slots__ = ()
+
+    def add(self, item: Any) -> bool:
+        present = item in self
+        set.add(self, item)
+        return present
+
+    def cardinality(self) -> float:
+        return float(len(self))
+
+
+class ExactWindowState(_WindowState):
+    """Exact-state reference: the same windows on dicts and sets.
 
     Emits the same ``SKETCH_*`` field names with exact values.  Memory is
     linear in distinct flows per window (plus the persistent seen-host
@@ -373,97 +398,19 @@ class ExactWindowState:
     show the sketch path's sublinearity.
     """
 
-    def __init__(self, params: Optional[SketchParams] = None, seed: int = 0):
-        self.params = params or SketchParams()
-        self.seed = int(seed)
-        self._switches: Dict[int, _SwitchExact] = {}
+    def _estimators(self, dpid: int):
+        return _ExactFlows(), _ExactSet(), _ExactSet()
 
-    def _switch(self, dpid: int) -> _SwitchExact:
-        state = self._switches.get(dpid)
-        if state is None:
-            state = _SwitchExact()
-            self._switches[dpid] = state
-        return state
-
-    def observe(
-        self,
-        dpid: int,
-        flow_key: Any,
-        src: Any,
-        dst_port: Any,
-        packets: int = 1,
-        bytes_: int = 0,
-    ) -> None:
-        state = self._switch(dpid)
-        packets = max(0, int(packets))
-        bytes_ = max(0, int(bytes_))
-        counters = state.flows.get(flow_key)
-        if counters is None:
-            state.flows[flow_key] = [packets, bytes_]
-        else:
-            counters[0] += packets
-            counters[1] += bytes_
-        state.srcs.add(src)
-        state.dst_ports.add(dst_port)
-        if src in state.seen_hosts:
-            state.seen_hits += 1
-        else:
-            state.seen_hosts.add(src)
-        state.observations += 1
-
-    @staticmethod
-    def _fields(state: _SwitchExact) -> Dict[str, float]:
-        observations = state.observations
-        total_packets = sum(c[0] for c in state.flows.values())
-        total_bytes = sum(c[1] for c in state.flows.values())
-        hh_packets = max((c[0] for c in state.flows.values()), default=0)
-        hh_bytes = max((c[1] for c in state.flows.values()), default=0)
-        unique_src = float(len(state.srcs))
-        unique_port = float(len(state.dst_ports))
-        return {
-            "SKETCH_OBSERVATIONS": float(observations),
-            "SKETCH_TOTAL_PACKETS": float(total_packets),
-            "SKETCH_TOTAL_BYTES": float(total_bytes),
-            "SKETCH_HEAVY_HITTER_PACKETS": float(hh_packets),
-            "SKETCH_HEAVY_HITTER_BYTES": float(hh_bytes),
-            "SKETCH_HH_PACKET_SHARE": (
-                hh_packets / total_packets if total_packets else 0.0
-            ),
-            "SKETCH_UNIQUE_SRC_EST": unique_src,
-            "SKETCH_UNIQUE_DST_PORT_EST": unique_port,
-            "SKETCH_FLOWS_PER_SRC_EST": (
-                observations / unique_src if unique_src else 0.0
-            ),
-            "SKETCH_PORTS_PER_SRC_EST": (
-                unique_port / unique_src if unique_src else 0.0
-            ),
-            "SKETCH_SEEN_HOST_RATIO": (
-                state.seen_hits / observations if observations else 0.0
-            ),
-        }
-
-    def switch_fields(self, dpid: int) -> Dict[str, float]:
-        return self._fields(self._switch(dpid))
-
-    def roll(self, dpid: int) -> Dict[str, float]:
-        state = self._switch(dpid)
-        fields = self._fields(state)
-        state._fresh_window()
-        return fields
-
-    def switches(self) -> List[int]:
-        return sorted(self._switches)
+    def _membership(self, dpid: int) -> _ExactSet:
+        return _ExactSet()
 
     def nbytes(self) -> int:
         """Approximate resident bytes of the exact per-flow state."""
-        import sys
-
         total = 0
         for state in self._switches.values():
-            total += sys.getsizeof(state.flows)
             total += sum(
                 sys.getsizeof(k) + sys.getsizeof(v) for k, v in state.flows.items()
             )
-            total += sys.getsizeof(state.srcs) + sys.getsizeof(state.dst_ports)
-            total += sys.getsizeof(state.seen_hosts)
+            for container in (state.flows, state.srcs, state.dst_ports, state.hosts):
+                total += sys.getsizeof(container)
         return total

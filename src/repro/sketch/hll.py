@@ -101,6 +101,8 @@ class HyperLogLog:
     @classmethod
     def from_bytes(cls, data: bytes) -> "HyperLogLog":
         header_size = struct.calcsize("<4sBq")
+        if len(data) < header_size:
+            raise SketchError("truncated HLL serialisation")
         magic, p, seed = struct.unpack("<4sBq", data[:header_size])
         if magic != _MAGIC:
             raise SketchError("not an HLL serialisation")

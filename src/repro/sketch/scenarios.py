@@ -175,19 +175,7 @@ def sharded_documents(
         combined = SketchFeatureState(seed=spec.seed)
         for shard in shards:
             combined.merge(SketchFeatureState.from_bytes(shard.to_bytes()))
-        for dpid in range(1, spec.n_switches + 1):
-            fields = combined.roll(dpid)
-            if not fields["SKETCH_OBSERVATIONS"]:
-                continue
-            document: Dict[str, float] = {
-                "feature_scope": "sketch",
-                "switch_id": dpid,
-                "instance_id": 0,
-                "timestamp": float(window),
-                "label": generator.label(dpid, window),
-            }
-            document.update(fields)
-            documents.append(document)
+        documents.extend(generator.roll_window(combined, window))
         for shard in shards:
             for dpid in range(1, spec.n_switches + 1):
                 shard.roll(dpid)

@@ -14,7 +14,8 @@ per event and instrumented with a wall-clock latency histogram.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.controller.events import (
     FlowRemovedEvent,
@@ -46,8 +47,14 @@ StreamSink = Callable[[StreamEvent], None]
 class StreamingPipeline:
     """Event-driven feature folding for one Athena deployment."""
 
-    def __init__(self, stale_after: float = 60.0) -> None:
+    def __init__(
+        self,
+        stale_after: float = 60.0,
+        port_speed_lookup: Optional[Callable[[int, int], float]] = None,
+    ) -> None:
         self._stale_after = stale_after
+        #: Handed to every instance's state (``FLOW_UTILIZATION``).
+        self._port_speed_lookup = port_speed_lookup
         #: instance_id -> its private incremental feature state.
         self.states: Dict[int, StreamingFeatureState] = {}
         self._sinks: List[StreamSink] = []
@@ -86,23 +93,15 @@ class StreamingPipeline:
         if instance_id in self.states:
             return
         self.states[instance_id] = StreamingFeatureState(
-            stale_after=self._stale_after
+            stale_after=self._stale_after,
+            port_speed_lookup=self._port_speed_lookup,
         )
-
-        def on_packet_in(event, _iid=instance_id):
-            self._on_packet_in(_iid, event)
-
-        def on_flow_removed(event, _iid=instance_id):
-            self._on_flow_removed(_iid, event)
-
-        def on_stats(event, _iid=instance_id):
-            self._on_stats(_iid, event)
-
-        for event_type, handler in (
-            (PacketInEvent, on_packet_in),
-            (FlowRemovedEvent, on_flow_removed),
-            (StatsEvent, on_stats),
+        for event_type, kind in (
+            (PacketInEvent, "packet_in"),
+            (FlowRemovedEvent, "flow_removed"),
+            (StatsEvent, "flow_stats"),
         ):
+            handler = partial(self._on_event, instance_id, kind)
             bus.subscribe(event_type, handler)
             self._attached.append((bus, event_type, handler))
 
@@ -118,78 +117,44 @@ class StreamingPipeline:
             bus.unsubscribe(event_type, handler)
         self._attached.clear()
 
-    # -- event handlers -----------------------------------------------------
+    # -- event handling ---------------------------------------------------
 
-    def _dispatch(self, event: StreamEvent) -> None:
-        self.events_processed += 1
-        self.events_by_kind[event.kind] += 1
-        self._metric_events[event.kind].inc()
-        for sink in self._sinks:
-            sink(event)
-
-    def _on_packet_in(self, instance_id: int, event: PacketInEvent) -> None:
-        watch = Stopwatch()
+    def _on_event(self, instance_id: int, kind: str, event) -> None:
+        """Fold one bus event into stream events (one per stats entry)."""
         state = self.states[instance_id]
-        indicators, fields = state.fold_packet_in(
-            event.dpid, event.message, event.time
-        )
-        self._dispatch(
-            StreamEvent(
-                kind="packet_in",
-                scope=FeatureScope.FLOW,
-                dpid=event.dpid,
-                instance_id=instance_id,
-                time=event.time,
-                indicators=indicators,
-                fields=fields,
-            )
-        )
-        self._latency.observe(watch.elapsed())
-
-    def _on_flow_removed(self, instance_id: int, event: FlowRemovedEvent) -> None:
-        watch = Stopwatch()
-        state = self.states[instance_id]
-        indicators, fields = state.fold_flow_removed(
-            event.dpid, event.message, event.time
-        )
-        self._dispatch(
-            StreamEvent(
-                kind="flow_removed",
-                scope=FeatureScope.FLOW,
-                dpid=event.dpid,
-                instance_id=instance_id,
-                time=event.time,
-                indicators=indicators,
-                fields=fields,
-            )
-        )
-        self._latency.observe(watch.elapsed())
-
-    def _on_stats(self, instance_id: int, event: StatsEvent) -> None:
-        # Only Athena-requested replies carry the sampling semantics the
-        # feature definitions assume (mirrors SouthboundElement._on_stats).
-        if not event.athena_marked:
-            return
         message = event.message
-        if not isinstance(message, FlowStatsReply):
+        if kind == "packet_in":
+            fold, items = state.fold_packet_in, (message,)
+        elif kind == "flow_removed":
+            fold, items = state.fold_flow_removed, (message,)
+        elif event.athena_marked and isinstance(message, FlowStatsReply):
+            # Only Athena-requested replies carry the sampling semantics the
+            # feature definitions assume (mirrors SouthboundElement._on_stats).
+            fold, items = state.fold_flow_stats_entry, message.entries
+        else:
             return
-        state = self.states[instance_id]
-        for entry in message.entries:
+        dpid, now = event.dpid, event.time
+        if kind != "flow_stats":
+            # A stream kind that is itself a control message bears the
+            # name of its counter.
+            state.count_message(dpid, kind)
+        for item in items:
             watch = Stopwatch()
-            indicators, fields = state.fold_flow_stats_entry(
-                event.dpid, entry, event.time
+            indicators, fields = fold(dpid, item, now)
+            self.events_processed += 1
+            self.events_by_kind[kind] += 1
+            self._metric_events[kind].inc()
+            stream_event = StreamEvent(
+                kind=kind,
+                scope=FeatureScope.FLOW,
+                dpid=dpid,
+                instance_id=instance_id,
+                time=now,
+                indicators=indicators,
+                fields=fields,
             )
-            self._dispatch(
-                StreamEvent(
-                    kind="flow_stats",
-                    scope=FeatureScope.FLOW,
-                    dpid=event.dpid,
-                    instance_id=instance_id,
-                    time=event.time,
-                    indicators=indicators,
-                    fields=fields,
-                )
-            )
+            for sink in self._sinks:
+                sink(stream_event)
             self._latency.observe(watch.elapsed())
 
     # -- snapshots ----------------------------------------------------------

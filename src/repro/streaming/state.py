@@ -1,36 +1,20 @@
 """Incremental feature state for the streaming pipeline.
 
-One :class:`StreamingFeatureState` per Athena instance keeps its own
-:class:`~repro.core.features.stateful.FlowStateTable` and
-:class:`~repro.core.features.variation.VariationTracker` — deliberately
-*separate* from the batch FeatureGenerator's tables, so enabling
+:class:`StreamingFeatureState` is the pipeline's
+:class:`~repro.core.features.engine.FeatureStateEngine`: the same folds
+the polled FeatureGenerator runs, over tables of its own — one instance
+per Athena instance, *separate* from the generator's, so enabling
 streaming never perturbs the batch path (the equivalence tests rely on
 this).  Every fold returns a flat ``{CATALOG_NAME: value}`` dict; the
-names are declared below as module constants so the ATH2xx lint checker
-and :meth:`FeatureCatalog.validate` both guard them against catalog
-drift.
+names the streaming detectors may ask for are declared below as module
+constants so the ATH2xx lint checker and :meth:`FeatureCatalog.validate`
+both guard them against catalog drift.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict
-
-from repro.core.features import combination, protocol
 from repro.core.features.catalog import FEATURE_CATALOG
-from repro.core.features.stateful import FlowStateTable
-from repro.core.features.variation import VariationTracker
-from repro.openflow.messages import FlowRemoved, FlowStatsEntry, PacketIn
-
-#: Indicator keys copied from a match/header dict into stream events.
-_INDICATOR_KEYS = (
-    "eth_src",
-    "eth_dst",
-    "ip_src",
-    "ip_dst",
-    "ip_proto",
-    "tcp_src",
-    "tcp_dst",
-)
+from repro.core.features.engine import FeatureStateEngine
 
 #: Flow-scope features the streaming path computes per event.
 STREAMING_FLOW_FEATURES = (
@@ -72,92 +56,15 @@ FEATURE_CATALOG.validate(
 )
 
 
-def _indicators(match_dict: Dict[str, Any]) -> Dict[str, Any]:
-    return {k: v for k, v in match_dict.items() if k in _INDICATOR_KEYS}
+class StreamingFeatureState(FeatureStateEngine):
+    """Per-instance incremental feature tables for the streaming path.
 
+    The folds are bound on this class as well as inherited: span tracing
+    wraps methods on the class that owns them, and time spent folding
+    for the pipeline must not be booked to the generator's engine (or
+    the reverse).
+    """
 
-class StreamingFeatureState:
-    """Per-instance incremental feature tables for the streaming path."""
-
-    def __init__(self, stale_after: float = 60.0) -> None:
-        self.flow_state = FlowStateTable(stale_after=stale_after)
-        self.variation = VariationTracker(stale_after=2 * stale_after)
-        self._control_counters: Dict[int, Dict[str, int]] = {}
-
-    # -- per-event folds ----------------------------------------------------
-
-    def fold_packet_in(
-        self, dpid: int, message: PacketIn, now: float
-    ) -> tuple:
-        """Fold a PACKET_IN; returns ``(indicators, fields)``."""
-        indicators = _indicators(message.headers)
-        fields = self.flow_state.observe_flow(dpid, indicators, now)
-        fields["FLOW_PACKET_COUNT"] = 0.0
-        fields["FLOW_BYTE_COUNT"] = float(message.total_len)
-        counters = self._control_counters.setdefault(dpid, {})
-        counters["packet_in"] = counters.get("packet_in", 0) + 1
-        return indicators, fields
-
-    def fold_flow_removed(
-        self, dpid: int, message: FlowRemoved, now: float
-    ) -> tuple:
-        """Fold a FLOW_REMOVED: final sample + state eviction."""
-        indicators = _indicators(message.match.to_dict())
-        fields = protocol.removed_flow_fields(message)
-        fields.update(combination.flow_fields(fields))
-        fields.update(
-            self.flow_state.observe_flow(
-                dpid, indicators, now, fields.get("FLOW_PACKET_COUNT", 0.0)
-            )
-        )
-        entity = (
-            dpid,
-            "flow",
-            tuple(sorted(indicators.items())),
-            message.priority,
-            message.cookie,
-        )
-        fields.update(self.variation.diff(entity, fields, now))
-        self.flow_state.remove_flow(dpid, indicators)
-        self.variation.forget(entity)
-        counters = self._control_counters.setdefault(dpid, {})
-        counters["flow_removed"] = counters.get("flow_removed", 0) + 1
-        return indicators, fields
-
-    def fold_flow_stats_entry(
-        self, dpid: int, entry: FlowStatsEntry, now: float
-    ) -> tuple:
-        """Fold one flow-stats entry from an Athena-marked stats reply."""
-        indicators = _indicators(entry.match.to_dict())
-        fields = protocol.flow_fields(entry)
-        fields.update(combination.flow_fields(fields))
-        fields.update(
-            self.flow_state.observe_flow(
-                dpid, indicators, now, fields["FLOW_PACKET_COUNT"]
-            )
-        )
-        entity = (
-            dpid,
-            "flow",
-            tuple(sorted(indicators.items())),
-            entry.priority,
-            entry.cookie,
-        )
-        fields.update(self.variation.diff(entity, fields, now))
-        return indicators, fields
-
-    # -- read-only snapshots -------------------------------------------------
-
-    def switch_fields(self, dpid: int) -> Dict[str, float]:
-        """Non-resetting switch-scope snapshot (safe to read per event)."""
-        return self.flow_state.switch_snapshot(dpid)
-
-    def control_fields(self, dpid: int) -> Dict[str, float]:
-        """Control-scope counters folded so far for one switch."""
-        counters = self._control_counters.get(dpid, {})
-        all_fields = protocol.control_counter_fields(counters)
-        return {name: all_fields[name] for name in STREAMING_CONTROL_FEATURES}
-
-    def collect_garbage(self, now: float) -> int:
-        """Evict stale flow/variation entries; returns eviction count."""
-        return self.flow_state.collect_garbage(now) + self.variation.collect_garbage(now)
+    fold_packet_in = FeatureStateEngine.fold_packet_in
+    fold_flow_removed = FeatureStateEngine.fold_flow_removed
+    fold_flow_stats_entry = FeatureStateEngine.fold_flow_stats_entry

@@ -197,13 +197,14 @@ class SketchScaleGenerator:
         current_window = 0
         for chunk in self.chunks():
             if chunk.window != current_window:
-                documents.extend(self._roll_window(state, current_window))
+                documents.extend(self.roll_window(state, current_window))
                 current_window = chunk.window
             self.feed_chunk(state, chunk)
-        documents.extend(self._roll_window(state, current_window))
+        documents.extend(self.roll_window(state, current_window))
         return documents
 
-    def _roll_window(self, state, window: int) -> List[Dict[str, float]]:
+    def roll_window(self, state, window: int) -> List[Dict[str, float]]:
+        """Roll every switch's window into its labelled feature document."""
         documents = []
         for dpid in range(1, self.spec.n_switches + 1):
             fields = state.roll(dpid)

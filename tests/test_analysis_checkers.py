@@ -677,14 +677,16 @@ class TestHotpathChecker:
         assert "athena-lint: hot-path columnar" in frame_src
 
     def test_shipped_hot_modules_are_clean(self):
-        """match.py / flowtable.py / distdb are marked hot-path (so the
-        checker really reads them) and pass with no suppression."""
+        """match.py / flowtable.py / distdb / the feature-state engine are
+        marked hot-path (so the checker really reads them) and pass with
+        no suppression."""
         from repro.analysis import LintEngine
 
         for parts in (
             ("openflow", "match.py"),
             ("dataplane", "flowtable.py"),
             ("distdb", "collection.py"),
+            ("core", "features", "engine.py"),
         ):
             path = os.path.join(REPO_ROOT, "src", "repro", *parts)
             source = open(path, encoding="utf-8").read()

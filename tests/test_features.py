@@ -261,6 +261,14 @@ class TestStatefulExtractors:
         assert table.collect_garbage(now=15.0) == 1
         assert table.tracked_flow_count(1) == 1
 
+    def test_reads_of_an_unseen_switch_allocate_nothing(self):
+        table = FlowStateTable()
+        table.observe_flow(1, self.IND_AB, now=0.0)
+        snapshot = table.switch_snapshot(99)
+        assert snapshot and set(snapshot.values()) == {0.0}
+        assert table.tracked_flow_count(99) == 0
+        assert sorted(table._switches) == [1]
+
     def test_per_switch_isolation(self):
         table = FlowStateTable()
         table.observe_flow(1, self.IND_AB, now=0.0)

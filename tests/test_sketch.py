@@ -32,7 +32,7 @@ from repro.openflow.messages import (
     PacketIn,
 )
 from repro.config import current, override
-from repro.sketch import SKETCH_FEATURE_NAMES, SketchFeatureState
+from repro.sketch import SKETCH_FEATURE_NAMES, ExactWindowState, SketchFeatureState
 from repro.sketch.scenarios import (
     SKETCH_RECALL_TOLERANCE,
     build_documents,
@@ -99,6 +99,20 @@ class TestStateDeterminism:
             state.to_bytes()
         )
         assert pickle.loads(pickle.dumps(state)).to_bytes() == state.to_bytes()
+
+
+class TestReadsAllocateNothing:
+    @pytest.mark.parametrize("state_class", [SketchFeatureState, ExactWindowState])
+    def test_switch_fields_of_an_unseen_switch(self, state_class):
+        state = state_class(seed=3)
+        fields = state.switch_fields(42)
+        assert list(fields) == list(SKETCH_FEATURE_NAMES)
+        assert set(fields.values()) == {0.0}
+        assert state.switches() == []
+        assert state.nbytes() == 0
+        state.observe(1, "flow", "10.0.0.1", 80, packets=2, bytes_=200)
+        assert state.switch_fields(1)["SKETCH_TOTAL_PACKETS"] == 2.0
+        assert state.switches() == [1]
 
 
 # -- sketch vs exact equivalence ---------------------------------------------

@@ -25,6 +25,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sketch import BloomFilter, CountMinSketch, HyperLogLog
 from repro.sketch.cms import SketchError
+from repro.sketch.features import SketchFeatureState, SketchParams
 from repro.sketch.hashing import hash64, key_to_int
 
 SEEDS = [0, 1, 2]
@@ -217,3 +218,52 @@ class TestBloomFilter:
         restored = BloomFilter.from_bytes(bloom.to_bytes())
         assert restored.to_bytes() == bloom.to_bytes()
         assert all(i in restored for i in range(400))
+
+
+class TestStateBytesFuzz:
+    """``SketchFeatureState.from_bytes`` on hostile input: every cut and
+    every sampled bit flip ends in a typed ``SketchError`` or in a state
+    that serialises again — never a bare ``struct.error``, and never an
+    allocation sized by a corrupted parameter."""
+
+    @staticmethod
+    def _serialised():
+        params = SketchParams(
+            cms_epsilon=0.05, cms_delta=0.1, hll_p=4, bloom_capacity=64, bloom_fp=0.05
+        )
+        state = SketchFeatureState(params=params, seed=11)
+        for i in range(200):
+            state.observe(1 + i % 2, i % 17, f"10.0.0.{i % 23}", 1000 + i % 5, i % 9, 60 * i)
+        return state.to_bytes()
+
+    @staticmethod
+    def _restores_or_rejects(data):
+        try:
+            restored = SketchFeatureState.from_bytes(data)
+        except SketchError:
+            return False
+        again = restored.to_bytes()
+        assert SketchFeatureState.from_bytes(again).to_bytes() == again
+        return True
+
+    def test_every_truncation_is_a_sketch_error(self):
+        data = self._serialised()
+        assert self._restores_or_rejects(data)
+        for cut in range(len(data)):
+            with pytest.raises(SketchError):
+                SketchFeatureState.from_bytes(data[:cut])
+        with pytest.raises(SketchError):
+            SketchFeatureState.from_bytes(data + b"\x00")
+
+    def test_bit_flips_reject_or_reserialise(self):
+        data = self._serialised()
+        # Every bit of the state header, the first switch record and the
+        # first sketch's own header; every 13th bit of the rest.
+        dense = 52 + 56 + 4 + 48
+        bits = list(range(8 * dense)) + list(range(8 * dense, 8 * len(data), 13))
+        rejected = 0
+        for bit in bits:
+            flipped = bytearray(data)
+            flipped[bit >> 3] ^= 1 << (bit & 7)
+            rejected += not self._restores_or_rejects(bytes(flipped))
+        assert 0 < rejected < len(bits)
