@@ -1,24 +1,16 @@
-"""The Fig-10 scale sweep behind ``BENCH_scale.json``.
+"""The frame-path scale sweep behind ``BENCH_scale.json``.
 
-Exercises the batch feature path (docs/PERF.md, docs/COMPUTE.md) — numpy
+Exercises the batch feature path (docs/PERF.md) — numpy
 frames from store to model — on the DDoS flow-record dataset at paper
 scale, each claim fast-vs-reference on identical stores with
 equivalence asserted before a speedup is reported:
 
 * ``batch_extraction`` — rows/sec from the sharded store to a
   model-ready (matrix, marks) pair: ``request_frame`` +
-  ``transform_frame`` vs ``request_features`` + the per-row document
-  transform, byte-identical outputs (gate: >= 5x full mode, >= 1x
-  quick/CI mode);
-* ``worker_scale_modeled`` — the Fig-10 curve for extraction itself:
-  chunked frame extraction dispatched over 1/2/4/8 compute workers with
-  the calibrated distribution-cost model and ``work_scale = 1/scale``
-  occupying workers as the 37.37M-entry dataset would.  Gate: the 1 -> 8
-  worker makespan ratio stays near-linear (>= 4x full, >= 3x quick);
-* ``worker_scale_wallclock`` — the same sweep measured for real on the
-  process execution backend (gate >= 1.5x from 1 to 4 workers, applied
-  only when >= 4 CPUs are actually available; the CPU count is recorded
-  either way);
+  ``transform_frame`` (a slice of the store's columns) vs
+  ``request_features`` + ``transform`` (documents copied out, then
+  coerced to a frame), byte-identical outputs (gate: >= 5x full mode,
+  >= 1x quick/CI mode);
 * ``memory_ceiling`` — rows per MB of tracemalloc peak for one
   extraction: column arrays over shared document references vs the
   copied-document path (gate: frame path >= 2x denser, full mode);
@@ -39,13 +31,13 @@ CI uploads; a full run's output is committed at the repo root.
 """
 
 import argparse
-import os
+import gc
 import sys
 import tracemalloc
 
 import numpy as np
 
-from repro.compute import ClusterConfig, ComputeCluster, PartitionedDataset
+from repro.compute import ComputeCluster
 from repro.controller import ControllerCluster
 from repro.core import AthenaDeployment
 from repro.core.feature_manager import FEATURE_COLLECTION, FeatureManager
@@ -53,7 +45,6 @@ from repro.core.preprocessor import GeneratePreprocessor
 from repro.core.query import GenerateQuery
 from repro.dataplane.topologies import linear_topology
 from repro.distdb import ColumnStoreCluster, DatabaseCluster
-from repro.distdb.frame import ChunkExtractor, assemble_chunks
 from repro.perf import BenchResult, HotpathReport, measure_throughput
 from repro.telemetry.clocks import Stopwatch
 from repro.workloads.ddos import DDOS_FEATURES, DDoSDatasetGenerator, DDoSDatasetSpec
@@ -69,9 +60,6 @@ QUICK_SCALE = 0.004
 FULL_DETECT_SCALE = 0.01
 QUICK_DETECT_SCALE = 0.002
 
-WORKER_COUNTS = (1, 2, 4, 8)
-WALLCLOCK_WORKERS = (1, 2, 4)
-N_PARTITIONS = 8
 N_SHARDS = 4
 
 
@@ -140,122 +128,6 @@ def _bench_batch_extraction(manager, quick):
         unit="rows/s",
         detail={"features": len(DDOS_FEATURES), "shards": N_SHARDS},
     )
-
-
-# -- worker scale-down -------------------------------------------------------
-
-
-def _extraction_partitions(database, filter_):
-    """The shard candidate lists rebalanced to the sweep's task count."""
-    partitions = [p for p in database.shard_candidates(FEATURE_COLLECTION, filter_) if p]
-    rebalanced = []
-    per_shard = max(1, N_PARTITIONS // max(1, len(partitions)))
-    for part in partitions:
-        splits = PartitionedDataset.from_records(part, per_shard).partitions
-        rebalanced.extend(s for s in splits if s)
-    return rebalanced or [[]]
-
-
-def _sweep_config(scale):
-    """Fig-10 distribution-cost constants (see bench_fig10_scalability)."""
-    return ClusterConfig(
-        t_setup=0.12, t_broadcast=0.02, t_collect=0.002, work_scale=1.0 / scale
-    )
-
-
-def _bench_worker_scale_modeled(database, manager, scale, quick):
-    query = _train_query()
-    filter_ = query.to_db_filter() or None
-    columns = tuple(DDOS_FEATURES) + ("label",)
-    partitions = _extraction_partitions(database, filter_)
-    dataset = PartitionedDataset(partitions)
-    extractor = ChunkExtractor(columns, filter_)
-    reference = manager.request_frame(query, columns=list(columns))
-
-    makespans = {}
-    equivalent = True
-    for n_workers in WORKER_COUNTS:
-        compute = ComputeCluster(n_workers, config=_sweep_config(scale))
-        report = compute.run_map(dataset, extractor)
-        frame = assemble_chunks(report.result, partitions)
-        equivalent = equivalent and (
-            frame.to_matrix(DDOS_FEATURES).tobytes()
-            == reference.to_matrix(DDOS_FEATURES).tobytes()
-            and frame.documents() == reference.documents()
-        )
-        makespans[n_workers] = report.makespan_seconds
-    # The public API drives the same parallel path end to end.
-    api_frame = manager.request_frame(
-        query,
-        columns=list(columns),
-        compute=ComputeCluster(4, config=_sweep_config(scale)),
-        n_partitions=N_PARTITIONS,
-    )
-    equivalent = equivalent and api_frame.documents() == reference.documents()
-
-    n_rows = reference.n_rows
-    first, last = WORKER_COUNTS[0], WORKER_COUNTS[-1]
-    return BenchResult(
-        name="worker_scale_modeled",
-        fast_ops_per_sec=n_rows / makespans[last],
-        slow_ops_per_sec=n_rows / makespans[first],
-        n_ops=n_rows,
-        equivalent=equivalent,
-        unit="rows/s",
-        detail={
-            "work_scale": round(1.0 / scale, 2),
-            "partitions": len(partitions),
-            "makespan_seconds": {
-                str(w): round(makespans[w], 4) for w in WORKER_COUNTS
-            },
-            "t_last_over_t1": round(makespans[last] / makespans[first], 4),
-        },
-    )
-
-
-def _bench_worker_scale_wallclock(database, quick):
-    filter_ = _train_query().to_db_filter() or None
-    columns = tuple(DDOS_FEATURES) + ("label",)
-    partitions = _extraction_partitions(database, filter_)
-    dataset = PartitionedDataset(partitions)
-    extractor = ChunkExtractor(columns, filter_)
-
-    walls = {}
-    reference_bytes = None
-    equivalent = True
-    for n_workers in WALLCLOCK_WORKERS:
-        compute = ComputeCluster(n_workers, backend="process")
-        report = compute.run_map(dataset, extractor)
-        equivalent = equivalent and report.fallback_tasks == 0
-        frame_bytes = assemble_chunks(report.result, partitions).to_matrix(
-            DDOS_FEATURES
-        ).tobytes()
-        if reference_bytes is None:
-            reference_bytes = frame_bytes
-        equivalent = equivalent and frame_bytes == reference_bytes
-        walls[n_workers] = report.wall_seconds
-    cpus = (
-        len(os.sched_getaffinity(0))
-        if hasattr(os, "sched_getaffinity")
-        else (os.cpu_count() or 1)
-    )
-    n_rows = sum(len(p) for p in partitions)
-    first, last = WALLCLOCK_WORKERS[0], WALLCLOCK_WORKERS[-1]
-    result = BenchResult(
-        name="worker_scale_wallclock",
-        fast_ops_per_sec=n_rows / walls[last] if walls[last] > 0 else float("inf"),
-        slow_ops_per_sec=n_rows / walls[first] if walls[first] > 0 else float("inf"),
-        n_ops=n_rows,
-        equivalent=equivalent,
-        unit="rows/s",
-        detail={
-            "backend": "process",
-            "cpus_available": cpus,
-            "gated": cpus >= 4,
-            "wall_seconds": {str(w): round(walls[w], 4) for w in WALLCLOCK_WORKERS},
-        },
-    )
-    return result, cpus
 
 
 # -- memory ceiling ----------------------------------------------------------
@@ -347,7 +219,13 @@ def _bench_insert_many(quick):
 
 
 def _timed_detection(app, nb, test_documents, from_documents):
-    """One train+validate pass; the document-fed pass pays for its fetch."""
+    """One train+validate pass; the document-fed pass pays for its fetch.
+
+    Each pass starts from a collected heap: the passes now differ by one
+    fetch only, less than the second pass would pay for the first one's
+    garbage.
+    """
+    gc.collect()
     watch = Stopwatch()
     train_documents = nb.RequestFeatures(_train_query()) if from_documents else None
     summary = app.run_batch(
@@ -414,12 +292,6 @@ def run_report(quick=False):
         _bench_batch_extraction(manager, quick),
         min_speedup=1.0 if quick else 5.0,
     )
-    report.add(
-        _bench_worker_scale_modeled(database, manager, scale, quick),
-        min_speedup=3.0 if quick else 4.0,
-    )
-    wallclock, cpus = _bench_worker_scale_wallclock(database, quick)
-    report.add(wallclock, min_speedup=1.5 if cpus >= 4 else None)
     report.add(
         _bench_memory_ceiling(database, manager, quick),
         # Measured on the committed run: ~456 B/row frame-path peak vs

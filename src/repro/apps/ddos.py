@@ -104,16 +104,19 @@ class DDoSDetectorApp(AthenaApp):
             q_test, preprocessor, self.model, documents=test_documents
         )
         if self.block_on_detection:
+            if test_documents is None:
+                # The rows the validation itself read, in prediction order
+                # (the frame contract: same rows, same order as documents).
+                test_documents = self.nb.RequestFeatures(q_test)
             self._mitigate(test_documents)
         return self.last_summary
 
-    def _mitigate(self, test_documents: Optional[List[Dict[str, Any]]]) -> None:
+    def _mitigate(self, test_documents: List[Dict[str, Any]]) -> None:
         """Block the sources of entries the model flagged malicious."""
         if self.last_summary is None or self.last_summary.predictions is None:
             return
-        documents = test_documents or []
         suspicious: List[str] = []
-        for doc, verdict in zip(documents, self.last_summary.predictions):
+        for doc, verdict in zip(test_documents, self.last_summary.predictions):
             ip = doc.get("ip_src")
             if verdict and ip and ip not in suspicious:
                 suspicious.append(ip)

@@ -55,29 +55,6 @@ class PartitionedDataset:
                 partitions.append(rows)
         return cls(partitions)
 
-    @classmethod
-    def from_frame(
-        cls,
-        frame,
-        n_partitions: int,
-        features: Sequence[str] = None,
-        labels: str = None,
-    ) -> "PartitionedDataset":
-        """Split a :class:`~repro.distdb.frame.FeatureFrame` row-wise.
-
-        The frame's columns become one contiguous matrix (the same values
-        the per-row ``to_vector`` loop would produce); with ``labels``
-        naming a column, partitions are ``(rows, labels)`` tuples — the
-        shape the distributed estimators consume.
-        """
-        matrix = frame.to_matrix(features)
-        label_values = None
-        if labels is not None:
-            label_values = np.asarray(
-                [doc.get(labels) for doc in frame.documents()]
-            )
-        return cls.from_matrix(matrix, n_partitions, label_values)
-
     @property
     def n_partitions(self) -> int:
         return len(self._partitions)

@@ -120,8 +120,7 @@ class DetectorManager:
     def _fetch(self, query: Query, preprocessor: Preprocessor):
         """The query's rows as a feature frame holding the preprocessor's
         columns.  Aggregation queries have no frame shape and come back
-        as documents; both feed the same downstream bytes (docs/PERF.md
-        equivalence contract)."""
+        as their reduced rows; the preprocessor takes either."""
         if query.to_db_pipeline() is not None:
             return self.feature_manager.request_features(query)
         return self.feature_manager.request_frame(
@@ -150,10 +149,7 @@ class DetectorManager:
                 documents = self._fetch(query, preprocessor)
             if not documents:
                 raise AthenaError("no features matched the training query")
-            if isinstance(documents, FeatureFrame):
-                matrix, marks, _frame = preprocessor.fit_transform_frame(documents)
-            else:
-                matrix, marks, _docs = preprocessor.fit_transform(documents)
+            matrix, marks, _kept = preprocessor.fit_transform(documents)
             estimator = algorithm.instantiate()
             job_report = None
             if not algorithm.has_learning_phase:
@@ -218,15 +214,11 @@ class DetectorManager:
                 documents = self._fetch(query, active)
             if not documents:
                 raise AthenaError("no features matched the validation query")
-            if isinstance(documents, FeatureFrame):
-                matrix, marks, kept = active.transform_frame(documents)
-                docs = kept.documents()
-            else:
-                matrix, marks, docs = active.transform(documents)
+            matrix, marks, kept = active.transform(documents)
             predictions, job_report = self.attack_detector.run_validation(
                 model.estimator, matrix, backend=backend
             )
-            summary = self._summarise(model, matrix, marks, docs, predictions)
+            summary = self._summarise(model, matrix, marks, kept, predictions)
             summary.elapsed_seconds = watch.elapsed()
             if job_report is not None:
                 summary.elapsed_seconds = max(
@@ -282,10 +274,11 @@ class DetectorManager:
         model: DetectionModel,
         matrix: np.ndarray,
         marks: Optional[np.ndarray],
-        docs: List[Document],
+        kept,
         predictions: np.ndarray,
     ) -> ValidationSummary:
         predictions = np.asarray(predictions).ravel()
+        docs = kept.documents() if isinstance(kept, FeatureFrame) else kept
         if marks is None:
             marks = np.zeros(len(predictions))
         malicious = marks == 1

@@ -23,7 +23,7 @@ from repro.core.feature_format import INDEX_KEYS, AthenaFeature
 from repro.core.features.catalog import FEATURE_CATALOG
 from repro.core.query import Query
 from repro.distdb import DatabaseCluster
-from repro.distdb.frame import ChunkExtractor, FeatureFrame, assemble_chunks
+from repro.distdb.frame import FeatureFrame
 from repro.errors import AthenaError
 from repro.telemetry import get_telemetry
 
@@ -157,12 +157,7 @@ class FeatureManager:
             )
 
     def request_frame(
-        self,
-        query: Query,
-        columns: Optional[List[str]] = None,
-        compute=None,
-        backend=None,
-        n_partitions: Optional[int] = None,
+        self, query: Query, columns: Optional[List[str]] = None
     ) -> FeatureFrame:
         """RequestFeatures as a frame, not documents: what detection jobs
         fetch (docs/PERF.md, "The batch path").
@@ -172,10 +167,7 @@ class FeatureManager:
         exactly the rows :meth:`request_features` would return, in the
         same order, as zero-copy views over the stored documents.
         ``columns`` names the fields the caller will read, so the store
-        slices them from the columns it keeps per generation.  Pass a
-        :class:`~repro.compute.cluster.ComputeCluster` as ``compute`` to
-        extract shard partitions in parallel through its execution
-        backends (``backend``/``n_partitions`` as for any map job).
+        slices them from the columns it keeps per generation.
         Aggregation queries have no frame shape and raise
         :class:`~repro.errors.AthenaError`.
         """
@@ -187,50 +179,13 @@ class FeatureManager:
             )
         self._metric_requests.inc()
         with self._metric_request_seconds.time():
-            filter_ = query.to_db_filter() or None
-            sort = query.sort_spec or None
-            limit = query.limit_value
-            frame_columns = tuple(columns) if columns is not None else None
-            if compute is None or not hasattr(self.database, "shard_candidates"):
-                return self.database.find_frame(
-                    FEATURE_COLLECTION,
-                    filter_,
-                    sort=sort,
-                    limit=limit,
-                    columns=frame_columns,
-                )
-            # Parallel extraction: the shard candidate lists become map
-            # partitions; workers return column arrays plus the surviving
-            # row indices, and the driver (which keeps the shared document
-            # references — fork-inherited, never pickled back) reassembles
-            # the frame in partition order.
-            from repro.compute.partition import PartitionedDataset
-
-            partitions = self.database.shard_candidates(
-                FEATURE_COLLECTION, filter_
+            return self.database.find_frame(
+                FEATURE_COLLECTION,
+                query.to_db_filter() or None,
+                sort=query.sort_spec or None,
+                limit=query.limit_value,
+                columns=tuple(columns) if columns is not None else None,
             )
-            partitions = [p for p in partitions if p] or [[]]
-            if n_partitions is not None and n_partitions > len(partitions):
-                rebalanced: List[List[Dict[str, Any]]] = []
-                per_shard = max(1, n_partitions // len(partitions))
-                for part in partitions:
-                    splits = PartitionedDataset.from_records(
-                        part, per_shard
-                    ).partitions
-                    rebalanced.extend(s for s in splits if s)
-                partitions = rebalanced or [[]]
-            dataset = PartitionedDataset(partitions)
-            report = compute.run_map(
-                dataset,
-                ChunkExtractor(frame_columns, filter_),
-                backend=backend,
-            )
-            frame = assemble_chunks(report.result, partitions)
-            if sort:
-                frame = frame.sort(sort)
-            if limit is not None:
-                frame = frame.head(limit)
-            return frame
 
     def count_features(self, query: Optional[Query] = None) -> int:
         filter_ = query.to_db_filter() if query is not None else None

@@ -1,7 +1,7 @@
 """The Preprocessor NB parameter (Table IV).
 
-A :class:`Preprocessor` turns feature documents into the numeric matrix an
-algorithm consumes, applying the paper's four operators:
+A :class:`Preprocessor` turns fetched feature rows into the numeric matrix
+an algorithm consumes, applying the paper's four operators:
 
 * **Weighting** — per-feature multipliers to emphasize certain features,
 * **Sampling** — keep a uniform fraction of the entries,
@@ -11,8 +11,10 @@ algorithm consumes, applying the paper's four operators:
   ground-truth ``label`` index field (used when replaying labelled
   datasets).
 
-``fit`` learns scaling parameters on the training documents; ``transform``
+``fit`` learns scaling parameters on the training rows; ``transform``
 re-applies them verbatim, so train and test splits see identical scaling.
+Every operator computes on a :class:`~repro.distdb.frame.FeatureFrame`:
+rows handed in as documents or records are coerced to one first.
 """
 
 from __future__ import annotations
@@ -29,6 +31,10 @@ from repro.ml.preprocessing import MinMaxNormalizer, StandardScaler
 
 Document = Dict[str, object]
 MarkingSpec = Union[Query, Callable[[Document], bool], str, None]
+#: (matrix, marks, kept rows — a frame, or the list of documents).
+Transformed = Tuple[
+    np.ndarray, Optional[np.ndarray], Union[FeatureFrame, List[Document]]
+]
 
 
 class Preprocessor:
@@ -88,87 +94,28 @@ class Preprocessor:
             return 1 if self.marking.matches(doc) else 0
         return 1 if self.marking(doc) else 0
 
-    # -- matrix construction -------------------------------------------------------
-
-    def _to_docs(self, records) -> List[Document]:
-        return [
-            record.to_document() if isinstance(record, AthenaFeature) else record
-            for record in records
-        ]
-
-    def _matrix(self, docs: List[Document]) -> np.ndarray:
-        if not self.features:
-            raise AthenaError("preprocessor has no features registered")
-        matrix = np.zeros((len(docs), len(self.features)))
-        for row, doc in enumerate(docs):
-            for col, feature in enumerate(self.features):
-                value = doc.get(feature)
-                if isinstance(value, (int, float)) and not isinstance(value, bool):
-                    matrix[row, col] = float(value)
-        return matrix
-
-    def _sample(self, docs: List[Document]) -> List[Document]:
-        if self.sampling is None or not docs:
-            return docs
-        rng = np.random.default_rng(self.sampling_seed)
-        n_keep = max(1, int(round(len(docs) * self.sampling)))
-        keep = np.sort(rng.choice(len(docs), size=n_keep, replace=False))
-        return [docs[i] for i in keep]
-
-    def fit(self, records) -> "Preprocessor":
-        """Learn normalisation parameters from training documents."""
-        docs = self._sample(self._to_docs(records))
-        matrix = self._matrix(docs)
-        if self.normalization == "minmax":
-            self._scaler = MinMaxNormalizer().fit(matrix)
-        elif self.normalization == "standard":
-            self._scaler = StandardScaler().fit(matrix)
-        return self
-
-    def transform(
-        self, records, sample: bool = False
-    ) -> Tuple[np.ndarray, Optional[np.ndarray], List[Document]]:
-        """Produce (matrix, marks, kept_documents).
-
-        ``marks`` is None when no marking is configured; otherwise a 0/1
-        vector (unmarkable documents default to benign 0).
-        """
-        docs = self._to_docs(records)
-        if sample:
-            docs = self._sample(docs)
-        matrix = self._matrix(docs)
-        if self._scaler is not None:
-            matrix = self._scaler.transform(matrix)
-        elif self.normalization is not None and len(docs):
-            raise AthenaError("preprocessor not fitted; call fit first")
-        if self.weights:
-            weight_row = np.array(
-                [self.weights.get(feature, 1.0) for feature in self.features]
-            )
-            matrix = matrix * weight_row
-        marks = None
-        if self.marking is not None:
-            marks = np.array(
-                [float(self.mark(doc) or 0) for doc in docs]
-            )
-        return matrix, marks, docs
-
-    def fit_transform(self, records):
-        """Sample, fit, and transform training documents in one step."""
-        docs = self._sample(self._to_docs(records))
-        self.fit(docs)
-        return self.transform(docs)
-
-    # -- frame path (bit-identical to the document methods above) -----------
+    # -- rows in, matrix out ---------------------------------------------------
 
     def frame_columns(self) -> List[str]:
-        """The stored fields the frame methods read: what a fetch should
-        ask :meth:`FeatureManager.request_frame` to have ready."""
+        """The stored fields the operators read: what a fetch should ask
+        :meth:`FeatureManager.request_frame` to have ready."""
         if isinstance(self.marking, str):
             return [*self.features, self.marking]
         return list(self.features)
 
-    def _sample_frame(self, frame: FeatureFrame) -> FeatureFrame:
+    def _frame(self, rows) -> FeatureFrame:
+        """``rows`` as a frame.  Documents and :class:`AthenaFeature`
+        records are coerced here, once: the feature columns are built,
+        any other field resolves lazily from the documents."""
+        if isinstance(rows, FeatureFrame):
+            return rows
+        docs = [
+            row.to_document() if isinstance(row, AthenaFeature) else row
+            for row in rows
+        ]
+        return FeatureFrame.from_documents(docs, columns=self.features)
+
+    def _sample(self, frame: FeatureFrame) -> FeatureFrame:
         if self.sampling is None or not frame.n_rows:
             return frame
         rng = np.random.default_rng(self.sampling_seed)
@@ -176,8 +123,42 @@ class Preprocessor:
         keep = np.sort(rng.choice(frame.n_rows, size=n_keep, replace=False))
         return frame.take(keep)
 
-    def _marks_frame(self, frame: FeatureFrame) -> np.ndarray:
-        """Vectorised marking: the 0/1 vector :meth:`mark` would produce."""
+    def _columns(self) -> List[str]:
+        if not self.features:
+            raise AthenaError("preprocessor has no features registered")
+        return self.features
+
+    def _fit(self, rows) -> Tuple[FeatureFrame, np.ndarray]:
+        """Learn the scaler from a sample of ``rows``; returns the sampled
+        frame and its unscaled matrix."""
+        frame = self._sample(self._frame(rows))
+        matrix = frame.to_matrix(self._columns())
+        if not len(matrix):
+            raise AthenaError("preprocessor has no rows to fit on")
+        if self.normalization == "minmax":
+            self._scaler = MinMaxNormalizer().fit(matrix)
+        elif self.normalization == "standard":
+            self._scaler = StandardScaler().fit(matrix)
+        return frame, matrix
+
+    def _scale(self, matrix: np.ndarray) -> np.ndarray:
+        """Normalization as fitted, then weighting."""
+        if self._scaler is not None:
+            matrix = self._scaler.transform(matrix)
+        elif self.normalization is not None and len(matrix):
+            raise AthenaError("preprocessor not fitted; call fit first")
+        if self.weights:
+            weight_row = np.array(
+                [self.weights.get(feature, 1.0) for feature in self.features]
+            )
+            matrix = matrix * weight_row
+        return matrix
+
+    def _marks(self, frame: FeatureFrame) -> Optional[np.ndarray]:
+        """The 0/1 vector :meth:`mark` would produce row by row (unmarkable
+        rows default to benign 0), or None when no marking is configured."""
+        if self.marking is None:
+            return None
         if isinstance(self.marking, str):
             column = frame.values(self.marking)
             if column.dtype != object:
@@ -197,60 +178,56 @@ class Preprocessor:
             count=len(docs),
         )
 
-    def fit_frame(self, frame: FeatureFrame) -> "Preprocessor":
-        """Learn normalisation parameters from a training frame."""
-        if not self.features:
-            raise AthenaError("preprocessor has no features registered")
-        matrix = self._sample_frame(frame).to_matrix(self.features)
-        if self.normalization == "minmax":
-            self._scaler = MinMaxNormalizer().fit(matrix)
-        elif self.normalization == "standard":
-            self._scaler = StandardScaler().fit(matrix)
+    def fit(self, rows) -> "Preprocessor":
+        """Learn normalisation parameters from (a sample of) training rows."""
+        self._fit(rows)
         return self
 
     def transform_frame(
         self, frame: FeatureFrame, sample: bool = False
     ) -> Tuple[np.ndarray, Optional[np.ndarray], FeatureFrame]:
-        """Columnar :meth:`transform`: (matrix, marks, kept_frame).
-
-        Same scaling, weighting, and marking semantics, computed on the
-        frame's columns without a per-row loop; the returned frame holds
-        the (possibly sampled) rows the matrix was built from.
-        """
-        if not self.features:
-            raise AthenaError("preprocessor has no features registered")
+        """(matrix, marks, kept_frame) of a frame: the frame-typed core of
+        :meth:`transform`.  The returned frame holds the (possibly sampled)
+        rows the matrix was built from."""
         if sample:
-            frame = self._sample_frame(frame)
-        matrix = frame.to_matrix(self.features)
-        if self._scaler is not None:
-            matrix = self._scaler.transform(matrix)
-        elif self.normalization is not None and frame.n_rows:
-            raise AthenaError("preprocessor not fitted; call fit first")
-        if self.weights:
-            weight_row = np.array(
-                [self.weights.get(feature, 1.0) for feature in self.features]
-            )
-            matrix = matrix * weight_row
-        marks = None
-        if self.marking is not None:
-            marks = self._marks_frame(frame)
-        return matrix, marks, frame
+            frame = self._sample(frame)
+        matrix = self._scale(frame.to_matrix(self._columns()))
+        return matrix, self._marks(frame), frame
 
-    def fit_transform_frame(self, frame: FeatureFrame):
-        """Columnar :meth:`fit_transform`, sampling rounds included.
+    def transform(self, rows, sample: bool = False) -> Transformed:
+        """Produce (matrix, marks, kept_rows).
 
-        The document path samples once in ``fit_transform`` and once more
-        inside ``fit``; the frame path repeats both rounds so the learned
-        scaler — and therefore every downstream byte — matches.
+        ``rows`` is a :class:`FeatureFrame` or any iterable of documents /
+        :class:`AthenaFeature` records; ``kept_rows`` comes back in the
+        same form, a frame or the list of documents.  ``marks`` is None
+        when no marking is configured.
         """
-        frame = self._sample_frame(frame)
-        self.fit_frame(frame)
-        return self.transform_frame(frame)
+        matrix, marks, kept = self.transform_frame(self._frame(rows), sample)
+        return matrix, marks, self._as_given(rows, kept)
+
+    def fit_transform(self, rows) -> Transformed:
+        """Sample, fit, and transform training rows in one step: the
+        scaler is learned from exactly the rows that are returned."""
+        frame, matrix = self._fit(rows)
+        return self._scale(matrix), self._marks(frame), self._as_given(rows, frame)
+
+    @staticmethod
+    def _as_given(rows, kept: FeatureFrame):
+        return kept if isinstance(rows, FeatureFrame) else kept.documents()
 
     def transform_one(self, record) -> np.ndarray:
-        """Row vector for a single record (the online-validation path)."""
-        matrix, _, _ = self.transform([record])
-        return matrix[0]
+        """Row vector for a single record (the online-validation path).
+
+        One record is one row by signature, so the row is filled in place
+        rather than through a one-row frame (docs/PERF.md); no marks.
+        """
+        doc = record.to_document() if isinstance(record, AthenaFeature) else record
+        row = np.zeros((1, len(self._columns())))
+        for col, feature in enumerate(self.features):
+            value = doc.get(feature)
+            if isinstance(value, (int, float)) and not isinstance(value, bool):
+                row[0, col] = value
+        return self._scale(row)[0]
 
     def __repr__(self) -> str:
         return (

@@ -188,25 +188,6 @@ class DatabaseCluster(ShardedStore):
             results = results[: max(0, limit)]
         return results
 
-    def shard_candidates(
-        self,
-        collection: str,
-        filter_: Optional[Dict[str, Any]] = None,
-    ) -> List[List[Dict[str, Any]]]:
-        """Raw per-shard candidate documents, in routing order, zero-copy.
-
-        One list per shard the document path would consult (the pinned
-        shard when the filter fixes the shard key, every live shard
-        otherwise), each in that shard collection's candidate order — the
-        partitions the columnar path extracts from, in parallel or not.
-        Callers must treat the documents as read-only.
-        """
-        validate_filter(filter_)
-        return [
-            table.raw_candidates(filter_)
-            for table in self._tables(collection, self._read_shards(filter_))
-        ]
-
     def _frame_index(
         self, collection: str
     ) -> Tuple[FeatureFrame, Dict[int, int]]:

@@ -245,19 +245,21 @@ class ColumnStoreCluster(ShardedStore):
 
         Selects exactly the rows :meth:`find` returns, in the same order,
         as a frame over the shared stored documents (no copies), with
-        ``columns`` plus the filter and sort fields sliced from the
-        generation's cached columns.
+        ``columns`` sliced from the generation's cached columns (the
+        filter and sort fields are read from there too, then trimmed, as
+        :meth:`DatabaseCluster.find_frame` does).
         """
         validate_filter(filter_)
-        frame = self.frame(collection).select(
-            scan_fields(columns or (), filter_, sort)
-        )
+        scan = scan_fields(columns or (), filter_, sort)
+        frame = self.frame(collection).select(scan)
         if filter_:
             frame = frame.mask(filter_mask(frame, filter_))
         if sort:
             frame = frame.sort(sort)
         if limit is not None:
             frame = frame.head(limit)
+        if columns is not None and scan != tuple(columns):
+            frame = frame.select(columns)
         return frame
 
     @tracked("count")

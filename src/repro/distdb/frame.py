@@ -35,7 +35,7 @@ def _is_plain_number(value: Any) -> bool:
 
     Bools are excluded so boolean-valued columns take the object path,
     where row-wise evaluation preserves the document path's semantics
-    (``Preprocessor._matrix`` treats bools as non-numeric).
+    (:meth:`FeatureFrame.to_matrix` treats bools as non-numeric).
     """
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
@@ -114,53 +114,6 @@ class FeatureFrame:
             values[name], missing[name] = _build_column(docs, name)
         return cls(values, missing, docs)
 
-    @classmethod
-    def concat(cls, frames: Sequence["FeatureFrame"]) -> "FeatureFrame":
-        """Concatenate chunk frames row-wise.
-
-        Column sets are unioned (first-use order); a column one chunk
-        never materialised is scanned from that chunk's documents, so
-        shards whose documents carry different key sets still concatenate
-        correctly.  When a column is numeric in one chunk and object in
-        another (a string appeared only in some shard), the numeric
-        chunks are widened to object — value semantics are unchanged
-        because object columns evaluate row-wise.
-        """
-        frames = [f for f in frames if f is not None]
-        if not frames:
-            return cls({}, {}, [])
-        if len(frames) == 1:
-            return frames[0]
-        names: Dict[str, None] = {}
-        for frame in frames:
-            for name in frame._values:
-                if name not in names:
-                    names[name] = None
-        docs: List[Dict[str, Any]] = []
-        for frame in frames:
-            docs.extend(frame._docs)
-        values: Dict[str, np.ndarray] = {}
-        missing: Dict[str, Optional[np.ndarray]] = {}
-        for name in names:
-            parts = [f.values(name) for f in frames]
-            masks = [f._missing[name] for f in frames]
-            if any(part.dtype == object for part in parts):
-                widened = []
-                for part, mask in zip(parts, masks):
-                    if part.dtype == object:
-                        widened.append(part)
-                    else:
-                        as_obj = part.astype(object)
-                        if mask is not None and mask.any():
-                            as_obj[mask] = None
-                        widened.append(as_obj)
-                values[name] = np.concatenate(widened) if widened else np.empty(0, object)
-                missing[name] = None
-            else:
-                values[name] = np.concatenate(parts)
-                missing[name] = np.concatenate([m for m in masks])
-        return cls(values, missing, docs)
-
     # -- basic accessors ---------------------------------------------------
 
     @property
@@ -173,9 +126,6 @@ class FeatureFrame:
     @property
     def column_names(self) -> List[str]:
         return list(self._values)
-
-    def has_column(self, name: str) -> bool:
-        return name in self._values
 
     def values(self, name: str) -> np.ndarray:
         """Column values, materialised lazily from the row documents.
@@ -212,10 +162,6 @@ class FeatureFrame:
     def copy_documents(self) -> List[Dict[str, Any]]:
         """Copies of the row documents (the document path's contract)."""
         return [dict(doc) for doc in self._docs]  # athena-lint: disable=ATH603
-
-    def column_arrays(self) -> Tuple[Dict[str, np.ndarray], Dict[str, Optional[np.ndarray]]]:
-        """The raw (values, missing) dicts — the picklable worker payload."""
-        return self._values, self._missing
 
     # -- row selection -----------------------------------------------------
 
@@ -299,23 +245,15 @@ class FeatureFrame:
 
     # -- matrix handoff ----------------------------------------------------
 
-    def feature_columns(self) -> List[str]:
-        """Materialised FEATURE_CATALOG-namespace columns, in order."""
-        return [
-            name
-            for name in self._values
-            if name[:1].isalpha() and name == name.upper()
-        ]
+    def to_matrix(self, features: Sequence[str]) -> np.ndarray:
+        """The ML feature matrix, one column per name in ``features``.
 
-    def to_matrix(self, features: Optional[Sequence[str]] = None) -> np.ndarray:
-        """The ML feature matrix, bit-identical to the per-row loop.
-
-        Mirrors ``Preprocessor._matrix``: numeric values land as float64,
-        missing and non-numeric values (including bools) become 0.0.
+        Numeric values land as float64; missing and non-numeric values
+        (including bools) become 0.0 — byte for byte what a per-row loop
+        over the documents gives (``tests/oracles.oracle_matrix``).
         """
-        names = list(features) if features is not None else self.feature_columns()
-        matrix = np.zeros((self.n_rows, len(names)), dtype=np.float64)
-        for col, name in enumerate(names):
+        matrix = np.zeros((self.n_rows, len(features)), dtype=np.float64)
+        for col, name in enumerate(features):
             column = self.values(name)
             if column.dtype == object:
                 matrix[:, col] = np.fromiter(
@@ -467,7 +405,7 @@ def filter_mask(
 
 
 # ---------------------------------------------------------------------------
-# Chunked extraction (the compute-backend map task)
+# The columns a read touches
 # ---------------------------------------------------------------------------
 
 
@@ -508,69 +446,3 @@ def scan_fields(
         if "." not in name:
             needed.setdefault(name, None)
     return tuple(needed)
-
-
-def extract_chunk(
-    docs: List[Dict[str, Any]],
-    columns: Optional[Tuple[str, ...]],
-    filter_: Optional[Dict[str, Any]],
-) -> Tuple[Dict[str, np.ndarray], Dict[str, Optional[np.ndarray]], np.ndarray]:
-    """Scan+mask one partition of stored documents into column arrays.
-
-    Module-level and picklable so the process execution backend can ship
-    it to pool workers; the driver rebuilds the frame from the returned
-    arrays plus its own (fork-shared) document references.  Returns
-    ``(values, missing, keep_indices)`` for the rows surviving
-    ``filter_``.
-    """
-    scan = scan_fields(columns, filter_)
-    frame = FeatureFrame.from_documents(docs, scan)
-    keep = np.nonzero(filter_mask(frame, filter_))[0]
-    if len(keep) != frame.n_rows:
-        frame = frame.take(keep)
-    if columns is not None and scan != tuple(columns):
-        # Trim filter-only columns so the worker payload carries exactly
-        # the requested set.
-        frame = frame.select(columns)
-    values, missing = frame.column_arrays()
-    return values, missing, keep
-
-
-def _extract_chunk_task(docs: List[Dict[str, Any]], spec: Tuple[Any, Any]):
-    return extract_chunk(docs, spec[0], spec[1])
-
-
-class ChunkExtractor:
-    """Binds (columns, filter) for dispatch through compute backends.
-
-    Picklable whenever the filter is (plain dicts/values), matching the
-    backends' pre-flight pickling check.
-    """
-
-    def __init__(
-        self,
-        columns: Optional[Tuple[str, ...]],
-        filter_: Optional[Dict[str, Any]],
-    ) -> None:
-        self.columns = tuple(columns) if columns is not None else None
-        self.filter = filter_
-
-    def __call__(self, docs: List[Dict[str, Any]]):
-        return extract_chunk(docs, self.columns, self.filter)
-
-
-def assemble_chunks(
-    chunk_results: Sequence[Tuple[Dict[str, np.ndarray], Dict[str, Optional[np.ndarray]], np.ndarray]],
-    partitions: Sequence[List[Dict[str, Any]]],
-) -> FeatureFrame:
-    """Rebuild the result frame from per-chunk arrays + driver-side docs.
-
-    ``chunk_results`` arrive in task (partition) order — the backends'
-    determinism contract — so the concatenated frame preserves the
-    document path's result order.
-    """
-    frames = []
-    for (values, missing, keep), docs in zip(chunk_results, partitions):
-        kept_docs = [docs[i] for i in keep.tolist()]
-        frames.append(FeatureFrame(values, missing, kept_docs))
-    return FeatureFrame.concat(frames)

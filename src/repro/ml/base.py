@@ -18,14 +18,8 @@ from repro.errors import MLError
 
 
 def as_matrix(X) -> np.ndarray:
-    """Coerce input to a 2-D float matrix, validating shape.
-
-    Accepts arrays, nested sequences, or anything frame-like exposing
-    ``to_matrix()`` (a :class:`~repro.distdb.frame.FeatureFrame`), so
-    estimators consume the columnar path without a conversion loop.
-    """
-    if hasattr(X, "to_matrix"):
-        X = X.to_matrix()
+    """Coerce input (an array or nested sequences) to a 2-D float matrix,
+    validating shape."""
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X.reshape(-1, 1)

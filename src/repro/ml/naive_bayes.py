@@ -88,17 +88,9 @@ class GaussianNaiveBayes(Estimator):
         rounding, since the variance is formed from moments instead of
         centred residuals.
 
-        ``dataset`` may be a :class:`~repro.compute.partition.PartitionedDataset`
-        of labelled partitions or a :class:`~repro.distdb.frame.FeatureFrame`
-        carrying a ``label`` column, which is partitioned across the
-        cluster's workers without a per-row conversion loop.
+        ``dataset`` is a :class:`~repro.compute.partition.PartitionedDataset`
+        of labelled ``(rows, labels)`` partitions.
         """
-        if hasattr(dataset, "to_matrix"):
-            from repro.compute.partition import PartitionedDataset
-
-            dataset = PartitionedDataset.from_frame(
-                dataset, len(compute_cluster.workers), labels="label"
-            )
         report = compute_cluster.run_map(
             dataset, _nb_partial_stats, backend=backend
         )

@@ -6,6 +6,8 @@ took over the equivalence duty of the linear-scan, per-call and copy-first
 reference implementations that used to ship in ``src/`` behind a switch.
 """
 
+import numpy as np
+
 from repro.distdb.query import matches_filter, sort_documents
 from repro.openflow.constants import FlowRemovedReason
 from repro.openflow.flow import FlowEntry
@@ -51,6 +53,19 @@ def list_find(docs, filter_=None, sort=None, limit=None, projection=None):
         keep = set(projection) | {"_id"}
         results = [{k: v for k, v in doc.items() if k in keep} for doc in results]
     return results, bytes_read
+
+
+def oracle_matrix(docs, features):
+    """The feature matrix, one document and one feature at a time: a plain
+    int or float lands as a float, anything else (absent, None, bool,
+    string, list) is 0.0."""
+    matrix = np.zeros((len(docs), len(features)))
+    for row, doc in enumerate(docs):
+        for col, feature in enumerate(features):
+            value = doc.get(feature)
+            if isinstance(value, (int, float)) and not isinstance(value, bool):
+                matrix[row, col] = float(value)
+    return matrix
 
 
 HARD, IDLE = FlowRemovedReason.HARD_TIMEOUT, FlowRemovedReason.IDLE_TIMEOUT

@@ -91,6 +91,15 @@ class TestDDoSDetector:
         app.run_batch(train_documents=train, test_documents=test)
         assert app.blocked_sources
         assert athena.reaction_manager.reactions_enforced == 1
+        # Store-fed, the Application 1 deployment: the job reads the same
+        # test rows itself and must block what the fed run blocked.
+        cluster, athena, _ = _deployment(linear_topology(n_switches=2))
+        athena.feature_manager.publish_documents(test)
+        stored = DDoSDetectorApp(block_on_detection=True)
+        athena.register_app(stored)
+        stored.run_batch(train_documents=train)
+        assert athena.reaction_manager.reactions_enforced == 1
+        assert sorted(stored.blocked_sources) == sorted(app.blocked_sources)
 
 
 class TestLFAMitigation:

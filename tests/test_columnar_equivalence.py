@@ -3,9 +3,11 @@
 Detection jobs fetch numpy frames from the store, never per-document
 dicts, and that must be invisible: the same frozen store state run
 through batch detection by the default fetch and by the ``documents=``
-argument fed from ``RequestFeatures`` (the document oracle) has to
+argument fed from ``RequestFeatures`` (the fetch oracle: copied-out
+documents, which the one Preprocessor coerces to a frame itself) has to
 produce the same training matrices, the same fitted models, the same
-predictions, and the same validation summaries.  Two anomaly scenarios
+predictions, and the same validation summaries; the Preprocessor's own
+matrix is held to ``tests/oracles.oracle_matrix``.  Two anomaly scenarios
 check that end to end — a simulated port scan detected with a threshold
 model, and the paper's DDoS dataset detected with k-means — plus direct
 ``find_frame``/``find`` parity on the sharded store, including the
@@ -27,6 +29,8 @@ from repro.core.feature_manager import FEATURE_COLLECTION, FeatureManager
 from repro.distdb import ColumnStoreCluster, DatabaseCluster
 from repro.workloads.ddos import DDoSDatasetGenerator, DDoSDatasetSpec
 from repro.workloads.flows import FlowSpec, TrafficSchedule
+
+from tests.oracles import oracle_matrix
 
 
 @pytest.fixture
@@ -95,9 +99,9 @@ class TestPortscanColumnarEquivalence:
         preprocessor = GeneratePreprocessor(
             normalization=None, features=["SRC_FLOW_FANOUT"]
         )
-        doc_matrix, _, _ = preprocessor.fit_transform(documents)
-        frame_matrix, _, _ = preprocessor.fit_transform_frame(frame)
-        assert doc_matrix.tobytes() == frame_matrix.tobytes()
+        expected = oracle_matrix(documents, ["SRC_FLOW_FANOUT"]).tobytes()
+        assert expected == preprocessor.fit_transform(frame)[0].tobytes()
+        assert expected == preprocessor.fit_transform(documents)[0].tobytes()
 
 
 class TestDDoSColumnarEquivalence:

@@ -236,7 +236,9 @@ class TestMakespanModel:
         # workers the per-round max shrinks, so the makespan must too.
         config = ClusterConfig(t_setup=0.0, t_broadcast=0.0, t_collect=0.0,
                                work_scale=50.0)
-        matrix = np.arange(12_000.0).reshape(2_000, 6)
+        # ~1 ms of measured work per task, so the 4x gap between the
+        # per-round maxima is out of reach of a scheduling hiccup.
+        matrix = np.arange(2_400_000.0).reshape(400_000, 6)
 
         def makespan(n_workers):
             cluster = ComputeCluster(n_workers=n_workers, config=config)

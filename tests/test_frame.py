@@ -3,25 +3,22 @@
 The contract under test (docs/PERF.md): for any documents and any valid
 filter/sort/limit, the frame path selects exactly the rows
 ``matches_filter`` would, in exactly the order the document path returns
-them, and ``to_matrix`` reproduces ``Preprocessor._matrix`` byte for
-byte.  Property tests drive the mask compiler and sorter against the
-row-wise reference on randomized documents.
+them, and ``to_matrix`` reproduces the per-row loop
+(``tests/oracles.oracle_matrix``) byte for byte.  Property tests drive
+the mask compiler and sorter against the row-wise reference on
+randomized documents.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.preprocessor import Preprocessor
 from repro.distdb import DatabaseCluster, FeatureFrame, filter_mask
-from repro.distdb.frame import (
-    ChunkExtractor,
-    assemble_chunks,
-    extract_chunk,
-    scan_fields,
-)
+from repro.distdb.frame import scan_fields
 from repro.distdb.query import matches_filter, sort_documents
 from repro.errors import QueryError
+
+from tests.oracles import oracle_matrix
 
 DOCS = [
     {"switch_id": 1, "A": 1.0, "B": 10, "tag": "x", "label": 1},
@@ -71,22 +68,6 @@ class TestFrameConstruction:
     def test_absent_column_is_all_missing(self):
         frame = FeatureFrame.from_documents(DOCS)
         assert frame.is_missing("nope").all()
-
-    def test_concat_unions_differing_keysets(self):
-        left = FeatureFrame.from_documents([{"A": 1.0}])
-        right = FeatureFrame.from_documents([{"B": 2.0}])
-        merged = FeatureFrame.concat([left, right])
-        assert merged.n_rows == 2
-        assert merged.is_missing("A").tolist() == [False, True]
-        assert merged.is_missing("B").tolist() == [True, False]
-
-    def test_concat_widens_numeric_to_object(self):
-        left = FeatureFrame.from_documents([{"A": 1.0}, {"A": None}])
-        right = FeatureFrame.from_documents([{"A": "s"}])
-        merged = FeatureFrame.concat([left, right])
-        column = merged.values("A")
-        assert column.dtype == object
-        assert column.tolist() == [1.0, None, "s"]
 
     def test_take_head_mask(self):
         frame = FeatureFrame.from_documents(DOCS)
@@ -165,23 +146,16 @@ class TestFrameSort:
 class TestToMatrix:
     def test_matches_preprocessor_matrix(self):
         features = ["A", "B", "label", "nope"]
-        preprocessor = Preprocessor(features=features, normalization=None)
         frame = FeatureFrame.from_documents(DOCS)
         assert (
             frame.to_matrix(features).tobytes()
-            == preprocessor._matrix(DOCS).tobytes()
+            == oracle_matrix(DOCS, features).tobytes()
         )
 
     def test_bools_and_strings_become_zero(self):
         docs = [{"F": True}, {"F": "x"}, {"F": 2}]
         frame = FeatureFrame.from_documents(docs)
         assert frame.to_matrix(["F"]).ravel().tolist() == [0.0, 0.0, 2.0]
-
-    def test_feature_columns_are_uppercase_namespace(self):
-        frame = FeatureFrame.from_documents(
-            [{"PAIR_FLOW": 1.0, "switch_id": 2, "_id": 3}]
-        )
-        assert frame.feature_columns() == ["PAIR_FLOW"]
 
 
 class TestScanFields:
@@ -195,28 +169,6 @@ class TestScanFields:
             [("B", -1), ("a.b", 1)],
         )
         assert fields == ("A", "scope", "t", "B")
-
-
-class TestChunkExtraction:
-    def test_extract_assemble_roundtrip(self):
-        partitions = [DOCS[:3], DOCS[3:]]
-        extractor = ChunkExtractor(None, {"label": 0})
-        results = [extractor(part) for part in partitions]
-        frame = assemble_chunks(results, partitions)
-        expected = [doc for doc in DOCS if matches_filter(doc, {"label": 0})]
-        assert frame.copy_documents() == expected
-
-    def test_restricted_columns_still_filter_correctly(self):
-        values, missing, keep = extract_chunk(DOCS, ("A",), {"tag": "x"})
-        assert keep.tolist() == [0, 2]
-        assert list(values) == ["A"]
-
-    def test_extractor_is_picklable(self):
-        import pickle
-
-        extractor = ChunkExtractor(("A", "label"), {"switch_id": 1})
-        clone = pickle.loads(pickle.dumps(extractor))
-        assert clone.columns == ("A", "label")
 
 
 # ---------------------------------------------------------------------------

@@ -141,6 +141,8 @@ class _StoreMachine(RuleBasedStateMachine):
         read_before = store.op_stats().get("bytes_read")  # documents layout only
         frame = store.find_frame("c", filter_, sort, limit, columns)
         assert frame.copy_documents() == found
+        if columns is not None:  # trimmed to the request on either layout
+            assert frame.column_names == list(columns)
         for name in columns or ():
             values = frame.values(name).tolist()
             if frame.values(name).dtype != object:
