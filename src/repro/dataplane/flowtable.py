@@ -2,19 +2,22 @@
 
 Lookup semantics follow the OpenFlow specification: the highest-priority
 entry whose match covers the packet wins; among equal priorities the more
-specific match wins (a deterministic tie-break the spec leaves undefined).
-The table also implements strict/non-strict modify and delete, and timeout
-scanning that yields evicted entries so the switch can emit FLOW_REMOVED.
+specific match wins, and among equal specificity the earlier arrival (a
+deterministic tie-break the spec leaves undefined).  The table also
+implements strict/non-strict modify and delete, and timeout scanning that
+yields evicted entries so the switch can emit FLOW_REMOVED.
 
-The table keeps three auxiliary structures in sync with its
-precedence-sorted entry list (docs/PERF.md): an exact-match hash index
-from a match's full header tuple to its entries, a priority-ordered
-bucket of wildcard entries consulted only up to the exact hit's
-precedence, and a lazy min-heap of expiry deadlines so an idle table
-costs O(1) per timeout tick.  Inserts bisect into the sorted list
-instead of re-sorting.  Evictions and stats selections are reported in
-precedence order; ``tests/oracles.py`` holds the sorted-list oracle
-the stateful property test compares all of this against.
+Lookups go through a tuple-space classifier (Srinivasan, Suri & Varghese,
+SIGCOMM '99; the Open vSwitch classifier, docs/PERF.md): entries are
+grouped by mask — the names of their set fields — and, per mask, hashed
+on the values of those fields.  A packet costs one ``dict.get`` per
+distinct mask in the table, and the best ``(sort_key, arrival)`` among
+the hits wins.  Beside it the table keeps its precedence-sorted entry
+list (inserts bisect instead of re-sorting) and a lazy min-heap of expiry
+deadlines so an idle table costs O(1) per timeout tick.  Evictions and
+stats selections are reported in precedence order; ``tests/oracles.py``
+holds the sorted-list oracle the stateful property test compares all of
+this against.
 """
 
 # athena-lint: hot-path
@@ -22,17 +25,18 @@ the stateful property test compares all of this against.
 from __future__ import annotations
 
 import heapq
+import itertools
 from bisect import bisect_left, insort_right
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import DataPlaneError
 from repro.openflow.constants import FlowRemovedReason
 from repro.openflow.flow import FlowEntry
-from repro.openflow.match import MATCH_FIELDS, Match
+from repro.openflow.match import Match
 
-#: Header names probed by the exact-match index, frozen locally so the
-#: lookup loop never re-reads the module global.
-_FIELDS = MATCH_FIELDS
+#: One classifier slot: the entry's precedence, its arrival number (the
+#: tie-break among equal precedence) and the entry.
+_Ranked = Tuple[Tuple[int, int], int, FlowEntry]
 
 
 class FlowTable:
@@ -45,15 +49,15 @@ class FlowTable:
         self._entries: List[FlowEntry] = []
         self.lookup_count = 0
         self.matched_count = 0
-        #: Match key tuple -> entries with exactly that match, best first.
-        self._by_match: Dict[Tuple[Any, ...], List[FlowEntry]] = {}
-        #: Entries with at least one wildcarded field, precedence-sorted.
-        self._wildcards: List[FlowEntry] = []
+        #: Tuple space: mask -> set-field values -> the entries with exactly
+        #: that match, best first.  ``(mask, values)`` identifies a Match.
+        self._classifier: Dict[Tuple[str, ...], Dict[Tuple[Any, ...], List[_Ranked]]] = {}
         #: Lazy expiry heap of (deadline, seq, entry); stale items are
         #: dropped on pop by checking the entry is still live.
         self._heap: List[Tuple[float, int, FlowEntry]] = []
         self._live: Dict[int, FlowEntry] = {}
-        self._heap_seq = 0
+        #: Arrival numbers and heap sequence numbers, one increasing count.
+        self._seq = itertools.count()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -70,31 +74,23 @@ class FlowTable:
 
     def _index_insert(self, entry: FlowEntry) -> None:
         insort_right(self._entries, entry, key=FlowEntry.sort_key)
-        key = entry.match.key_tuple()
-        bucket = self._by_match.setdefault(key, [])
-        position = 0
-        sort_key = entry.sort_key()
-        while position < len(bucket) and bucket[position].sort_key() <= sort_key:
-            position += 1
-        bucket.insert(position, entry)
-        if entry.match.specificity() < len(_FIELDS):
-            insort_right(self._wildcards, entry, key=FlowEntry.sort_key)
+        mask, values = entry.match.classifier_key()
+        bucket = self._classifier.setdefault(mask, {}).setdefault(values, [])
+        insort_right(bucket, (entry.sort_key(), next(self._seq), entry))
         self._live[id(entry)] = entry
-        deadline = self._next_deadline(entry)
-        if deadline is not None:
-            self._heap_seq += 1
-            heapq.heappush(self._heap, (deadline, self._heap_seq, entry))
+        self._schedule(entry)
 
     def _index_remove(self, entry: FlowEntry) -> None:
         self._remove_from_sorted(self._entries, entry)
-        key = entry.match.key_tuple()
-        bucket = self._by_match.get(key)
-        if bucket is not None:
-            bucket[:] = [e for e in bucket if e is not entry]
-            if not bucket:
-                del self._by_match[key]
-        if entry.match.specificity() < len(_FIELDS):
-            self._remove_from_sorted(self._wildcards, entry)
+        mask, values = entry.match.classifier_key()
+        buckets = self._classifier[mask]
+        bucket = [item for item in buckets[values] if item[2] is not entry]
+        if bucket:
+            buckets[values] = bucket
+        elif len(buckets) > 1:
+            del buckets[values]
+        else:
+            del self._classifier[mask]
         self._live.pop(id(entry), None)
         # Any heap item for the entry goes stale and is skipped on pop.
 
@@ -113,9 +109,8 @@ class FlowTable:
                 del entries[index]
                 return
 
-    @staticmethod
-    def _next_deadline(entry: FlowEntry) -> Optional[float]:
-        """Earliest instant the entry could expire, or None if immortal."""
+    def _schedule(self, entry: FlowEntry) -> None:
+        """Push the earliest instant the entry could expire, if mortal."""
         deadline: Optional[float] = None
         if entry.hard_timeout > 0:
             deadline = entry.stats.install_time + entry.hard_timeout
@@ -124,7 +119,8 @@ class FlowTable:
             idle_deadline = reference + entry.idle_timeout
             if deadline is None or idle_deadline < deadline:
                 deadline = idle_deadline
-        return deadline
+        if deadline is not None:
+            heapq.heappush(self._heap, (deadline, next(self._seq), entry))
 
     # -- writes ------------------------------------------------------------
 
@@ -135,10 +131,8 @@ class FlowTable:
             raise DataPlaneError(
                 f"flow table {self.table_id} full ({self.max_entries} entries)"
             )
-        bucket = self._by_match.get(entry.match.key_tuple(), ())
-        for existing in list(bucket):
-            if existing.priority == entry.priority:
-                self._index_remove(existing)
+        for existing in self._covered(entry.match, entry.priority, strict=True):
+            self._index_remove(existing)
         entry.table_id = self.table_id
         entry.stats.install_time = now
         entry.stats.last_packet_time = now
@@ -151,42 +145,20 @@ class FlowTable:
         """Find the winning entry for a packet-header dict."""
         self.lookup_count += 1
         get = headers.get
-        try:
-            bucket = self._by_match.get((
-                get("in_port"),
-                get("eth_src"),
-                get("eth_dst"),
-                get("eth_type"),
-                get("vlan_id"),
-                get("ip_src"),
-                get("ip_dst"),
-                get("ip_proto"),
-                get("ip_tos"),
-                get("tcp_src"),
-                get("tcp_dst"),
-            ))
-        except TypeError:
-            # Unhashable header value: no exact entry can cover it either,
-            # so the wildcard scan below decides alone.
-            bucket = None
-        exact = bucket[0] if bucket else None
-        if exact is None:
-            for candidate in self._wildcards:
-                if candidate.match.matches(headers):
-                    self.matched_count += 1
-                    return candidate
+        best: Optional[_Ranked] = None
+        for mask, buckets in self._classifier.items():
+            try:
+                bucket = buckets.get(tuple(map(get, mask)))
+            except TypeError:
+                # An unhashable header value under this mask: no entry of
+                # the mask can equal it, so the mask cannot match.
+                continue
+            if bucket is not None and (best is None or bucket[0] < best):
+                best = bucket[0]
+        if best is None:
             return None
-        # The exact hit has maximal specificity among covering entries, so
-        # only strictly higher-precedence wildcards can still beat it.
-        limit = exact.sort_key()
-        for candidate in self._wildcards:
-            if candidate.sort_key() >= limit:
-                break
-            if candidate.match.matches(headers):
-                self.matched_count += 1
-                return candidate
         self.matched_count += 1
-        return exact
+        return best[2]
 
     # -- modify / delete ----------------------------------------------------
 
@@ -196,13 +168,15 @@ class FlowTable:
         """Entries a flow-mod addresses, in precedence order.
 
         Strict requires an exact (match, priority) pair, resolved through
-        the same exact-match index insert uses; non-strict covers every
-        entry whose match is a subset of ``match``.
+        the classifier slot of ``match``; non-strict covers every entry
+        whose match is a subset of ``match``.
         """
         if strict:
+            mask, values = match.classifier_key()
+            bucket = self._classifier.get(mask, {}).get(values, ())
             return [
                 entry
-                for entry in self._by_match.get(match.key_tuple(), ())
+                for _key, _arrival, entry in bucket
                 if priority is None or entry.priority == priority
             ]
         return [e for e in self._entries if e.match.is_subset_of(match)]
@@ -270,10 +244,7 @@ class FlowTable:
                 # Traffic pushed the idle deadline out; reschedule.  The
                 # new deadline is strictly in the future, so this loop
                 # always terminates.
-                deadline = self._next_deadline(entry)
-                if deadline is not None:
-                    self._heap_seq += 1
-                    heapq.heappush(heap, (deadline, self._heap_seq, entry))
+                self._schedule(entry)
         if not doomed:
             return []
         expired = [

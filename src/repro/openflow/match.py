@@ -126,8 +126,27 @@ class Match:
 
     def key_tuple(self) -> Tuple[Any, ...]:
         """All field values in :data:`MATCH_FIELDS` order (``None`` =
-        wildcard); the flow table's exact-match hash index keys on this."""
+        wildcard)."""
         return self._key
+
+    def classifier_key(self) -> Tuple[Tuple[str, ...], Tuple[Any, ...]]:
+        """``(mask, values)``: the set-field names in :data:`MATCH_FIELDS`
+        order and their values.  The pair identifies the match; the flow
+        table's tuple-space classifier keys on it.
+
+        Built on first call and cached: most matches (those of stats
+        replies and FLOW_REMOVED messages) never enter a flow table, so
+        they pay neither the time nor the memory.
+        """
+        key = self.__dict__.get("_classifier_key")
+        if key is None:
+            set_fields = self._set_fields
+            key = (
+                tuple(name for name, _value in set_fields),
+                tuple(value for _name, value in set_fields),
+            )
+            object.__setattr__(self, "_classifier_key", key)
+        return key
 
     def matches(self, headers: Dict[str, Any]) -> bool:
         """Return whether a concrete packet-header dict satisfies this match.

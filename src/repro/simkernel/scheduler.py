@@ -6,6 +6,8 @@ A :class:`Simulator` owns a :class:`~repro.simkernel.clock.SimClock` and an
 and the loop fires them in timestamp order, advancing the clock as it goes.
 """
 
+# athena-lint: hot-path
+
 from __future__ import annotations
 
 from typing import Callable, Optional
@@ -61,24 +63,19 @@ class Simulator:
     ) -> Event:
         """Schedule ``action`` periodically.
 
-        The returned handle is the handle of the *next* occurrence only;
-        cancelling it stops the whole series because re-arming happens inside
-        the fired wrapper.
+        Every occurrence re-arms the same handle, so cancelling the
+        returned handle at any time stops the whole series.
         """
         if interval <= 0:
             raise SimulationError(f"non-positive interval: {interval}")
 
-        state: dict = {}
-
         def fire() -> None:
             action()
             next_time = self.clock.now + interval
-            if until is None or next_time <= until:
-                state["handle"] = self._queue.push(next_time, fire)
-                handle.cancelled = state["handle"].cancelled
+            if not handle.cancelled and (until is None or next_time <= until):
+                self._queue.rearm(handle, next_time)
 
         handle = self.after(interval, fire)
-        state["handle"] = handle
         return handle
 
     def step(self) -> bool:

@@ -68,6 +68,41 @@ def oracle_matrix(docs, features):
     return matrix
 
 
+class ListEvent:
+    """An ``Event`` handle for :class:`ListEventQueue`."""
+
+    def __init__(self, time, seq, action):
+        self.time, self.seq, self.action, self.cancelled = time, seq, action, False
+
+    def cancel(self):
+        self.cancelled = True
+
+
+class ListEventQueue:
+    """``EventQueue`` semantics on one list kept sorted on ``(time, seq)``."""
+
+    def __init__(self):
+        self.events, self.seq = [], 0
+
+    def __len__(self):
+        return sum(not e.cancelled for e in self.events)
+
+    def push(self, time, action):
+        event = ListEvent(time, self.seq, action)
+        self.seq += 1
+        # sorted() is stable: equal times keep push order.
+        self.events = sorted(self.events + [event], key=lambda e: e.time)
+        return event
+
+    def pop(self):
+        live = [e for e in self.events if not e.cancelled]
+        self.events = live[1:]
+        return live[0] if live else None
+
+    def peek_time(self):
+        return next((e.time for e in self.events if not e.cancelled), None)
+
+
 HARD, IDLE = FlowRemovedReason.HARD_TIMEOUT, FlowRemovedReason.IDLE_TIMEOUT
 
 

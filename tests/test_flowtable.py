@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+from repro.controller.forwarding import ReactiveForwarding
 from repro.dataplane.flowtable import FlowTable
 from repro.errors import DataPlaneError
 from repro.openflow import ActionDrop, ActionOutput, FlowRemovedReason, Match
@@ -302,6 +303,21 @@ class TestFastPathSemantics:
         assert table.lookup(_exact_headers(1)) is high
         assert table.entries == sorted(table.entries, key=FlowEntry.sort_key)
 
+    def test_cross_mask_tie_goes_to_the_earlier_arrival(self, make_table):
+        """Equal priority and specificity under two masks: arrival decides,
+        and a replacement arrives anew."""
+        table = make_table()
+        by_src = table.insert(_entry(priority=10, ip_src="10.0.0.1"), now=0.0)
+        by_dst = table.insert(_entry(priority=10, tcp_dst=80), now=0.0)
+        headers = {"ip_src": "10.0.0.1", "tcp_dst": 80}
+        assert table.lookup(headers) is by_src
+        replacement = table.insert(
+            _entry(priority=10, actions=[ActionDrop()], ip_src="10.0.0.1"), now=1.0
+        )
+        assert table.lookup(headers) is by_dst
+        table.delete(Match(tcp_dst=80), priority=10, strict=True)
+        assert table.lookup(headers) is replacement
+
     def test_strict_modify_misses_other_priority(self, make_table):
         table = make_table()
         exact = table.insert(_exact_entry(priority=10), now=0.0)
@@ -350,7 +366,22 @@ class TestPathEquivalence:
 
 # -- stateful equivalence against the sorted-list oracle ----------------------
 
+def _packet_headers(i=0, tcp_dst=80, in_port=1):
+    """What a switch looks up: a packet's L2-L4 headers plus ``in_port``
+    (no ``vlan_id`` / ``ip_tos``, which the traffic never sets)."""
+    headers = {
+        name: value
+        for name, value in _exact_headers(i, tcp_dst).items()
+        if name not in ("vlan_id", "ip_tos")
+    }
+    headers["in_port"] = in_port
+    return headers
+
+
 #: A small value space, so adds overlap, shadow and replace one another.
+#: Besides one- and two-field rules and 11-field exact rules it draws the
+#: shapes the live loop installs: ``ReactiveForwarding.flow_match``'s
+#: 8-field rules and the all-wildcard table-miss rule.
 _MATCHES = st.one_of(
     st.builds(
         Match,
@@ -362,14 +393,34 @@ _MATCHES = st.one_of(
         st.integers(0, 2),
         st.sampled_from([80, 81]),
     ),
+    st.builds(
+        lambda i, dst: ReactiveForwarding.flow_match(_exact_headers(i, dst)),
+        st.integers(0, 2),
+        st.sampled_from([80, 81]),
+    ),
+    st.just(Match()),
 )
 _PRIORITIES = st.integers(0, 3)
 _PORTS = st.integers(1, 2)
 #: Multiples of 0.5 are exact in binary, so "now - t0 >= timeout" and the
 #: heap's "t0 + timeout <= now" can never disagree by a rounding error.
 _TIMEOUTS = st.sampled_from([0.0, 0.5, 1.0, 2.0])
+_PACKET_HEADERS = st.builds(
+    _packet_headers,
+    st.integers(0, 3),
+    st.sampled_from([80, 81, 82]),
+    st.integers(1, 4),
+)
 _HEADERS = st.one_of(
     st.builds(_exact_headers, st.integers(0, 3), st.sampled_from([80, 81, 82])),
+    _PACKET_HEADERS,
+    # One value no hash index can take: the masks holding the field
+    # cannot match, every other mask still decides.
+    st.builds(
+        lambda headers, name: {**headers, name: [headers[name]]},
+        _PACKET_HEADERS,
+        st.sampled_from(["ip_src", "tcp_src", "in_port"]),
+    ),
     st.fixed_dictionaries(
         {},
         optional={

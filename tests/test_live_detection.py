@@ -8,13 +8,16 @@ southbound elements publish them — raising alerts and reactions in real
 time.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from repro.controller import ControllerCluster, ReactiveForwarding
 from repro.core import AthenaDeployment, BlockReaction, GenerateQuery
 from repro.core.algorithm import GenerateAlgorithm
 from repro.core.preprocessor import GeneratePreprocessor
-from repro.dataplane.topologies import linear_topology
+from repro.dataplane.topologies import enterprise_topology, linear_topology
 from repro.workloads.ddos import DDoSDatasetGenerator, DDoSDatasetSpec
 from repro.workloads.flows import FlowSpec, TrafficSchedule
 
@@ -170,3 +173,72 @@ class TestOnlineValidation:
             if a.indicators.get("ip_src") == benign_ip and a.timestamp > 3.0
         ]
         assert late_false_alarms == []
+
+
+class TestLiveLoopOrder:
+    """Pins the live loop's event and feature order on the paper's
+    enterprise topology: three controller instances, reactive forwarding,
+    benign flows, a flood and the block reaction it triggers.  The
+    constants were recorded from this run; a simulator or flow-table
+    change that reorders anything moves at least one of them."""
+
+    EVENTS = 9972
+    FEATURES = 2890
+    DOCUMENTS_SHA256 = "2091839db3990c6925a5dc338ae56a9e788a415e60f0641c26ad19218a4856e1"
+
+    def test_event_count_features_and_stored_documents_are_pinned(self):
+        topo = enterprise_topology()
+        sim = topo.network.sim
+        cluster = ControllerCluster(topo.network, n_instances=3)
+        cluster.adopt_domains(topo.domains)
+        cluster.start(poll=False)
+        ReactiveForwarding().activate(cluster)
+        athena = AthenaDeployment(cluster, athena_poll_interval=1.0)
+        athena.start()
+        schedule = TrafficSchedule(topo.network)
+        schedule.prime_arp()
+        sim.run(until=0.5)
+        hosts = [f"h{i}" for i in range(1, 25)]
+        schedule.add_flows(
+            [
+                FlowSpec(src_host=hosts[i], dst_host=hosts[(i + 7) % 24],
+                         sport=20_000 + i, dport=80, rate_pps=10.0,
+                         start=1.0 + 0.25 * i, duration=4.0,
+                         bidirectional=(i % 2 == 0))
+                for i in range(16)
+            ]
+            + [
+                FlowSpec(src_host="h2", dst_host="h23", sport=50_000 + j,
+                         dport=80, packet_size=64, rate_pps=150.0, start=3.0,
+                         duration=4.0)
+                for j in range(4)
+            ]
+        )
+        model = athena.northbound.GenerateDetectionModel(
+            GenerateQuery(),
+            GeneratePreprocessor(normalization=None, features=["FLOW_PACKET_COUNT"]),
+            GenerateAlgorithm("threshold", column=0, threshold=120.0),
+            documents=[{"FLOW_PACKET_COUNT": 0.0}],
+        )
+        blocked = []
+
+        def on_verdict(feature, verdict):
+            ip = feature.indicators.get("ip_src")
+            if verdict and ip not in blocked:
+                blocked.append(ip)
+                athena.northbound.Reactor(None, BlockReaction([ip]))
+
+        athena.northbound.AddOnlineValidator(
+            model.preprocessor, model, on_verdict,
+            query=GenerateQuery("feature_scope == flow && FLOW_PACKET_COUNT > 0"),
+        )
+        sim.run(until=9.0)
+        documents = athena.feature_manager.request_features(GenerateQuery())
+        digest = hashlib.sha256(
+            json.dumps(documents, sort_keys=True, default=repr).encode()
+        ).hexdigest()
+        assert blocked == [topo.network.hosts["h2"].ip]
+        assert len(documents) == athena.feature_manager.features_published
+        assert (sim.processed, athena.feature_manager.features_published, digest) == (
+            self.EVENTS, self.FEATURES, self.DOCUMENTS_SHA256
+        )

@@ -6,6 +6,8 @@ from hypothesis import given, strategies as st
 from repro.errors import SimulationError
 from repro.simkernel import EventQueue, SeededRng, SimClock, Simulator
 
+from tests.oracles import ListEventQueue
+
 
 class TestSimClock:
     def test_starts_at_zero(self):
@@ -77,6 +79,57 @@ class TestEventQueue:
         queue.push(4.0, lambda: None)
         assert queue.peek_time() == 4.0
 
+    def test_rearm_reuses_the_handle(self):
+        queue = EventQueue()
+        handle = queue.push(1.0, lambda: None)
+        queue.push(2.0, lambda: None)
+        assert queue.pop() is handle
+        queue.rearm(handle, 2.0)
+        # Re-armed after the 2.0 push, so it fires after it (FIFO on ties).
+        assert (handle.time, len(queue)) == (2.0, 2)
+        assert queue.pop() is not handle
+        handle.cancel()
+        assert queue.pop() is None
+
+    @given(
+        st.lists(
+            st.one_of(
+                # A small set of times, so (time, seq) ties are common.
+                st.tuples(st.just("push"), st.sampled_from([0.0, 0.5, 1.0, 2.0])),
+                st.tuples(st.just("cancel"), st.integers(0, 40)),
+                st.tuples(st.sampled_from(["pop", "peek", "len"]), st.none()),
+            ),
+            max_size=60,
+        )
+    )
+    def test_matches_list_oracle(self, ops):
+        """Push / cancel / pop / peek / len agree with a sorted list."""
+        queue, oracle = EventQueue(), ListEventQueue()
+        handles = []
+        for op, arg in ops:
+            if op == "push":
+                label = len(handles)
+                handles.append(
+                    (queue.push(arg, lambda: label), oracle.push(arg, lambda: label))
+                )
+            elif op == "cancel" and handles:
+                for handle in handles[arg % len(handles)]:
+                    handle.cancel()
+            elif op == "pop":
+                event, expected = queue.pop(), oracle.pop()
+                assert (event is None) == (expected is None)
+                if event is not None:
+                    assert (event.time, event.seq, event.action()) == (
+                        expected.time, expected.seq, expected.action()
+                    )
+            elif op == "peek":
+                assert queue.peek_time() == oracle.peek_time()
+            elif op == "len":
+                assert len(queue) == len(oracle)
+        # Draining fires whatever is left in the same order.
+        drained = [(e.time, e.seq, e.action()) for e in iter(queue.pop, None)]
+        assert drained == [(e.time, e.seq, e.action()) for e in iter(oracle.pop, None)]
+
 
 class TestSimulator:
     def test_run_drains_queue(self):
@@ -129,6 +182,28 @@ class TestSimulator:
         sim.every(1.0, lambda: ticks.append(sim.now), until=5.0)
         sim.run(until=10.0)
         assert ticks == [1.0, 2.0, 3.0, 4.0, 5.0]
+
+    def test_every_handle_cancels_series_after_first_tick(self):
+        sim = Simulator()
+        ticks = []
+        handle = sim.every(1.0, lambda: ticks.append(sim.now))
+        sim.at(2.5, handle.cancel)
+        sim.run(until=6.0)
+        assert ticks == [1.0, 2.0]
+        assert sim.pending == 0
+
+    def test_every_cancelled_from_its_own_action(self):
+        sim = Simulator()
+        ticks = []
+
+        def tick():
+            ticks.append(sim.now)
+            if len(ticks) == 3:
+                handle.cancel()
+
+        handle = sim.every(0.5, tick)
+        sim.run(until=5.0)
+        assert ticks == [0.5, 1.0, 1.5]
 
     def test_max_events(self):
         sim = Simulator()
