@@ -98,7 +98,10 @@ class FeatureStateEngine:
 
     @staticmethod
     def _indicators(match_dict: Dict[str, Any]) -> Dict[str, Any]:
-        return {k: v for k, v in match_dict.items() if k in _INDICATOR_KEYS}
+        # No None values: the flow table pairs a flow with its reverse
+        # only on keys that reverse back to themselves.
+        return {k: v for k, v in match_dict.items()
+                if k in _INDICATOR_KEYS and v is not None}
 
     def _sample(self, dpid, source, fields, port_speed, now):
         """Protocol fields of a rule sample → the full flow record fields."""

@@ -4,9 +4,13 @@ The Feature Generator "maintains hash tables to track ... network status"
 (Section III-A2).  :class:`FlowStateTable` is that state: the live flows of
 each monitored switch keyed by their match indicators, from which pair-flow
 presence, per-source fan-out, and switch-level ratios (the DDoS detector's
-``PAIR_FLOW_RATIO``) are computed.  A garbage collector evicts entries not
-refreshed within a configurable horizon.
+``PAIR_FLOW_RATIO``) are computed.  Each live flow keeps its endpoints and
+a link to the live flow of its reverse direction, so dropping a flow needs
+no key but its own.  A garbage collector evicts entries not refreshed
+within a configurable horizon.
 """
+
+# athena-lint: hot-path
 
 from __future__ import annotations
 
@@ -16,38 +20,46 @@ from typing import Any, Dict, Optional, Tuple
 
 FlowKey = Tuple[Any, ...]
 
-
-def flow_key_from_indicators(indicators: Dict[str, Any]) -> FlowKey:
-    """Canonical hashable identity of a flow's match indicators."""
-    return tuple(sorted(indicators.items()))
-
-
-def reverse_indicators(indicators: Dict[str, Any]) -> Dict[str, Any]:
-    """Indicators of the reverse direction (for pair-flow detection)."""
-    flipped = dict(indicators)
-    for a, b in (("eth_src", "eth_dst"), ("ip_src", "ip_dst"), ("tcp_src", "tcp_dst")):
-        va, vb = indicators.get(a), indicators.get(b)
-        if va is not None or vb is not None:
-            flipped[a], flipped[b] = vb, va
-    return {k: v for k, v in flipped.items() if v is not None}
+#: Indicator names as the reverse direction reads them.
+_REVERSE_NAME = {
+    "eth_src": "eth_dst", "eth_dst": "eth_src",
+    "ip_src": "ip_dst", "ip_dst": "ip_src",
+    "tcp_src": "tcp_dst", "tcp_dst": "tcp_src",
+}
 
 
 def flow_keys(indicators: Dict[str, Any]) -> Tuple[FlowKey, FlowKey]:
-    """A flow's key and the key of its reverse direction."""
+    """A flow's key (its sorted indicator items) and the key of its reverse
+    direction: source and destination names swapped, ``None`` values left
+    out.  Reversing a ``None``-free flow's key twice gives the key back."""
+    name_of = _REVERSE_NAME.get
     return (
-        flow_key_from_indicators(indicators),
-        flow_key_from_indicators(reverse_indicators(indicators)),
+        tuple(sorted(indicators.items())),
+        tuple(sorted([
+            (name_of(name, name), value)
+            for name, value in indicators.items()
+            if value is not None
+        ])),
     )
 
 
-@dataclass
 class _FlowState:
-    """Tracked state of one live flow."""
+    """Tracked state of one live flow.  ``partner`` is the live flow of the
+    reverse direction, linked both ways while both are tracked."""
 
-    indicators: Dict[str, Any]
-    last_seen: float
-    samples: int = 0
-    packet_count: float = 0.0
+    __slots__ = ("src", "dst", "last_seen", "samples", "packet_count", "partner")
+
+    def __init__(self, src, dst, last_seen: float, partner) -> None:
+        self.src, self.dst, self.partner = src, dst, partner
+        self.last_seen, self.samples, self.packet_count = last_seen, 0, 0.0
+
+
+def _release(counts: Dict[Any, int], endpoint: Any) -> None:
+    remaining = counts[endpoint] - 1
+    if remaining:
+        counts[endpoint] = remaining
+    else:
+        del counts[endpoint]
 
 
 @dataclass
@@ -66,24 +78,15 @@ class _SwitchState:
     expired_since_sample: int = 0
     last_sample_time: Optional[float] = None
 
-    @staticmethod
-    def endpoints(indicators: Dict[str, Any]):
-        src = indicators.get("ip_src") or indicators.get("eth_src")
-        dst = indicators.get("ip_dst") or indicators.get("eth_dst")
-        return src, dst
-
-    def drop_flow(self, key: FlowKey, reverse_key: FlowKey) -> Optional["_FlowState"]:
+    def drop_flow(self, key: FlowKey) -> Optional[_FlowState]:
         flow = self.flows.pop(key, None)
         if flow is None:
             return None
-        src, dst = self.endpoints(flow.indicators)
-        for counts, endpoint in ((self.src_counts, src), (self.dst_counts, dst)):
-            remaining = counts.get(endpoint, 1) - 1
-            if remaining <= 0:
-                counts.pop(endpoint, None)
-            else:
-                counts[endpoint] = remaining
-        if reverse_key in self.flows and reverse_key != key:
+        _release(self.src_counts, flow.src)
+        _release(self.dst_counts, flow.dst)
+        partner = flow.partner
+        if partner is not None:
+            partner.partner = flow.partner = None
             self.pair_count -= 2
         return flow
 
@@ -93,8 +96,11 @@ class FlowStateTable:
 
     The update methods take the flow's ``keys`` (:func:`flow_keys`) from a
     caller that has them — the feature-state engine builds them once per
-    fold.  No key is stored per flow: garbage collection rebuilds the
-    reverse key of each flow it evicts.
+    fold.  A flow is paired with the live flow under its reverse key, and
+    for that its indicators must hold no ``None`` value: the reverse of
+    the reverse key is then the flow's own key, so the pair is found from
+    whichever of the two is created second.  No key and no indicators are
+    stored per flow; garbage collection only scans and drops.
     """
 
     def __init__(self, stale_after: float = 60.0) -> None:
@@ -119,26 +125,30 @@ class FlowStateTable:
         """Record a sample of a flow; returns its flow-scoped stateful fields."""
         state = self._state(dpid)
         key, reverse_key = keys or flow_keys(indicators)
-        has_pair = reverse_key in state.flows and reverse_key != key
-        src, dst = state.endpoints(indicators)
         flow = state.flows.get(key)
         is_new = flow is None
         if is_new:
-            flow = state.flows[key] = _FlowState(dict(indicators), last_seen=now)
+            src = indicators.get("ip_src") or indicators.get("eth_src")
+            dst = indicators.get("ip_dst") or indicators.get("eth_dst")
+            # A flow that is its own reverse finds no partner: it is not
+            # in the table yet.
+            partner = state.flows.get(reverse_key)
+            flow = state.flows[key] = _FlowState(src, dst, now, partner)
             state.src_counts[src] = state.src_counts.get(src, 0) + 1
             state.dst_counts[dst] = state.dst_counts.get(dst, 0) + 1
-            if has_pair:
+            if partner is not None:
+                partner.partner = flow
                 state.pair_count += 2
             state.new_flows_since_sample += 1
         flow.last_seen = now
         flow.samples += 1
         flow.packet_count = packet_count
         return {
-            "PAIR_FLOW": 1.0 if has_pair else 0.0,
+            "PAIR_FLOW": 0.0 if flow.partner is None else 1.0,
             "FLOW_IS_NEW": 1.0 if is_new else 0.0,
             "FLOW_SAMPLE_COUNT": float(flow.samples),
-            "SRC_FLOW_FANOUT": float(state.src_counts.get(src, 0)),
-            "DST_FLOW_FANIN": float(state.dst_counts.get(dst, 0)),
+            "SRC_FLOW_FANOUT": float(state.src_counts[flow.src]),
+            "DST_FLOW_FANIN": float(state.dst_counts[flow.dst]),
         }
 
     def remove_flow(
@@ -149,7 +159,7 @@ class FlowStateTable:
     ) -> bool:
         """Drop a flow on FLOW_REMOVED; returns whether it was tracked."""
         state = self._state(dpid)
-        if state.drop_flow(*(keys or flow_keys(indicators))) is not None:
+        if state.drop_flow((keys or flow_keys(indicators))[0]) is not None:
             state.expired_since_sample += 1
             return True
         return False
@@ -209,13 +219,13 @@ class FlowStateTable:
         evicted = 0
         for state in self._switches.values():
             stale = [
-                (key, flow_key_from_indicators(reverse_indicators(flow.indicators)))
+                key
                 for key, flow in state.flows.items()
                 if now - flow.last_seen > self.stale_after
             ]
-            for key, reverse_key in stale:
-                state.drop_flow(key, reverse_key)
-                evicted += 1
+            for key in stale:
+                state.drop_flow(key)
+            evicted += len(stale)
         return evicted
 
     def tracked_flow_count(self, dpid: Optional[int] = None) -> int:

@@ -4,7 +4,13 @@ Deliberately naive — one plain list, linear scans, no index, no cache, no
 heap — so that what they compute is obviously the specification.  They
 took over the equivalence duty of the linear-scan, per-call and copy-first
 reference implementations that used to ship in ``src/`` behind a switch.
+The one dict-based oracle, :class:`DictFlowStateTable`, is the flow table
+as it shipped before its entries were linked to their reverse flow: every
+flow keeps a copy of its indicators and every drop rebuilds the reverse
+key from them.
 """
+
+import statistics
 
 import numpy as np
 
@@ -162,3 +168,151 @@ class ListFlowTable:
     def expire(self, now):
         due = [e for e in self.entries if e.is_hard_expired(now) or e.is_idle_expired(now)]
         return [(e, HARD if e.is_hard_expired(now) else IDLE) for e in self._remove(due)]
+
+
+def reverse_indicators(indicators):
+    """Indicators of the reverse direction (for pair-flow detection)."""
+    flipped = dict(indicators)
+    for a, b in (("eth_src", "eth_dst"), ("ip_src", "ip_dst"), ("tcp_src", "tcp_dst")):
+        va, vb = indicators.get(a), indicators.get(b)
+        if va is not None or vb is not None:
+            flipped[a], flipped[b] = vb, va
+    return {k: v for k, v in flipped.items() if v is not None}
+
+
+def oracle_flow_keys(indicators):
+    """A flow's key and its reverse's: copy, flip, filter, sort."""
+    return (
+        tuple(sorted(indicators.items())),
+        tuple(sorted(reverse_indicators(indicators).items())),
+    )
+
+
+def _endpoints(indicators):
+    src = indicators.get("ip_src") or indicators.get("eth_src")
+    dst = indicators.get("ip_dst") or indicators.get("eth_dst")
+    return src, dst
+
+
+class _DictFlow:
+    def __init__(self, indicators, last_seen):
+        self.indicators, self.last_seen = indicators, last_seen
+        self.samples, self.packet_count = 0, 0.0
+
+
+class _DictSwitch:
+    def __init__(self):
+        self.flows, self.src_counts, self.dst_counts = {}, {}, {}
+        self.pair_count = self.new_flows_since_sample = self.expired_since_sample = 0
+        self.last_sample_time = None
+
+    def drop_flow(self, key, reverse_key):
+        flow = self.flows.pop(key, None)
+        if flow is None:
+            return None
+        src, dst = _endpoints(flow.indicators)
+        for counts, endpoint in ((self.src_counts, src), (self.dst_counts, dst)):
+            remaining = counts.get(endpoint, 1) - 1
+            if remaining <= 0:
+                counts.pop(endpoint, None)
+            else:
+                counts[endpoint] = remaining
+        if reverse_key in self.flows and reverse_key != key:
+            self.pair_count -= 2
+        return flow
+
+
+class DictFlowStateTable:
+    """``FlowStateTable`` semantics with a copy of the indicators per flow:
+    pair presence is a reverse-key lookup, and a drop rebuilds the key."""
+
+    def __init__(self, stale_after=60.0):
+        self.stale_after = stale_after
+        self._switches = {}
+
+    def _state(self, dpid):
+        return self._switches.setdefault(dpid, _DictSwitch())
+
+    def observe_flow(self, dpid, indicators, now, packet_count=0.0):
+        state = self._state(dpid)
+        key, reverse_key = oracle_flow_keys(indicators)
+        has_pair = reverse_key in state.flows and reverse_key != key
+        src, dst = _endpoints(indicators)
+        flow = state.flows.get(key)
+        is_new = flow is None
+        if is_new:
+            flow = state.flows[key] = _DictFlow(dict(indicators), now)
+            state.src_counts[src] = state.src_counts.get(src, 0) + 1
+            state.dst_counts[dst] = state.dst_counts.get(dst, 0) + 1
+            if has_pair:
+                state.pair_count += 2
+            state.new_flows_since_sample += 1
+        flow.last_seen = now
+        flow.samples += 1
+        flow.packet_count = packet_count
+        return {
+            "PAIR_FLOW": 1.0 if has_pair else 0.0,
+            "FLOW_IS_NEW": 1.0 if is_new else 0.0,
+            "FLOW_SAMPLE_COUNT": float(flow.samples),
+            "SRC_FLOW_FANOUT": float(state.src_counts.get(src, 0)),
+            "DST_FLOW_FANIN": float(state.dst_counts.get(dst, 0)),
+        }
+
+    def remove_flow(self, dpid, indicators):
+        state = self._state(dpid)
+        if state.drop_flow(*oracle_flow_keys(indicators)) is not None:
+            state.expired_since_sample += 1
+            return True
+        return False
+
+    def switch_snapshot(self, dpid):
+        state = self._switches.get(dpid) or _DictSwitch()
+        total, paired = len(state.flows), state.pair_count
+        sources, destinations = state.src_counts, state.dst_counts
+        return {
+            "PAIR_FLOW_RATIO": paired / total if total else 0.0,
+            "SINGLE_FLOW_RATIO": (total - paired) / total if total else 0.0,
+            "TOTAL_TRACKED_FLOWS": float(total),
+            "UNIQUE_SRC_COUNT": float(len(sources)),
+            "UNIQUE_DST_COUNT": float(len(destinations)),
+            "FLOWS_PER_SRC": total / len(sources) if sources else 0.0,
+            "FLOWS_PER_DST": total / len(destinations) if destinations else 0.0,
+        }
+
+    def switch_fields(self, dpid, now):
+        state = self._state(dpid)
+        fields = self.switch_snapshot(dpid)
+        elapsed = (
+            now - state.last_sample_time if state.last_sample_time is not None else 0.0
+        )
+        new, expired = state.new_flows_since_sample, state.expired_since_sample
+        fields["NEW_FLOW_RATE"] = new / elapsed if elapsed > 0 else 0.0
+        fields["EXPIRED_FLOW_RATE"] = expired / elapsed if elapsed > 0 else 0.0
+        fields["MEDIAN_FLOW_PACKETS"] = (
+            float(statistics.median(f.packet_count for f in state.flows.values()))
+            if state.flows
+            else 0.0
+        )
+        fields["GROWTH_SINGLE_FLOWS"] = float(new - expired)
+        state.new_flows_since_sample = state.expired_since_sample = 0
+        state.last_sample_time = now
+        return fields
+
+    def collect_garbage(self, now):
+        evicted = 0
+        for state in self._switches.values():
+            stale = [
+                (key, oracle_flow_keys(flow.indicators)[1])
+                for key, flow in state.flows.items()
+                if now - flow.last_seen > self.stale_after
+            ]
+            for key, reverse_key in stale:
+                state.drop_flow(key, reverse_key)
+                evicted += 1
+        return evicted
+
+    def tracked_flow_count(self, dpid=None):
+        if dpid is not None:
+            state = self._switches.get(dpid)
+            return len(state.flows) if state is not None else 0
+        return sum(len(s.flows) for s in self._switches.values())

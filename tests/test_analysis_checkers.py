@@ -678,8 +678,9 @@ class TestHotpathChecker:
 
     def test_shipped_hot_modules_are_clean(self):
         """match.py / flowtable.py / the simulator's event queue and loop /
-        distdb / the feature-state engine are marked hot-path (so the
-        checker really reads them) and pass with no suppression."""
+        distdb / the feature-state engine and its flow table are marked
+        hot-path (so the checker really reads them) and pass with no
+        suppression."""
         from repro.analysis import LintEngine
 
         for parts in (
@@ -689,6 +690,7 @@ class TestHotpathChecker:
             ("simkernel", "scheduler.py"),
             ("distdb", "collection.py"),
             ("core", "features", "engine.py"),
+            ("core", "features", "stateful.py"),
         ):
             path = os.path.join(REPO_ROOT, "src", "repro", *parts)
             source = open(path, encoding="utf-8").read()

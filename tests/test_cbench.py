@@ -1,5 +1,7 @@
 """Tests for the Cbench harness (Table IX / Figure 11 machinery)."""
 
+import statistics
+
 import pytest
 
 from repro.cbench.harness import CbenchHarness, cpu_usage_curve, saturation_rate
@@ -17,12 +19,20 @@ class TestThroughput:
         assert result.responses_per_second > 0
 
     def test_athena_reduces_throughput(self, harness):
-        """The Table IX ordering: without > with(no DB) > with."""
-        without = harness.run_throughput("without", duration_seconds=0.4)
-        no_db = harness.run_throughput("with_no_db", duration_seconds=0.4)
-        with_db = harness.run_throughput("with", duration_seconds=0.4)
-        assert without.responses_per_second > no_db.responses_per_second
-        assert no_db.responses_per_second > with_db.responses_per_second
+        """The Table IX ordering: without > with(no DB) > with.
+
+        A single short round per mode reads the host as much as the mode
+        (``without`` alone spans 16 k to 25 k responses/s from round to
+        round on a shared 2-vCPU host), so the modes take turns for three
+        rounds and their medians are compared."""
+        modes = ("without", "with_no_db", "with")
+        rates = {mode: [] for mode in modes}
+        for _ in range(3):
+            for mode in modes:
+                result = harness.run_throughput(mode, duration_seconds=0.13)
+                rates[mode].append(result.responses_per_second)
+        without, no_db, with_db = (statistics.median(rates[mode]) for mode in modes)
+        assert without > no_db > with_db, rates
 
     def test_rounds(self, harness):
         results = harness.run_rounds("without", rounds=3, duration_seconds=0.1)

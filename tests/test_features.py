@@ -1,6 +1,8 @@
 """Tests for the feature catalog, format, and extractors."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.core.feature_format import AthenaFeature, FeatureScope
 from repro.core.features.catalog import (
@@ -13,7 +15,7 @@ from repro.core.features.catalog import (
     require_known,
 )
 from repro.core.features import combination, protocol
-from repro.core.features.stateful import FlowStateTable, reverse_indicators
+from repro.core.features.stateful import FlowStateTable, flow_keys
 from repro.core.features.variation import VariationTracker
 from repro.errors import FeatureError
 from repro.openflow.messages import (
@@ -23,6 +25,8 @@ from repro.openflow.messages import (
     TableStatsEntry,
 )
 from repro.openflow.match import Match
+
+from tests.oracles import DictFlowStateTable, oracle_flow_keys, reverse_indicators
 
 
 class TestCatalog:
@@ -274,6 +278,177 @@ class TestStatefulExtractors:
         table.observe_flow(1, self.IND_AB, now=0.0)
         fields = table.observe_flow(2, self.IND_BA, now=0.0)
         assert fields["PAIR_FLOW"] == 0.0
+
+
+# -- the flow table against its dict oracle ------------------------------------
+
+_HOSTS = ("10.0.0.1", "10.0.0.2", "10.0.0.3", "10.0.0.4")
+#: Over four hosts and two ports, random draws hit reverse pairs and
+#: ``src == dst`` flows that are their own reverse; a flow may also lack
+#: one side (``{"ip_src": a}`` reverses to ``{"ip_dst": a}``).
+_FLOW = st.builds(
+    lambda src, dst, ports: {"ip_src": src, **dst, **ports},
+    st.sampled_from(_HOSTS),
+    st.sampled_from(_HOSTS).map(lambda host: {"ip_dst": host}) | st.just({}),
+    st.sampled_from(
+        [{}, {"tcp_src": 1, "tcp_dst": 2}, {"tcp_src": 2, "tcp_dst": 1},
+         {"tcp_src": 1, "tcp_dst": 1}, {"tcp_src": 1}]
+    ),
+)
+_STALE_AFTER = 2.0
+_DT = st.sampled_from((0.0, 0.5, 1.0, 2.0, 3.0))
+_DPID = st.sampled_from((1, 2))
+
+
+class _TwinTables:
+    """The flow table and :class:`DictFlowStateTable`, driven in lockstep:
+    every call returns the same value from both, and :meth:`check` reads
+    every switch (one of them never observed) through both."""
+
+    def __init__(self):
+        self.table = FlowStateTable(stale_after=_STALE_AFTER)
+        self.oracle = DictFlowStateTable(stale_after=_STALE_AFTER)
+
+    def observe(self, dpid, indicators, now, packets=0.0):
+        fields = self.table.observe_flow(dpid, indicators, now, packets)
+        assert fields == self.oracle.observe_flow(dpid, indicators, now, packets)
+        return fields
+
+    def remove(self, dpid, indicators):
+        removed = self.table.remove_flow(dpid, indicators)
+        assert removed == self.oracle.remove_flow(dpid, indicators)
+        return removed
+
+    def collect_garbage(self, now):
+        evicted = self.table.collect_garbage(now)
+        assert evicted == self.oracle.collect_garbage(now)
+        return evicted
+
+    def switch_fields(self, dpid, now):
+        fields = self.table.switch_fields(dpid, now)
+        assert fields == self.oracle.switch_fields(dpid, now)
+        return fields
+
+    def check(self):
+        for dpid in (1, 2, 3):
+            assert self.table.switch_snapshot(dpid) == self.oracle.switch_snapshot(dpid)
+            assert self.table.tracked_flow_count(dpid) == self.oracle.tracked_flow_count(
+                dpid
+            )
+        assert self.table.tracked_flow_count() == self.oracle.tracked_flow_count()
+
+
+class FlowTableMachine(RuleBasedStateMachine):
+    def __init__(self):
+        super().__init__()
+        self.twins = _TwinTables()
+        self.now = 0.0
+        self.seen = []  # (dpid, indicators) of every observation
+
+    def _pick(self, index):
+        return self.seen[index % len(self.seen)] if self.seen else (1, {"ip_src": _HOSTS[0]})
+
+    @rule(dpid=_DPID, indicators=_FLOW, dt=_DT, packets=st.integers(0, 9))
+    def observe(self, dpid, indicators, dt, packets):
+        self.now += dt
+        self.twins.observe(dpid, indicators, self.now, float(packets))
+        self.seen.append((dpid, indicators))
+
+    @rule(index=st.integers(0, 63), dt=_DT)
+    def observe_reverse(self, index, dt):
+        dpid, indicators = self._pick(index)
+        self.observe(dpid, reverse_indicators(indicators), dt, 1)
+
+    @rule(index=st.integers(0, 63), dt=_DT)
+    def observe_again(self, index, dt):
+        self.observe(*self._pick(index), dt, 2)
+
+    @rule(index=st.integers(0, 63))
+    def remove(self, index):
+        self.twins.remove(*self._pick(index))
+
+    @rule(dpid=_DPID, indicators=_FLOW)
+    def remove_any(self, dpid, indicators):
+        self.twins.remove(dpid, indicators)
+
+    @rule(dt=_DT)
+    def collect_garbage(self, dt):
+        self.now += dt
+        self.twins.collect_garbage(self.now)
+
+    @rule(dpid=st.sampled_from((1, 2, 3)))
+    def switch_fields(self, dpid):
+        self.twins.switch_fields(dpid, self.now)
+
+    @invariant()
+    def reads_agree(self):
+        self.twins.check()
+
+
+TestFlowTableAgainstOracle = FlowTableMachine.TestCase
+TestFlowTableAgainstOracle.settings = settings(
+    max_examples=100, stateful_step_count=40, deadline=None
+)
+
+
+class TestFlowTableOracleCases:
+    """The cases the random walk is there to reach, each taken once."""
+
+    AB = {"ip_src": _HOSTS[0], "ip_dst": _HOSTS[1], "tcp_src": 1, "tcp_dst": 2}
+    BA = reverse_indicators(AB)
+    CD = {"ip_src": _HOSTS[2], "ip_dst": _HOSTS[3]}
+    DC = reverse_indicators(CD)
+    SELF = {"ip_src": _HOSTS[0], "ip_dst": _HOSTS[0], "tcp_src": 1, "tcp_dst": 1}
+
+    def test_pairs_drops_and_evictions_match_the_oracle(self):
+        twins = _TwinTables()
+        ab, ba, cd, dc, self_ = self.AB, self.BA, self.CD, self.DC, self.SELF
+        steps = [
+            # A reverse pair, and a flow that is its own reverse.
+            (twins.observe, (1, ab, 0.0), {"PAIR_FLOW": 0.0}),
+            (twins.observe, (1, ba, 0.5), {"PAIR_FLOW": 1.0}),
+            (twins.observe, (1, self_, 0.5), {"PAIR_FLOW": 0.0}),
+            # Dropped, then created again: it pairs with its twin anew.
+            (twins.remove, (1, ab), True),
+            (twins.observe, (1, ba, 1.0), {"PAIR_FLOW": 0.0}),
+            (twins.observe, (1, ab, 1.0), {"PAIR_FLOW": 1.0, "FLOW_IS_NEW": 1.0}),
+            # Both halves of another pair; then one half is refreshed.
+            (twins.observe, (1, cd, 1.5), {"PAIR_FLOW": 0.0}),
+            (twins.observe, (1, dc, 1.5), {"PAIR_FLOW": 1.0}),
+            (twins.observe, (1, ab, 3.0), {"PAIR_FLOW": 1.0}),
+            # SELF (0.5) and BA (1.0) go; AB stays without its partner.
+            (twins.collect_garbage, (3.2,), 2),
+            (twins.observe, (1, ab, 3.2), {"PAIR_FLOW": 0.0}),
+            # CD and DC are stale in the same call.
+            (twins.collect_garbage, (3.6,), 2),
+            (twins.switch_fields, (1, 3.6), {"TOTAL_TRACKED_FLOWS": 1.0}),
+        ]
+        for call, args, expected in steps:
+            got = call(*args)
+            if isinstance(expected, dict):
+                assert {name: got[name] for name in expected} == expected
+            else:
+                assert got == expected
+            twins.check()
+        assert twins.table.switch_snapshot(1)["PAIR_FLOW_RATIO"] == 0.0
+
+
+_INDICATOR_NAMES = ("eth_src", "eth_dst", "ip_src", "ip_dst", "ip_proto", "tcp_src", "tcp_dst")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.dictionaries(
+        st.sampled_from(_INDICATOR_NAMES),
+        st.sampled_from(_HOSTS) | st.integers(0, 3) | st.just("00:00:00:00:00:01")
+        | st.none(),
+    )
+)
+def test_flow_keys_match_the_oracle(indicators):
+    """The one-pass reverse key equals copy-flip-filter-sort, and leaves a
+    ``None`` out as the oracle's filter does, though the engine never
+    hands the table one."""
+    assert flow_keys(indicators) == oracle_flow_keys(indicators)
 
 
 class TestVariationTracker:

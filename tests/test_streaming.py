@@ -8,6 +8,9 @@ the catalog validation of streaming feature names, and the EventBus
 mid-dispatch subscription fix.
 """
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,7 @@ from repro.controller.events import (
     EventBus,
     FlowRemovedEvent,
     PacketInEvent,
+    StatsEvent,
 )
 from repro.core.feature_format import FeatureScope
 from repro.core.features.catalog import FEATURE_CATALOG
@@ -28,7 +32,14 @@ from repro.ml.online import (
     StreamingKMeans,
 )
 from repro.ml.registry import category_of, create_algorithm, list_algorithms
-from repro.openflow.messages import FlowRemoved, Match, PacketIn
+from repro.openflow.messages import (
+    FlowRemoved,
+    FlowStatsEntry,
+    FlowStatsReply,
+    Match,
+    PacketIn,
+)
+from repro.simkernel.rng import SeededRng
 from repro.streaming import (
     STREAMING_CONTROL_FEATURES,
     STREAMING_FLOW_FEATURES,
@@ -301,6 +312,109 @@ class TestStreamingPipeline:
         fields = pipeline.switch_fields(0, 1)
         assert fields["TOTAL_TRACKED_FLOWS"] == 1.0
         assert state._state(1).new_flows_since_sample == before
+
+
+def _eviction_stream(n=3000, per_sim_s=100.0):
+    """A seeded stream over two switches: new flows, replies that pair
+    with them, stats samples and removals of recent flows, and one host
+    scanning ports.  Flows go stale within a few sim-seconds."""
+    rng = SeededRng(11, "eviction_pins").generator
+    hosts = [f"10.0.{i // 8}.{i % 8 + 1}" for i in range(16)]
+    recent = []
+    for i in range(n):
+        time = i / per_sim_s
+        pick, dpid = rng.random(), 1 + int(rng.integers(0, 2))
+        if pick < 0.05:
+            headers = {"ip_src": "10.9.9.9", "ip_dst": hosts[int(rng.integers(0, 16))],
+                       "ip_proto": 6, "tcp_src": 41_000, "tcp_dst": int(rng.integers(1, 200))}
+        elif pick < 0.55 or not recent:
+            headers = {"ip_src": hosts[int(rng.integers(0, 16))],
+                       "ip_dst": hosts[int(rng.integers(0, 16))], "ip_proto": 6,
+                       "tcp_src": 40_000 + int(rng.integers(0, 16)),
+                       "tcp_dst": (80, 22)[int(rng.integers(0, 2))]}
+        else:
+            dpid, headers = recent[int(rng.integers(0, len(recent)))]
+            if pick < 0.75:
+                headers = {"ip_src": headers["ip_dst"], "ip_dst": headers["ip_src"],
+                           "ip_proto": 6, "tcp_src": headers["tcp_dst"],
+                           "tcp_dst": headers["tcp_src"]}
+            elif pick < 0.95:
+                packets = int(rng.integers(1, 50))
+                entry = FlowStatsEntry(match=Match(**headers), priority=10,
+                                       duration_sec=2.0, packet_count=packets,
+                                       byte_count=packets * 700)
+                yield StatsEvent(instance_id=0, dpid=dpid, time=time, athena_marked=True,
+                                 message=FlowStatsReply(dpid=dpid, entries=[entry]))
+                continue
+            else:
+                yield FlowRemovedEvent(
+                    instance_id=0, dpid=dpid, time=time,
+                    message=FlowRemoved(dpid=dpid, match=Match(**headers), priority=10,
+                                        duration_sec=3.0, packet_count=9, byte_count=900),
+                )
+                continue
+        recent = (recent + [(dpid, headers)])[-64:]
+        yield PacketInEvent(instance_id=0, dpid=dpid, time=time,
+                            message=PacketIn(dpid=dpid, headers=headers, total_len=100))
+
+
+class TestEvictionPins:
+    """Pins what the state garbage collector evicts and everything
+    downstream of it: a pipeline whose flows go stale within the run, so
+    that several GC calls each evict reverse pairs, one flow of a pair
+    or both.  The constants were recorded from this run; a flow-table
+    change that evicts, pairs or counts differently moves one of them."""
+
+    #: Per GC call: (evictions returned, paired flows evicted, flows left).
+    GC_CALLS = [
+        (57, 28, 211), (289, 98, 222), (351, 118, 221), (325, 76, 207),
+        (322, 92, 200), (319, 80, 202), (310, 90, 223),
+    ]
+    RECORDS_SHA256 = "552e0ff6dd32717bf7e480b2965563b28ba429d1a0b4b832e8e5a932e51ead2c"
+    ALERTS_SHA256 = "25e4de594587e702ce942f7f54d6dbc436114792ded1db0eb6ae6aa19002dc91"
+
+    def test_evictions_records_and_alerts_are_pinned(self):
+        bus = EventBus()
+        pipeline = StreamingPipeline(stale_after=3.0)
+        pipeline.attach_instance(0, bus)
+        detectors = StreamingDetectorManager()
+        detectors.register_detector(
+            "fanout", SlidingWindowDetector(column=0, threshold=10.0, window=8, min_hits=2),
+            features=["SRC_FLOW_FANOUT"], cooldown=0.5,
+        )
+        detectors.register_detector(
+            "paired", SlidingWindowDetector(column=0, threshold=0.5, window=4, min_hits=3),
+            features=["PAIR_FLOW"], cooldown=1.0, kinds=("flow_stats",),
+        )
+        pipeline.add_sink(detectors.on_event)
+        records = hashlib.sha256()
+        pipeline.add_sink(lambda event: records.update(json.dumps(
+            [event.kind, event.dpid, event.time, event.indicators, event.fields],
+            sort_keys=True,
+        ).encode()))
+
+        def paired():
+            return sum(
+                round(fields["PAIR_FLOW_RATIO"] * fields["TOTAL_TRACKED_FLOWS"])
+                for fields in (pipeline.switch_fields(0, dpid) for dpid in (1, 2))
+            )
+
+        gc_calls, next_gc, next_refresh = [], 4.0, 2.0
+        for event in _eviction_stream():
+            if event.time >= next_refresh:
+                detectors.refresh()
+                next_refresh += 2.0
+            if event.time >= next_gc:
+                before = paired()
+                evicted = pipeline.collect_garbage(event.time)
+                tracked = pipeline.states[0].flow_state.tracked_flow_count()
+                gc_calls.append((evicted, before - paired(), tracked))
+                next_gc += 4.0
+            bus.publish(event)
+        assert sum(1 for _, pairs, _ in gc_calls if pairs) >= 3
+        assert (
+            gc_calls, records.hexdigest(), detectors.alert_stream_digest()
+        ) == (self.GC_CALLS, self.RECORDS_SHA256, self.ALERTS_SHA256)
 
 
 class TestStreamingDetectorManager:

@@ -96,6 +96,18 @@ class TestEquivalence:
 class TestDeterminism:
     """Two identical same-seed runs → byte-identical alert streams."""
 
+    #: sha256 of the seed-0 alert stream, which is the file
+    #: ``repro.cli stream --scenario <name> --alerts`` writes; recorded
+    #: from this run.
+    ALERT_STREAM_SHA256 = {
+        "portscan": "8f0a54e9abd9bb0aa75a2be8905e4fd1a4311b64ed5ecff3ce8d0bae27ef155d",
+        "ddos": "4439a2a89eec5a933f24afe706195e43d2596044bf8cd7f7eb0e28c721ba3cbf",
+    }
+
+    @pytest.mark.parametrize("which", STREAMING_SCENARIOS)
+    def test_alert_stream_digest_pinned(self, which):
+        assert _run(which, 0).alert_stream_digest == self.ALERT_STREAM_SHA256[which]
+
     @pytest.mark.parametrize("which", STREAMING_SCENARIOS)
     def test_alert_stream_byte_identical(self, which):
         first = run_streaming_scenario(which, seed=0)
