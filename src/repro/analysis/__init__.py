@@ -1,6 +1,6 @@
 """athena-lint: framework-aware static analysis for the reproduction.
 
-An AST-based lint engine plus four checkers enforcing the invariants the
+An AST-based lint engine plus five checkers enforcing the invariants the
 configuration-based framework cannot express in Python's type system:
 
 * **ATH1xx determinism** — timestamps and randomness must route through
@@ -9,8 +9,14 @@ configuration-based framework cannot express in Python's type system:
   detector configuration must resolve against ``FEATURE_CATALOG``;
 * **ATH3xx northbound API** — core NB call sites must match the real
   ``AthenaNorthbound`` signatures and name registered algorithms;
-* **ATH4xx OpenFlow codec** — message classes, the codec registry, and
-  the protocol constants must stay in lockstep.
+* **ATH5xx telemetry clocks** — raw duration clocks and sleeps stay in
+  the measurement substrate;
+* **ATH6xx hot paths** — no per-call reflection in modules marked
+  ``hot-path``.
+
+The ATH4xx ids (OpenFlow codec) are retired: the codec declares each
+message layout once, so there is nothing left for a checker to keep in
+step.
 
 Run it as ``python -m repro.cli lint src/repro examples benchmarks``;
 see ``docs/ANALYSIS.md`` for every rule and the suppression syntax.
@@ -20,7 +26,6 @@ from repro.analysis.checkers import (
     DeterminismChecker,
     FeatureNameChecker,
     NorthboundChecker,
-    OpenFlowCodecChecker,
     default_checkers,
 )
 from repro.analysis.config import LintConfig, find_pyproject, load_config
@@ -38,7 +43,6 @@ __all__ = [
     "LintEngine",
     "LintReport",
     "NorthboundChecker",
-    "OpenFlowCodecChecker",
     "ParsedModule",
     "SCHEMA_VERSION",
     "Severity",

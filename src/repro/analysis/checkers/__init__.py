@@ -8,7 +8,6 @@ from repro.analysis.checkers.determinism import DeterminismChecker
 from repro.analysis.checkers.features import FeatureNameChecker
 from repro.analysis.checkers.hotpath import HotpathChecker
 from repro.analysis.checkers.northbound import NorthboundChecker
-from repro.analysis.checkers.openflow_codec import OpenFlowCodecChecker
 from repro.analysis.checkers.telemetry import TelemetryChecker
 from repro.analysis.engine import Checker
 
@@ -17,7 +16,6 @@ __all__ = [
     "FeatureNameChecker",
     "HotpathChecker",
     "NorthboundChecker",
-    "OpenFlowCodecChecker",
     "TelemetryChecker",
     "default_checkers",
 ]
@@ -29,7 +27,6 @@ def default_checkers() -> List[Checker]:
         DeterminismChecker(),
         FeatureNameChecker(),
         NorthboundChecker(),
-        OpenFlowCodecChecker(),
         TelemetryChecker(),
         HotpathChecker(),
     ]

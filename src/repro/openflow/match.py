@@ -5,11 +5,13 @@ fields Athena's feature catalog indexes on.  ``None`` means wildcard.  The
 structure is hashable so flow tables and Athena's per-flow state tables can
 key on it directly.
 
-Matching is the innermost loop of the simulated dataplane — every packet
-through every switch evaluates at least one :meth:`Match.matches` — so a
-match compiles itself once at construction: the non-wildcard fields are
-frozen into tuples and a closure over only those fields does the work,
-with no per-call ``dataclasses.fields()`` introspection (docs/PERF.md).
+A match is built for every FLOW_MOD, FLOW_REMOVED and stats entry, so it
+caches its views once at construction: the full value tuple, the
+non-wildcard ``(name, value)`` pairs, and their count.  The flow table's
+tuple-space classifier looks packets up through :meth:`classifier_key`
+and never calls :meth:`Match.matches`; that method is a loop over the
+set fields, kept for the tests' oracles and for callers outside the
+dataplane (docs/PERF.md).
 """
 
 # athena-lint: hot-path
@@ -17,12 +19,12 @@ with no per-call ``dataclasses.fields()`` introspection (docs/PERF.md).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import OpenFlowError
 
 #: Names of all matchable fields in precedence-free order (this order is
-#: also the dataclass field order, which the compiled caches rely on).
+#: also the dataclass field order, which the cached tuples rely on).
 MATCH_FIELDS = (
     "in_port",
     "eth_src",
@@ -36,30 +38,6 @@ MATCH_FIELDS = (
     "tcp_src",
     "tcp_dst",
 )
-
-
-def _compile_predicate(
-    set_fields: Tuple[Tuple[str, Any], ...]
-) -> Callable[[Dict[str, Any]], bool]:
-    """Build the per-instance ``matches`` closure over non-wildcard fields."""
-    if not set_fields:
-        return lambda headers: True
-    if len(set_fields) == 1:
-        ((name, wanted),) = set_fields
-
-        def predicate_one(headers: Dict[str, Any]) -> bool:
-            return headers.get(name) == wanted
-
-        return predicate_one
-
-    def predicate(headers: Dict[str, Any]) -> bool:
-        get = headers.get
-        for name, wanted in set_fields:
-            if get(name) != wanted:
-                return False
-        return True
-
-    return predicate
 
 
 @dataclass(frozen=True)
@@ -83,9 +61,10 @@ class Match:
     tcp_dst: Optional[int] = None
 
     def __post_init__(self) -> None:
-        # Compile once per instance.  The caches live in the instance
-        # __dict__ and never participate in dataclass eq/hash; the field
-        # order below mirrors MATCH_FIELDS exactly.
+        # Cache once per instance.  The caches live in the instance
+        # __dict__ (so pickle and deepcopy carry them as plain tuples) and
+        # never participate in dataclass eq/hash; the field order below
+        # mirrors MATCH_FIELDS exactly.
         values = (
             self.in_port,
             self.eth_src,
@@ -112,17 +91,6 @@ class Match:
             tuple((i, value) for i, value in enumerate(values) if value is not None),
         )
         object.__setattr__(self, "_specificity", len(set_fields))
-        object.__setattr__(self, "_predicate", _compile_predicate(set_fields))
-
-    # The compiled predicate is a closure, which pickle cannot carry;
-    # serialize only the declared fields and recompile on load.
-    def __getstate__(self) -> Dict[str, Any]:
-        return dict(zip(MATCH_FIELDS, self._key))
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        for name in MATCH_FIELDS:
-            object.__setattr__(self, name, state.get(name))
-        self.__post_init__()
 
     def key_tuple(self) -> Tuple[Any, ...]:
         """All field values in :data:`MATCH_FIELDS` order (``None`` =
@@ -154,7 +122,11 @@ class Match:
         ``headers`` maps field names to concrete values; missing header keys
         only satisfy wildcarded fields.
         """
-        return self._predicate(headers)
+        get = headers.get
+        for name, wanted in self._set_fields:
+            if get(name) != wanted:
+                return False
+        return True
 
     def is_subset_of(self, other: "Match") -> bool:
         """True if every packet this match accepts, ``other`` also accepts."""

@@ -4,13 +4,20 @@ Each message is a frozen-ish dataclass carrying the fields Athena's Feature
 Generator reads.  Transaction ids (``xid``) are explicit because Athena marks
 XIDs on the statistics requests *it* issues, to distinguish its own polls
 from the controller's background polling when computing variation features.
+
+The wire type of a message is a class constant: ``msg_type`` on every
+class, plus ``stats_type`` on the statistics family.  They are not
+dataclass fields: no constructor takes them, and the codec in
+``serialization.py`` reads them off the class.
 """
+
+# athena-lint: hot-path
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import ClassVar, List, Optional
 
 from repro.openflow.actions import Action
 from repro.openflow.constants import (
@@ -35,10 +42,10 @@ def next_xid() -> int:
 class OpenFlowMessage:
     """Base class: every message knows its type, dpid of origin/target, xid."""
 
+    msg_type: ClassVar[MessageType]
+
     dpid: int = 0
     xid: int = field(default_factory=next_xid)
-
-    msg_type: MessageType = MessageType.HELLO
 
     def size_bytes(self) -> int:
         """Approximate wire size; used by overhead accounting."""
@@ -47,51 +54,45 @@ class OpenFlowMessage:
 
 @dataclass
 class Hello(OpenFlowMessage):
-    version: int = 0x04
+    msg_type = MessageType.HELLO
 
-    def __post_init__(self) -> None:
-        self.msg_type = MessageType.HELLO
+    version: int = 0x04
 
 
 @dataclass
 class EchoRequest(OpenFlowMessage):
-    def __post_init__(self) -> None:
-        self.msg_type = MessageType.ECHO_REQUEST
+    msg_type = MessageType.ECHO_REQUEST
 
 
 @dataclass
 class EchoReply(OpenFlowMessage):
-    def __post_init__(self) -> None:
-        self.msg_type = MessageType.ECHO_REPLY
+    msg_type = MessageType.ECHO_REPLY
 
 
 @dataclass
 class FeaturesRequest(OpenFlowMessage):
-    def __post_init__(self) -> None:
-        self.msg_type = MessageType.FEATURES_REQUEST
+    msg_type = MessageType.FEATURES_REQUEST
 
 
 @dataclass
 class FeaturesReply(OpenFlowMessage):
+    msg_type = MessageType.FEATURES_REPLY
+
     n_tables: int = 1
     ports: List[int] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        self.msg_type = MessageType.FEATURES_REPLY
 
 
 @dataclass
 class PacketIn(OpenFlowMessage):
     """A packet punted to the controller (table miss or explicit action)."""
 
+    msg_type = MessageType.PACKET_IN
+
     buffer_id: int = -1
     in_port: int = 0
     reason: PacketInReason = PacketInReason.NO_MATCH
     headers: dict = field(default_factory=dict)
     total_len: int = 0
-
-    def __post_init__(self) -> None:
-        self.msg_type = MessageType.PACKET_IN
 
     def size_bytes(self) -> int:
         return 24 + min(self.total_len, 128)
@@ -101,14 +102,13 @@ class PacketIn(OpenFlowMessage):
 class PacketOut(OpenFlowMessage):
     """Controller-originated packet injection."""
 
+    msg_type = MessageType.PACKET_OUT
+
     buffer_id: int = -1
     in_port: int = 0
     actions: List[Action] = field(default_factory=list)
     headers: dict = field(default_factory=dict)
     total_len: int = 0
-
-    def __post_init__(self) -> None:
-        self.msg_type = MessageType.PACKET_OUT
 
     def size_bytes(self) -> int:
         return 24 + len(self.actions) * 8 + min(self.total_len, 128)
@@ -117,6 +117,8 @@ class PacketOut(OpenFlowMessage):
 @dataclass
 class FlowMod(OpenFlowMessage):
     """Install / modify / delete a flow entry."""
+
+    msg_type = MessageType.FLOW_MOD
 
     command: FlowModCommand = FlowModCommand.ADD
     match: Match = field(default_factory=Match)
@@ -130,9 +132,6 @@ class FlowMod(OpenFlowMessage):
     out_port: Optional[int] = None
     buffer_id: int = -1
 
-    def __post_init__(self) -> None:
-        self.msg_type = MessageType.FLOW_MOD
-
     def size_bytes(self) -> int:
         return 72 + len(self.actions) * 8
 
@@ -140,6 +139,8 @@ class FlowMod(OpenFlowMessage):
 @dataclass
 class FlowRemoved(OpenFlowMessage):
     """Notification that a flow entry was evicted (timeout or delete)."""
+
+    msg_type = MessageType.FLOW_REMOVED
 
     match: Match = field(default_factory=Match)
     priority: int = 0
@@ -150,9 +151,6 @@ class FlowRemoved(OpenFlowMessage):
     cookie: int = 0
     app_id: Optional[str] = None
 
-    def __post_init__(self) -> None:
-        self.msg_type = MessageType.FLOW_REMOVED
-
     def size_bytes(self) -> int:
         return 88
 
@@ -161,12 +159,11 @@ class FlowRemoved(OpenFlowMessage):
 class PortStatus(OpenFlowMessage):
     """Port lifecycle/state change notification."""
 
+    msg_type = MessageType.PORT_STATUS
+
     port_no: int = 0
     reason: PortReason = PortReason.MODIFY
     link_up: bool = True
-
-    def __post_init__(self) -> None:
-        self.msg_type = MessageType.PORT_STATUS
 
 
 # --------------------------------------------------------------------------
@@ -176,45 +173,35 @@ class PortStatus(OpenFlowMessage):
 
 @dataclass
 class StatsRequest(OpenFlowMessage):
-    stats_type: StatsType = StatsType.DESC
-
-    def __post_init__(self) -> None:
-        self.msg_type = MessageType.STATS_REQUEST
+    msg_type = MessageType.STATS_REQUEST
+    stats_type: ClassVar[StatsType] = StatsType.DESC
 
 
 @dataclass
 class FlowStatsRequest(StatsRequest):
+    stats_type = StatsType.FLOW
+
     match: Match = field(default_factory=Match)
     table_id: int = 0xFF
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        self.stats_type = StatsType.FLOW
 
 
 @dataclass
 class PortStatsRequest(StatsRequest):
-    port_no: Optional[int] = None  # None == all ports
+    stats_type = StatsType.PORT
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        self.stats_type = StatsType.PORT
+    port_no: Optional[int] = None  # None == all ports
 
 
 @dataclass
 class AggregateStatsRequest(StatsRequest):
-    match: Match = field(default_factory=Match)
+    stats_type = StatsType.AGGREGATE
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        self.stats_type = StatsType.AGGREGATE
+    match: Match = field(default_factory=Match)
 
 
 @dataclass
 class TableStatsRequest(StatsRequest):
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        self.stats_type = StatsType.TABLE
+    stats_type = StatsType.TABLE
 
 
 @dataclass
@@ -261,19 +248,15 @@ class TableStatsEntry:
 
 @dataclass
 class StatsReply(OpenFlowMessage):
-    stats_type: StatsType = StatsType.DESC
-
-    def __post_init__(self) -> None:
-        self.msg_type = MessageType.STATS_REPLY
+    msg_type = MessageType.STATS_REPLY
+    stats_type: ClassVar[StatsType] = StatsType.DESC
 
 
 @dataclass
 class FlowStatsReply(StatsReply):
-    entries: List[FlowStatsEntry] = field(default_factory=list)
+    stats_type = StatsType.FLOW
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        self.stats_type = StatsType.FLOW
+    entries: List[FlowStatsEntry] = field(default_factory=list)
 
     def size_bytes(self) -> int:
         return 16 + 96 * len(self.entries)
@@ -281,11 +264,9 @@ class FlowStatsReply(StatsReply):
 
 @dataclass
 class PortStatsReply(StatsReply):
-    entries: List[PortStatsEntry] = field(default_factory=list)
+    stats_type = StatsType.PORT
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        self.stats_type = StatsType.PORT
+    entries: List[PortStatsEntry] = field(default_factory=list)
 
     def size_bytes(self) -> int:
         return 16 + 104 * len(self.entries)
@@ -293,31 +274,25 @@ class PortStatsReply(StatsReply):
 
 @dataclass
 class AggregateStatsReply(StatsReply):
+    stats_type = StatsType.AGGREGATE
+
     packet_count: int = 0
     byte_count: int = 0
     flow_count: int = 0
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        self.stats_type = StatsType.AGGREGATE
-
 
 @dataclass
 class TableStatsReply(StatsReply):
-    entries: List[TableStatsEntry] = field(default_factory=list)
+    stats_type = StatsType.TABLE
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        self.stats_type = StatsType.TABLE
+    entries: List[TableStatsEntry] = field(default_factory=list)
 
 
 @dataclass
 class BarrierRequest(OpenFlowMessage):
-    def __post_init__(self) -> None:
-        self.msg_type = MessageType.BARRIER_REQUEST
+    msg_type = MessageType.BARRIER_REQUEST
 
 
 @dataclass
 class BarrierReply(OpenFlowMessage):
-    def __post_init__(self) -> None:
-        self.msg_type = MessageType.BARRIER_REPLY
+    msg_type = MessageType.BARRIER_REPLY

@@ -1,569 +1,390 @@
 """Binary codec for OpenFlow messages.
 
-The simulator normally passes message objects by reference, but the codec
-gives the messages a concrete wire form: an 8-byte OpenFlow header
-(version, type, length, xid) followed by a type-specific body.  Variable
-structures (matches, header dicts, action lists) are encoded as compact
-tag-length-value runs.  Round-tripping through the codec is property-tested,
-and the Cbench harness uses encoded sizes for throughput accounting.
+The simulator passes message objects by reference; the codec gives them a
+concrete wire form, and the tests hold the message model to it.  A message
+is an OpenFlow-style header (version, type, length, xid), the datapath
+id, a one-byte ``stats_type`` for the statistics family, and a body.
+
+Each body is declared once, in :data:`LAYOUTS`, as an ordered tuple of
+``(attribute, field codec)`` pairs.  :func:`pack_message` and
+:func:`unpack_message` both walk that table, so the two directions cannot
+drift apart.  Variable structures (matches, header dicts, action lists,
+stats entries) are counted or tag-length-value runs.
+
+The decoder is strict: the header length must equal the buffer length,
+every byte must be consumed, and any malformed input (truncated, padded
+or bit-flipped) raises :class:`~repro.errors.OpenFlowError`.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Any, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
 from repro.errors import OpenFlowError
 from repro.openflow import actions as act
+from repro.openflow import messages as msgs
 from repro.openflow.constants import (
     OFP_VERSION_13,
     FlowModCommand,
     FlowRemovedReason,
-    MessageType,
     PacketInReason,
     PortReason,
-    StatsType,
 )
-from repro.openflow.match import MATCH_FIELDS, Match
-from repro.openflow.messages import (
-    AggregateStatsReply,
-    AggregateStatsRequest,
-    BarrierReply,
-    BarrierRequest,
-    EchoReply,
-    EchoRequest,
-    FeaturesReply,
-    FeaturesRequest,
-    FlowMod,
-    FlowRemoved,
-    FlowStatsEntry,
-    FlowStatsReply,
-    FlowStatsRequest,
-    Hello,
-    OpenFlowMessage,
-    PacketIn,
-    PacketOut,
-    PortStatsEntry,
-    PortStatsReply,
-    PortStatsRequest,
-    PortStatus,
-    StatsReply,
-    StatsRequest,
-    TableStatsEntry,
-    TableStatsReply,
-    TableStatsRequest,
-)
+from repro.openflow.match import Match
+from repro.openflow.messages import OpenFlowMessage
 
 _HEADER = struct.Struct("!BBHI")  # version, type, length, xid
 
-#: Message classes the codec never encodes directly: the root and the two
-#: stats intermediates, which exist only to carry shared fields.
-ABSTRACT_MESSAGES = (OpenFlowMessage, StatsRequest, StatsReply)
-
-#: Every concrete message class the codec supports, mapped to the wire
-#: message type its body is encoded under.  Tests parametrize round-trips
-#: over this mapping, and ``repro.analysis`` cross-checks it against the
-#: class definitions in ``messages.py`` — a class missing here (or a
-#: registry entry without a class) is a lint error, not a runtime surprise.
-CODEC_REGISTRY: Dict[type, MessageType] = {
-    Hello: MessageType.HELLO,
-    EchoRequest: MessageType.ECHO_REQUEST,
-    EchoReply: MessageType.ECHO_REPLY,
-    FeaturesRequest: MessageType.FEATURES_REQUEST,
-    FeaturesReply: MessageType.FEATURES_REPLY,
-    PacketIn: MessageType.PACKET_IN,
-    PacketOut: MessageType.PACKET_OUT,
-    FlowMod: MessageType.FLOW_MOD,
-    FlowRemoved: MessageType.FLOW_REMOVED,
-    PortStatus: MessageType.PORT_STATUS,
-    FlowStatsRequest: MessageType.STATS_REQUEST,
-    PortStatsRequest: MessageType.STATS_REQUEST,
-    AggregateStatsRequest: MessageType.STATS_REQUEST,
-    TableStatsRequest: MessageType.STATS_REQUEST,
-    FlowStatsReply: MessageType.STATS_REPLY,
-    PortStatsReply: MessageType.STATS_REPLY,
-    AggregateStatsReply: MessageType.STATS_REPLY,
-    TableStatsReply: MessageType.STATS_REPLY,
-    BarrierRequest: MessageType.BARRIER_REQUEST,
-    BarrierReply: MessageType.BARRIER_REPLY,
-}
+#: ``(attribute, field codec)`` pairs in wire order.  A field codec has
+#: ``pack(value) -> bytes`` and ``unpack(buf, offset) -> (value, offset)``.
+Layout = Tuple[Tuple[str, Any], ...]
 
 
-def _pack_str(text: str) -> bytes:
-    raw = text.encode("utf-8")
-    if len(raw) > 0xFFFF:
-        raise OpenFlowError("string too long to encode")
-    return struct.pack("!H", len(raw)) + raw
+class _Fixed:
+    """A fixed-width struct field, optionally carried as an enum or bool."""
+
+    def __init__(self, fmt: str, kind: Optional[Callable[[Any], Any]] = None):
+        self._struct = struct.Struct("!" + fmt)
+        self._kind = kind
+
+    def pack(self, value: Any) -> bytes:
+        return self._struct.pack(value)
+
+    def unpack(self, buf: bytes, offset: int) -> Tuple[Any, int]:
+        (value,) = self._struct.unpack_from(buf, offset)
+        if self._kind is not None:
+            value = self._kind(value)
+        return value, offset + self._struct.size
 
 
-def _unpack_str(buf: bytes, offset: int) -> Tuple[str, int]:
-    (length,) = struct.unpack_from("!H", buf, offset)
-    offset += 2
-    return buf[offset : offset + length].decode("utf-8"), offset + length
+_U8, _U16, _U32, _U64 = _Fixed("B"), _Fixed("H"), _Fixed("I"), _Fixed("Q")
+_DOUBLE = _Fixed("d")
 
 
-def _pack_value(value: Any) -> bytes:
-    """Encode a scalar as a 1-byte type tag plus payload."""
-    if value is None:
-        return b"N"
-    if isinstance(value, bool):
-        return b"B" + (b"\x01" if value else b"\x00")
-    if isinstance(value, int):
-        return b"I" + struct.pack("!q", value)
-    if isinstance(value, float):
-        return b"F" + struct.pack("!d", value)
-    if isinstance(value, str):
-        return b"S" + _pack_str(value)
-    raise OpenFlowError(f"cannot encode value of type {type(value).__name__}")
+class _Str:
+    """UTF-8 text behind a 16-bit length."""
+
+    def pack(self, text: str) -> bytes:
+        raw = text.encode("utf-8")
+        if len(raw) > 0xFFFF:
+            raise OpenFlowError("string too long to encode")
+        return _U16.pack(len(raw)) + raw
+
+    def unpack(self, buf: bytes, offset: int) -> Tuple[str, int]:
+        length, offset = _U16.unpack(buf, offset)
+        end = offset + length
+        if end > len(buf):
+            raise OpenFlowError("string runs past the end of the buffer")
+        return buf[offset:end].decode("utf-8"), end
 
 
-def _unpack_value(buf: bytes, offset: int) -> Tuple[Any, int]:
-    tag = buf[offset : offset + 1]
-    offset += 1
-    if tag == b"N":
-        return None, offset
-    if tag == b"B":
-        return buf[offset] != 0, offset + 1
-    if tag == b"I":
-        (value,) = struct.unpack_from("!q", buf, offset)
-        return value, offset + 8
-    if tag == b"F":
-        (value,) = struct.unpack_from("!d", buf, offset)
-        return value, offset + 8
-    if tag == b"S":
-        return _unpack_str(buf, offset)
-    raise OpenFlowError(f"unknown value tag {tag!r}")
+_STR = _Str()
+
+#: Scalar type tags; ``None`` is the bare tag ``N``.  ``bool`` precedes
+#: ``int`` because it is an ``int`` subclass.
+_SCALAR_TAGS = (
+    (b"B", bool, _Fixed("?")),
+    (b"I", int, _Fixed("q")),
+    (b"F", float, _DOUBLE),
+    (b"S", str, _STR),
+)
 
 
-def _pack_dict(data: Dict[str, Any]) -> bytes:
-    out = [struct.pack("!H", len(data))]
-    for key in sorted(data):
-        out.append(_pack_str(key))
-        out.append(_pack_value(data[key]))
-    return b"".join(out)
+class _Scalar:
+    """``None``, bool, int, float or str behind a one-byte type tag."""
+
+    def pack(self, value: Any) -> bytes:
+        if value is None:
+            return b"N"
+        for tag, kind, codec in _SCALAR_TAGS:
+            if isinstance(value, kind):
+                return tag + codec.pack(value)
+        raise OpenFlowError(f"cannot encode value of type {type(value).__name__}")
+
+    def unpack(self, buf: bytes, offset: int) -> Tuple[Any, int]:
+        tag = buf[offset : offset + 1]
+        if tag == b"N":
+            return None, offset + 1
+        for known, _kind, codec in _SCALAR_TAGS:
+            if tag == known:
+                return codec.unpack(buf, offset + 1)
+        raise OpenFlowError(f"unknown value tag {tag!r}")
 
 
-def _unpack_dict(buf: bytes, offset: int) -> Tuple[Dict[str, Any], int]:
-    (count,) = struct.unpack_from("!H", buf, offset)
-    offset += 2
-    data: Dict[str, Any] = {}
-    for _ in range(count):
-        key, offset = _unpack_str(buf, offset)
-        value, offset = _unpack_value(buf, offset)
-        data[key] = value
-    return data, offset
+_SCALAR = _Scalar()
 
 
-def _pack_match(match: Match) -> bytes:
-    return _pack_dict(match.to_dict())
+class _Dict:
+    """A str-keyed dict of tagged scalars, keys sorted on the wire."""
+
+    def pack(self, data: Dict[str, Any]) -> bytes:
+        out = [_U16.pack(len(data))]
+        for key in sorted(data):
+            out.append(_STR.pack(key))
+            out.append(_SCALAR.pack(data[key]))
+        return b"".join(out)
+
+    def unpack(self, buf: bytes, offset: int) -> Tuple[Dict[str, Any], int]:
+        count, offset = _U16.unpack(buf, offset)
+        data: Dict[str, Any] = {}
+        for _ in range(count):
+            key, offset = _STR.unpack(buf, offset)
+            data[key], offset = _SCALAR.unpack(buf, offset)
+        return data, offset
 
 
-def _unpack_match(buf: bytes, offset: int) -> Tuple[Match, int]:
-    data, offset = _unpack_dict(buf, offset)
-    unknown = set(data) - set(MATCH_FIELDS)
-    if unknown:
-        raise OpenFlowError(f"unknown match fields on wire: {sorted(unknown)}")
-    return Match(**data), offset
+_DICT = _Dict()
 
 
-_ACTION_CODES = {
-    "output": 0,
-    "controller": 1,
-    "drop": 2,
-    "set_eth_src": 3,
-    "set_eth_dst": 4,
-    "set_ip_src": 5,
-    "set_ip_dst": 6,
-}
+class _Match:
+    """A :class:`Match` as the dict of its set fields."""
+
+    def pack(self, match: Match) -> bytes:
+        return _DICT.pack(match.to_dict())
+
+    def unpack(self, buf: bytes, offset: int) -> Tuple[Match, int]:
+        data, offset = _DICT.unpack(buf, offset)
+        return Match.from_dict(data), offset
 
 
-def _pack_actions(actions: List[act.Action]) -> bytes:
-    out = [struct.pack("!H", len(actions))]
-    for action in actions:
-        code = _ACTION_CODES.get(action.kind)
+_MATCH = _Match()
+
+#: Action classes in wire-code order, each with its payload attribute.
+_ACTION_KINDS: Tuple[Tuple[type, Optional[str], Any], ...] = (
+    (act.ActionOutput, "port", _U32),
+    (act.ActionController, "max_len", _U32),
+    (act.ActionDrop, None, None),
+    (act.ActionSetEthSrc, "mac", _STR),
+    (act.ActionSetEthDst, "mac", _STR),
+    (act.ActionSetIpSrc, "ip", _STR),
+    (act.ActionSetIpDst, "ip", _STR),
+)
+_ACTION_CODES = {kind[0]: code for code, kind in enumerate(_ACTION_KINDS)}
+
+
+class _Action:
+    """One action: its wire-code byte, then its payload, if any."""
+
+    def pack(self, action: act.Action) -> bytes:
+        code = _ACTION_CODES.get(type(action))
         if code is None:
             raise OpenFlowError(f"cannot encode action kind {action.kind!r}")
-        out.append(struct.pack("!B", code))
-        if isinstance(action, act.ActionOutput):
-            out.append(struct.pack("!I", action.port))
-        elif isinstance(action, act.ActionController):
-            out.append(struct.pack("!I", action.max_len))
-        elif isinstance(action, (act.ActionSetEthSrc, act.ActionSetEthDst)):
-            out.append(_pack_str(action.mac))
-        elif isinstance(action, (act.ActionSetIpSrc, act.ActionSetIpDst)):
-            out.append(_pack_str(action.ip))
-    return b"".join(out)
+        _cls, attribute, codec = _ACTION_KINDS[code]
+        if attribute is None:
+            return _U8.pack(code)
+        return _U8.pack(code) + codec.pack(getattr(action, attribute))
 
-
-def _unpack_actions(buf: bytes, offset: int) -> Tuple[List[act.Action], int]:
-    (count,) = struct.unpack_from("!H", buf, offset)
-    offset += 2
-    out: List[act.Action] = []
-    for _ in range(count):
-        code = buf[offset]
-        offset += 1
-        if code == 0:
-            (port,) = struct.unpack_from("!I", buf, offset)
-            offset += 4
-            out.append(act.ActionOutput(port=port))
-        elif code == 1:
-            (max_len,) = struct.unpack_from("!I", buf, offset)
-            offset += 4
-            out.append(act.ActionController(max_len=max_len))
-        elif code == 2:
-            out.append(act.ActionDrop())
-        elif code in (3, 4):
-            mac, offset = _unpack_str(buf, offset)
-            cls = act.ActionSetEthSrc if code == 3 else act.ActionSetEthDst
-            out.append(cls(mac=mac))
-        elif code in (5, 6):
-            ip, offset = _unpack_str(buf, offset)
-            cls = act.ActionSetIpSrc if code == 5 else act.ActionSetIpDst
-            out.append(cls(ip=ip))
-        else:
+    def unpack(self, buf: bytes, offset: int) -> Tuple[act.Action, int]:
+        code, offset = _U8.unpack(buf, offset)
+        if code >= len(_ACTION_KINDS):
             raise OpenFlowError(f"unknown action code {code}")
-    return out, offset
+        cls, attribute, codec = _ACTION_KINDS[code]
+        if attribute is None:
+            return cls(), offset
+        value, offset = codec.unpack(buf, offset)
+        return cls(**{attribute: value}), offset
+
+
+def _pack_fields(obj: Any, layout: Layout) -> bytes:
+    return b"".join(codec.pack(getattr(obj, name)) for name, codec in layout)
+
+
+def _unpack_fields(
+    buf: bytes, offset: int, layout: Layout
+) -> Tuple[Dict[str, Any], int]:
+    fields: Dict[str, Any] = {}
+    for name, codec in layout:
+        fields[name], offset = codec.unpack(buf, offset)
+    return fields, offset
+
+
+class _Record:
+    """A stats entry dataclass, laid out like a message body."""
+
+    def __init__(self, cls: type, layout: Layout):
+        self._cls = cls
+        self._layout = layout
+
+    def pack(self, entry: Any) -> bytes:
+        return _pack_fields(entry, self._layout)
+
+    def unpack(self, buf: bytes, offset: int) -> Tuple[Any, int]:
+        fields, offset = _unpack_fields(buf, offset, self._layout)
+        return self._cls(**fields), offset
+
+
+class _List:
+    """A list behind an item count, each item in one field codec."""
+
+    def __init__(self, count: _Fixed, item: Any):
+        self._count = count
+        self._item = item
+
+    def pack(self, items: List[Any]) -> bytes:
+        return self._count.pack(len(items)) + b"".join(
+            self._item.pack(item) for item in items
+        )
+
+    def unpack(self, buf: bytes, offset: int) -> Tuple[List[Any], int]:
+        count, offset = self._count.unpack(buf, offset)
+        items = []
+        for _ in range(count):
+            item, offset = self._item.unpack(buf, offset)
+            items.append(item)
+        return items, offset
+
+
+_ACTIONS = _List(_U16, _Action())
+
+_FLOW_STATS_ENTRY = _Record(
+    msgs.FlowStatsEntry,
+    (
+        ("priority", _U32),
+        ("duration_sec", _DOUBLE),
+        ("packet_count", _U64),
+        ("byte_count", _U64),
+        ("idle_timeout", _DOUBLE),
+        ("hard_timeout", _DOUBLE),
+        ("cookie", _U64),
+        ("table_id", _U8),
+        ("match", _MATCH),
+        ("app_id", _SCALAR),
+    ),
+)
+_PORT_STATS_ENTRY = _Record(
+    msgs.PortStatsEntry,
+    (("port_no", _U32),)
+    + tuple(
+        (name, _U64)
+        for name in (
+            "rx_packets", "tx_packets", "rx_bytes", "tx_bytes",
+            "rx_dropped", "tx_dropped", "rx_errors", "tx_errors",
+        )
+    ),
+)
+_TABLE_STATS_ENTRY = _Record(
+    msgs.TableStatsEntry,
+    (("table_id", _U8),)
+    + tuple(
+        (name, _U64)
+        for name in ("active_count", "lookup_count", "matched_count", "max_entries")
+    ),
+)
+
+#: Every concrete message class the codec supports, mapped to its body
+#: layout.  ``FlowMod.buffer_id`` is deliberately not carried.
+LAYOUTS: Dict[Type[OpenFlowMessage], Layout] = {
+    msgs.Hello: (("version", _U8),),
+    msgs.EchoRequest: (),
+    msgs.EchoReply: (),
+    msgs.FeaturesRequest: (),
+    msgs.FeaturesReply: (("n_tables", _U8), ("ports", _List(_U16, _U32))),
+    msgs.PacketIn: (
+        ("buffer_id", _Fixed("i")),
+        ("in_port", _U32),
+        ("reason", _Fixed("B", PacketInReason)),
+        ("total_len", _U32),
+        ("headers", _DICT),
+    ),
+    msgs.PacketOut: (
+        ("buffer_id", _Fixed("i")),
+        ("in_port", _U32),
+        ("total_len", _U32),
+        ("actions", _ACTIONS),
+        ("headers", _DICT),
+    ),
+    msgs.FlowMod: (
+        ("command", _Fixed("B", FlowModCommand)),
+        ("priority", _U32),
+        ("idle_timeout", _DOUBLE),
+        ("hard_timeout", _DOUBLE),
+        ("cookie", _U64),
+        ("table_id", _U8),
+        ("match", _MATCH),
+        ("actions", _ACTIONS),
+        ("app_id", _SCALAR),
+        ("out_port", _SCALAR),
+    ),
+    msgs.FlowRemoved: (
+        ("priority", _U32),
+        ("reason", _Fixed("B", FlowRemovedReason)),
+        ("duration_sec", _DOUBLE),
+        ("packet_count", _U64),
+        ("byte_count", _U64),
+        ("cookie", _U64),
+        ("match", _MATCH),
+        ("app_id", _SCALAR),
+    ),
+    msgs.PortStatus: (
+        ("port_no", _U32),
+        ("reason", _Fixed("B", PortReason)),
+        ("link_up", _Fixed("B", bool)),
+    ),
+    msgs.FlowStatsRequest: (("table_id", _U8), ("match", _MATCH)),
+    msgs.PortStatsRequest: (("port_no", _SCALAR),),
+    msgs.AggregateStatsRequest: (("match", _MATCH),),
+    msgs.TableStatsRequest: (),
+    msgs.FlowStatsReply: (("entries", _List(_U32, _FLOW_STATS_ENTRY)),),
+    msgs.PortStatsReply: (("entries", _List(_U32, _PORT_STATS_ENTRY)),),
+    msgs.AggregateStatsReply: (
+        ("packet_count", _U64),
+        ("byte_count", _U64),
+        ("flow_count", _U32),
+    ),
+    msgs.TableStatsReply: (("entries", _List(_U32, _TABLE_STATS_ENTRY)),),
+    msgs.BarrierRequest: (),
+    msgs.BarrierReply: (),
+}
+
+#: ``(msg_type, stats_type)`` -> class, read off the class constants;
+#: ``stats_type`` is ``None`` outside the statistics family.
+_DISPATCH = {
+    (cls.msg_type, getattr(cls, "stats_type", None)): cls for cls in LAYOUTS
+}
+_SUBTYPED = {msg_type for msg_type, stats_type in _DISPATCH if stats_type is not None}
 
 
 def pack_message(msg: OpenFlowMessage, version: int = OFP_VERSION_13) -> bytes:
     """Encode a message to bytes (OpenFlow-style header + typed body)."""
-    if type(msg) not in CODEC_REGISTRY:
-        raise OpenFlowError(
-            f"{type(msg).__name__} has no codec registration; "
-            f"add it to CODEC_REGISTRY and the pack/unpack paths"
-        )
-    body = _pack_body(msg)
-    body = struct.pack("!Q", msg.dpid) + body
+    cls = type(msg)
+    layout = LAYOUTS.get(cls)
+    if layout is None:
+        raise OpenFlowError(f"{cls.__name__} has no wire layout in LAYOUTS")
+    body = _U64.pack(msg.dpid)
+    if cls.msg_type in _SUBTYPED:
+        body += _U8.pack(cls.stats_type)
+    body += _pack_fields(msg, layout)
     length = _HEADER.size + len(body)
-    header = _HEADER.pack(version, int(msg.msg_type), length & 0xFFFF, msg.xid)
-    return header + body
-
-
-def _pack_body(msg: OpenFlowMessage) -> bytes:
-    if isinstance(msg, Hello):
-        return struct.pack("!B", msg.version)
-    if isinstance(msg, (EchoRequest, EchoReply, FeaturesRequest)):
-        return b""
-    if isinstance(msg, (BarrierRequest, BarrierReply)):
-        return b""
-    if isinstance(msg, FeaturesReply):
-        ports = struct.pack("!H", len(msg.ports)) + b"".join(
-            struct.pack("!I", p) for p in msg.ports
-        )
-        return struct.pack("!B", msg.n_tables) + ports
-    if isinstance(msg, PacketIn):
-        return (
-            struct.pack(
-                "!iIBI", msg.buffer_id, msg.in_port, int(msg.reason), msg.total_len
-            )
-            + _pack_dict(msg.headers)
-        )
-    if isinstance(msg, PacketOut):
-        return (
-            struct.pack("!iII", msg.buffer_id, msg.in_port, msg.total_len)
-            + _pack_actions(msg.actions)
-            + _pack_dict(msg.headers)
-        )
-    if isinstance(msg, FlowMod):
-        fixed = struct.pack(
-            "!BIddQB",
-            int(msg.command),
-            msg.priority,
-            msg.idle_timeout,
-            msg.hard_timeout,
-            msg.cookie,
-            msg.table_id,
-        )
-        return (
-            fixed
-            + _pack_match(msg.match)
-            + _pack_actions(msg.actions)
-            + _pack_value(msg.app_id)
-            + _pack_value(msg.out_port)
-        )
-    if isinstance(msg, FlowRemoved):
-        fixed = struct.pack(
-            "!IBdQQQ",
-            msg.priority,
-            int(msg.reason),
-            msg.duration_sec,
-            msg.packet_count,
-            msg.byte_count,
-            msg.cookie,
-        )
-        return fixed + _pack_match(msg.match) + _pack_value(msg.app_id)
-    if isinstance(msg, PortStatus):
-        return struct.pack("!IBB", msg.port_no, int(msg.reason), int(msg.link_up))
-    if isinstance(msg, FlowStatsRequest):
-        return (
-            struct.pack("!BB", int(msg.stats_type), msg.table_id)
-            + _pack_match(msg.match)
-        )
-    if isinstance(msg, PortStatsRequest):
-        return struct.pack("!B", int(msg.stats_type)) + _pack_value(msg.port_no)
-    if isinstance(msg, AggregateStatsRequest):
-        return struct.pack("!B", int(msg.stats_type)) + _pack_match(msg.match)
-    if isinstance(msg, TableStatsRequest):
-        return struct.pack("!B", int(msg.stats_type))
-    if isinstance(msg, FlowStatsReply):
-        out = [struct.pack("!BI", int(msg.stats_type), len(msg.entries))]
-        for entry in msg.entries:
-            out.append(
-                struct.pack(
-                    "!IdQQddQB",
-                    entry.priority,
-                    entry.duration_sec,
-                    entry.packet_count,
-                    entry.byte_count,
-                    entry.idle_timeout,
-                    entry.hard_timeout,
-                    entry.cookie,
-                    entry.table_id,
-                )
-            )
-            out.append(_pack_match(entry.match))
-            out.append(_pack_value(entry.app_id))
-        return b"".join(out)
-    if isinstance(msg, PortStatsReply):
-        out = [struct.pack("!BI", int(msg.stats_type), len(msg.entries))]
-        for entry in msg.entries:
-            out.append(
-                struct.pack(
-                    "!IQQQQQQQQ",
-                    entry.port_no,
-                    entry.rx_packets,
-                    entry.tx_packets,
-                    entry.rx_bytes,
-                    entry.tx_bytes,
-                    entry.rx_dropped,
-                    entry.tx_dropped,
-                    entry.rx_errors,
-                    entry.tx_errors,
-                )
-            )
-        return b"".join(out)
-    if isinstance(msg, AggregateStatsReply):
-        return struct.pack(
-            "!BQQI",
-            int(msg.stats_type),
-            msg.packet_count,
-            msg.byte_count,
-            msg.flow_count,
-        )
-    if isinstance(msg, TableStatsReply):
-        out = [struct.pack("!BI", int(msg.stats_type), len(msg.entries))]
-        for entry in msg.entries:
-            out.append(
-                struct.pack(
-                    "!BQQQQ",
-                    entry.table_id,
-                    entry.active_count,
-                    entry.lookup_count,
-                    entry.matched_count,
-                    entry.max_entries,
-                )
-            )
-        return b"".join(out)
-    raise OpenFlowError(f"cannot encode message type {type(msg).__name__}")
+    return _HEADER.pack(version, cls.msg_type, length & 0xFFFF, msg.xid) + body
 
 
 def unpack_message(buf: bytes) -> OpenFlowMessage:
-    """Decode bytes produced by :func:`pack_message` back into a message."""
-    if len(buf) < _HEADER.size:
-        raise OpenFlowError("buffer shorter than OpenFlow header")
-    _version, msg_type_raw, _length, xid = _HEADER.unpack_from(buf, 0)
-    offset = _HEADER.size
-    (dpid,) = struct.unpack_from("!Q", buf, offset)
-    offset += 8
+    """Decode bytes produced by :func:`pack_message` back into a message.
+
+    Any buffer that is not exactly one well-formed message raises
+    :class:`OpenFlowError`.
+    """
     try:
-        msg_type = MessageType(msg_type_raw)
-    except ValueError as exc:
-        raise OpenFlowError(f"unknown message type {msg_type_raw}") from exc
-    msg = _unpack_body(msg_type, buf, offset)
-    msg.dpid = dpid
-    msg.xid = xid
-    return msg
+        return _unpack(buf)
+    except (struct.error, IndexError, ValueError, TypeError) as exc:
+        raise OpenFlowError(f"malformed OpenFlow message: {exc}") from exc
 
 
-def _unpack_body(msg_type: MessageType, buf: bytes, offset: int) -> OpenFlowMessage:
-    if msg_type == MessageType.HELLO:
-        return Hello(version=buf[offset])
-    if msg_type == MessageType.ECHO_REQUEST:
-        return EchoRequest()
-    if msg_type == MessageType.ECHO_REPLY:
-        return EchoReply()
-    if msg_type == MessageType.FEATURES_REQUEST:
-        return FeaturesRequest()
-    if msg_type == MessageType.BARRIER_REQUEST:
-        return BarrierRequest()
-    if msg_type == MessageType.BARRIER_REPLY:
-        return BarrierReply()
-    if msg_type == MessageType.FEATURES_REPLY:
-        n_tables = buf[offset]
-        offset += 1
-        (count,) = struct.unpack_from("!H", buf, offset)
-        offset += 2
-        ports = []
-        for _ in range(count):
-            (port,) = struct.unpack_from("!I", buf, offset)
-            offset += 4
-            ports.append(port)
-        return FeaturesReply(n_tables=n_tables, ports=ports)
-    if msg_type == MessageType.PACKET_IN:
-        buffer_id, in_port, reason, total_len = struct.unpack_from(
-            "!iIBI", buf, offset
+def _unpack(buf: bytes) -> OpenFlowMessage:
+    _version, msg_type, length, xid = _HEADER.unpack_from(buf, 0)
+    if length != len(buf) & 0xFFFF:
+        raise OpenFlowError(
+            f"header length {length} does not match buffer length {len(buf)}"
         )
-        offset += struct.calcsize("!iIBI")
-        headers, _ = _unpack_dict(buf, offset)
-        return PacketIn(
-            buffer_id=buffer_id,
-            in_port=in_port,
-            reason=PacketInReason(reason),
-            total_len=total_len,
-            headers=headers,
-        )
-    if msg_type == MessageType.PACKET_OUT:
-        buffer_id, in_port, total_len = struct.unpack_from("!iII", buf, offset)
-        offset += struct.calcsize("!iII")
-        actions, offset = _unpack_actions(buf, offset)
-        headers, _ = _unpack_dict(buf, offset)
-        return PacketOut(
-            buffer_id=buffer_id,
-            in_port=in_port,
-            total_len=total_len,
-            actions=actions,
-            headers=headers,
-        )
-    if msg_type == MessageType.FLOW_MOD:
-        command, priority, idle, hard, cookie, table_id = struct.unpack_from(
-            "!BIddQB", buf, offset
-        )
-        offset += struct.calcsize("!BIddQB")
-        match, offset = _unpack_match(buf, offset)
-        actions, offset = _unpack_actions(buf, offset)
-        app_id, offset = _unpack_value(buf, offset)
-        out_port, _ = _unpack_value(buf, offset)
-        return FlowMod(
-            command=FlowModCommand(command),
-            match=match,
-            priority=priority,
-            actions=actions,
-            idle_timeout=idle,
-            hard_timeout=hard,
-            cookie=cookie,
-            table_id=table_id,
-            app_id=app_id,
-            out_port=out_port,
-        )
-    if msg_type == MessageType.FLOW_REMOVED:
-        priority, reason, duration, pkts, bytes_, cookie = struct.unpack_from(
-            "!IBdQQQ", buf, offset
-        )
-        offset += struct.calcsize("!IBdQQQ")
-        match, offset = _unpack_match(buf, offset)
-        app_id, _ = _unpack_value(buf, offset)
-        return FlowRemoved(
-            match=match,
-            priority=priority,
-            reason=FlowRemovedReason(reason),
-            duration_sec=duration,
-            packet_count=pkts,
-            byte_count=bytes_,
-            cookie=cookie,
-            app_id=app_id,
-        )
-    if msg_type == MessageType.PORT_STATUS:
-        port_no, reason, link_up = struct.unpack_from("!IBB", buf, offset)
-        return PortStatus(
-            port_no=port_no, reason=PortReason(reason), link_up=bool(link_up)
-        )
-    if msg_type == MessageType.STATS_REQUEST:
-        return _unpack_stats_request(buf, offset)
-    if msg_type == MessageType.STATS_REPLY:
-        return _unpack_stats_reply(buf, offset)
-    raise OpenFlowError(f"cannot decode message type {msg_type!r}")
-
-
-def _unpack_stats_request(buf: bytes, offset: int) -> OpenFlowMessage:
-    subtype = StatsType(buf[offset])
-    offset += 1
-    if subtype == StatsType.FLOW:
-        table_id = buf[offset]
-        offset += 1
-        match, _ = _unpack_match(buf, offset)
-        return FlowStatsRequest(match=match, table_id=table_id)
-    if subtype == StatsType.PORT:
-        port_no, _ = _unpack_value(buf, offset)
-        return PortStatsRequest(port_no=port_no)
-    if subtype == StatsType.AGGREGATE:
-        match, _ = _unpack_match(buf, offset)
-        return AggregateStatsRequest(match=match)
-    if subtype == StatsType.TABLE:
-        return TableStatsRequest()
-    raise OpenFlowError(f"cannot decode stats request subtype {subtype!r}")
-
-
-def _unpack_stats_reply(buf: bytes, offset: int) -> OpenFlowMessage:
-    subtype = StatsType(buf[offset])
-    offset += 1
-    if subtype == StatsType.FLOW:
-        (count,) = struct.unpack_from("!I", buf, offset)
-        offset += 4
-        entries = []
-        fixed = struct.Struct("!IdQQddQB")
-        for _ in range(count):
-            (priority, duration, pkts, bytes_, idle, hard, cookie,
-             table_id) = fixed.unpack_from(buf, offset)
-            offset += fixed.size
-            match, offset = _unpack_match(buf, offset)
-            app_id, offset = _unpack_value(buf, offset)
-            entries.append(
-                FlowStatsEntry(
-                    match=match,
-                    priority=priority,
-                    duration_sec=duration,
-                    packet_count=pkts,
-                    byte_count=bytes_,
-                    idle_timeout=idle,
-                    hard_timeout=hard,
-                    cookie=cookie,
-                    app_id=app_id,
-                    table_id=table_id,
-                )
-            )
-        return FlowStatsReply(entries=entries)
-    if subtype == StatsType.PORT:
-        (count,) = struct.unpack_from("!I", buf, offset)
-        offset += 4
-        entries = []
-        fixed = struct.Struct("!IQQQQQQQQ")
-        for _ in range(count):
-            values = fixed.unpack_from(buf, offset)
-            offset += fixed.size
-            entries.append(PortStatsEntry(*values))
-        return PortStatsReply(entries=entries)
-    if subtype == StatsType.AGGREGATE:
-        packets, bytes_, flows = struct.unpack_from("!QQI", buf, offset)
-        return AggregateStatsReply(
-            packet_count=packets, byte_count=bytes_, flow_count=flows
-        )
-    if subtype == StatsType.TABLE:
-        (count,) = struct.unpack_from("!I", buf, offset)
-        offset += 4
-        entries = []
-        fixed = struct.Struct("!BQQQQ")
-        for _ in range(count):
-            values = fixed.unpack_from(buf, offset)
-            offset += fixed.size
-            entries.append(TableStatsEntry(*values))
-        return TableStatsReply(entries=entries)
-    raise OpenFlowError(f"cannot decode stats reply subtype {subtype!r}")
-
-
-def roundtrips(msg: OpenFlowMessage) -> bool:
-    """True if ``msg`` survives an encode/decode cycle (used in tests)."""
-    try:
-        decoded = unpack_message(pack_message(msg))
-    except OpenFlowError:
-        return False
-    return type(decoded) is type(msg)
+    dpid, offset = _U64.unpack(buf, _HEADER.size)
+    stats_type = None
+    if msg_type in _SUBTYPED:
+        stats_type, offset = _U8.unpack(buf, offset)
+    cls = _DISPATCH.get((msg_type, stats_type))
+    if cls is None:
+        raise OpenFlowError(f"unknown message type {msg_type}/{stats_type}")
+    fields, offset = _unpack_fields(buf, offset, LAYOUTS[cls])
+    if offset != len(buf):
+        raise OpenFlowError(f"{len(buf) - offset} trailing byte(s) after {cls.__name__}")
+    return cls(dpid=dpid, xid=xid, **fields)

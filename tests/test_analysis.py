@@ -42,7 +42,7 @@ class TestSelfCheck:
     def test_list_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule in ("ATH101", "ATH201", "ATH301", "ATH401"):
+        for rule in ("ATH101", "ATH201", "ATH301"):
             assert rule in out
 
 

@@ -2,13 +2,12 @@
 helpers the feature checker and reporters build on.
 
 Each checker gets at least one clean fixture and one violating fixture;
-the OpenFlow codec checker additionally runs over the real shipped trio
-(which must be clean) and over a deliberately corrupted copy.
+the telemetry and hot-path checkers additionally run over the shipped
+tree, which must be clean.
 """
 
 import io
 import os
-import shutil
 import textwrap
 
 import pytest
@@ -19,7 +18,6 @@ from repro.analysis.checkers import (
     FeatureNameChecker,
     HotpathChecker,
     NorthboundChecker,
-    OpenFlowCodecChecker,
     TelemetryChecker,
     default_checkers,
 )
@@ -42,10 +40,10 @@ def rules_of(findings):
 
 
 class TestDefaultCheckers:
-    def test_all_six_registered(self):
+    def test_default_checkers_registered(self):
         names = {checker.name for checker in default_checkers()}
         assert names == {"determinism", "features", "hotpath", "northbound",
-                        "openflow-codec", "telemetry"}
+                         "telemetry"}
 
     def test_rule_ids_are_unique(self):
         seen = set()
@@ -313,77 +311,6 @@ class TestNorthboundChecker:
             'algo = Algorithm(name="dbscanx", params={})\n',
         )
         assert rules_of(findings) == ["ATH303"]
-
-
-class TestOpenFlowCodecChecker:
-    TRIO = ("messages.py", "constants.py", "serialization.py")
-
-    def _shipped(self, stem="serialization"):
-        path = os.path.join(REPO_ROOT, "src", "repro", "openflow", f"{stem}.py")
-        return ParsedModule.parse(path, root=REPO_ROOT)
-
-    def _corrupt_copy(self, tmp_path, mutate):
-        package = tmp_path / "openflow"
-        package.mkdir()
-        for name in self.TRIO:
-            shutil.copy(
-                os.path.join(REPO_ROOT, "src", "repro", "openflow", name),
-                package / name,
-            )
-        mutate(package)
-        return ParsedModule.parse(
-            str(package / "serialization.py"), root=str(tmp_path)
-        )
-
-    def test_shipped_trio_is_clean(self):
-        assert list(OpenFlowCodecChecker().check(self._shipped())) == []
-
-    def test_only_fires_on_serialization(self):
-        assert list(OpenFlowCodecChecker().check(self._shipped("messages"))) == []
-
-    def test_unregistered_class_flagged(self, tmp_path):
-        def add_class(package):
-            with open(package / "messages.py", "a") as handle:
-                handle.write(
-                    "\n\n@dataclass\nclass RoleRequest(OpenFlowMessage):\n"
-                    "    role: int = 0\n"
-                )
-
-        module = self._corrupt_copy(tmp_path, add_class)
-        findings = list(OpenFlowCodecChecker().check(module))
-        assert rules_of(findings) == ["ATH401"]
-        assert "RoleRequest" in findings[0].message
-
-    def test_missing_constant_flagged(self, tmp_path):
-        def drop_constant(package):
-            path = package / "constants.py"
-            source = path.read_text()
-            path.write_text(source.replace("    BARRIER_REPLY = 19\n", ""))
-
-        module = self._corrupt_copy(tmp_path, drop_constant)
-        findings = list(OpenFlowCodecChecker().check(module))
-        assert set(rules_of(findings)) == {"ATH403"}
-        assert all("BARRIER_REPLY" in f.message for f in findings)
-        # both messages.py and serialization.py reference the member
-        assert {os.path.basename(f.path) for f in findings} == {
-            "messages.py", "serialization.py",
-        }
-
-    def test_wire_type_mismatch_flagged(self, tmp_path):
-        def swap_wire_type(package):
-            path = package / "serialization.py"
-            source = path.read_text()
-            path.write_text(
-                source.replace(
-                    "    Hello: MessageType.HELLO,",
-                    "    Hello: MessageType.ECHO_REQUEST,",
-                    1,
-                )
-            )
-
-        module = self._corrupt_copy(tmp_path, swap_wire_type)
-        findings = list(OpenFlowCodecChecker().check(module))
-        assert "ATH404" in rules_of(findings)
 
 
 class TestCatalogHelpers:
@@ -677,7 +604,8 @@ class TestHotpathChecker:
         assert "athena-lint: hot-path columnar" in frame_src
 
     def test_shipped_hot_modules_are_clean(self):
-        """match.py / flowtable.py / the simulator's event queue and loop /
+        """match.py / messages.py / flowtable.py / the simulator's event
+        queue and loop /
         distdb / the feature-state engine and its flow table are marked
         hot-path (so the checker really reads them) and pass with no
         suppression."""
@@ -685,6 +613,7 @@ class TestHotpathChecker:
 
         for parts in (
             ("openflow", "match.py"),
+            ("openflow", "messages.py"),
             ("dataplane", "flowtable.py"),
             ("simkernel", "events.py"),
             ("simkernel", "scheduler.py"),
