@@ -137,9 +137,13 @@ class FlowRuleService:
 
     def on_flow_removed(self, dpid: Dpid, match: Match, priority: int) -> None:
         """Sync bookkeeping when the data plane reports an eviction."""
+        # Runs per FLOW_REMOVED over every rule of the switch, so it
+        # compares the matches' cached value tuples: Match's dataclass
+        # ``==`` builds both field tuples on every call.
+        key = match.key_tuple()
         rules = self._rules.get(dpid, [])
         self._rules[dpid] = [
-            r for r in rules if not (r.match == match and r.priority == priority)
+            r for r in rules if not (r.priority == priority and r.match.key_tuple() == key)
         ]
 
     def rules_of(self, dpid: Dpid, app_id: Optional[str] = None) -> List[FlowRuleRecord]:

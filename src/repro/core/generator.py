@@ -33,6 +33,7 @@ from repro.core.feature_format import AthenaFeature, FeatureScope
 from repro.core.features import combination, protocol
 from repro.core.features.catalog import FEATURE_CATALOG, FeatureCategory
 from repro.core.features.engine import FeatureStateEngine
+from repro.openflow.constants import MessageType
 from repro.openflow.messages import (
     AggregateStatsReply,
     FlowStatsReply,
@@ -47,18 +48,20 @@ FeatureSink = Callable[[AthenaFeature], None]
 
 #: OpenFlow message type → the control counter the tap bumps.
 _TAP_COUNTER_KEYS = {
-    "PACKET_IN": "packet_in",
-    "PACKET_OUT": "packet_out",
-    "FLOW_MOD": "flow_mod",
-    "FLOW_REMOVED": "flow_removed",
-    "PORT_STATUS": "port_status",
-    "STATS_REQUEST": "stats_request",
-    "STATS_REPLY": "stats_reply",
-    "ECHO_REQUEST": "echo",
-    "ECHO_REPLY": "echo",
-    "BARRIER_REQUEST": "barrier",
-    "BARRIER_REPLY": "barrier",
+    MessageType.PACKET_IN: "packet_in",
+    MessageType.PACKET_OUT: "packet_out",
+    MessageType.FLOW_MOD: "flow_mod",
+    MessageType.FLOW_REMOVED: "flow_removed",
+    MessageType.PORT_STATUS: "port_status",
+    MessageType.STATS_REQUEST: "stats_request",
+    MessageType.STATS_REPLY: "stats_reply",
+    MessageType.ECHO_REQUEST: "echo",
+    MessageType.ECHO_REPLY: "echo",
+    MessageType.BARRIER_REQUEST: "barrier",
+    MessageType.BARRIER_REPLY: "barrier",
 }
+#: Every category: the fidelity setting that filters no field.
+_ALL_CATEGORIES = frozenset(FeatureCategory)
 
 #: Sketch structure → its (fill, error) entries in the window's fill stats.
 _SKETCH_GAUGES = {
@@ -182,7 +185,7 @@ class FeatureGenerator:
         return self._suppressed_names
 
     def _filter_categories(self, fields: Dict[str, float]) -> Dict[str, float]:
-        if self.enabled_categories == set(FeatureCategory):
+        if self.enabled_categories == _ALL_CATEGORIES:
             return fields
         suppressed = self._suppressed_under(self.enabled_categories)
         if not suppressed:
@@ -272,7 +275,7 @@ class FeatureGenerator:
     ) -> None:
         """Count every control message crossing the instance."""
         self.state.count_message(
-            msg.dpid, _TAP_COUNTER_KEYS.get(msg.msg_type.name), msg.size_bytes()
+            msg.dpid, _TAP_COUNTER_KEYS.get(msg.msg_type), msg.size_bytes()
         )
 
     # -- per-message-type handlers ---------------------------------------------------

@@ -12,12 +12,16 @@ SIGCOMM '99; the Open vSwitch classifier, docs/PERF.md): entries are
 grouped by mask — the names of their set fields — and, per mask, hashed
 on the values of those fields.  A packet costs one ``dict.get`` per
 distinct mask in the table, and the best ``(sort_key, arrival)`` among
-the hits wins.  Beside it the table keeps its precedence-sorted entry
-list (inserts bisect instead of re-sorting) and a lazy min-heap of expiry
-deadlines so an idle table costs O(1) per timeout tick.  Evictions and
-stats selections are reported in precedence order; ``tests/oracles.py``
-holds the sorted-list oracle the stateful property test compares all of
-this against.
+the hits wins.  Masks that hold ``in_port`` are kept apart, keyed by
+their other fields: the switch passes the ingress port as an argument
+and the lookup puts it in front of those fields' values, so the
+packet's header dict is read as it is.  Beside the classifier the table
+keeps its precedence-sorted entry list (inserts bisect instead of
+re-sorting) and a lazy min-heap of expiry deadlines so an idle table
+costs O(1) per timeout tick.  Evictions and stats selections are
+reported in precedence order; ``tests/oracles.py`` holds the
+sorted-list oracle the stateful property test compares all of this
+against.
 """
 
 # athena-lint: hot-path
@@ -52,6 +56,9 @@ class FlowTable:
         #: Tuple space: mask -> set-field values -> the entries with exactly
         #: that match, best first.  ``(mask, values)`` identifies a Match.
         self._classifier: Dict[Tuple[str, ...], Dict[Tuple[Any, ...], List[_Ranked]]] = {}
+        #: The same for masks holding ``in_port``, which leads them
+        #: (MATCH_FIELDS order): keyed by the mask's remaining fields.
+        self._ported: Dict[Tuple[str, ...], Dict[Tuple[Any, ...], List[_Ranked]]] = {}
         #: Lazy expiry heap of (deadline, seq, entry); stale items are
         #: dropped on pop by checking the entry is still live.
         self._heap: List[Tuple[float, int, FlowEntry]] = []
@@ -72,25 +79,32 @@ class FlowTable:
 
     # -- index maintenance --------------------------------------------------
 
+    def _slot(self, match: Match):
+        """``(tuple space, mask key, values)`` of ``match`` in the classifier."""
+        mask, values = match.classifier_key()
+        if mask[:1] == ("in_port",):
+            return self._ported, mask[1:], values
+        return self._classifier, mask, values
+
     def _index_insert(self, entry: FlowEntry) -> None:
         insort_right(self._entries, entry, key=FlowEntry.sort_key)
-        mask, values = entry.match.classifier_key()
-        bucket = self._classifier.setdefault(mask, {}).setdefault(values, [])
+        space, mask, values = self._slot(entry.match)
+        bucket = space.setdefault(mask, {}).setdefault(values, [])
         insort_right(bucket, (entry.sort_key(), next(self._seq), entry))
         self._live[id(entry)] = entry
         self._schedule(entry)
 
     def _index_remove(self, entry: FlowEntry) -> None:
         self._remove_from_sorted(self._entries, entry)
-        mask, values = entry.match.classifier_key()
-        buckets = self._classifier[mask]
+        space, mask, values = self._slot(entry.match)
+        buckets = space[mask]
         bucket = [item for item in buckets[values] if item[2] is not entry]
         if bucket:
             buckets[values] = bucket
         elif len(buckets) > 1:
             del buckets[values]
         else:
-            del self._classifier[mask]
+            del space[mask]
         self._live.pop(id(entry), None)
         # Any heap item for the entry goes stale and is skipped on pop.
 
@@ -141,20 +155,36 @@ class FlowTable:
 
     # -- lookup ------------------------------------------------------------
 
-    def lookup(self, headers: Dict[str, Any]) -> Optional[FlowEntry]:
-        """Find the winning entry for a packet-header dict."""
+    def lookup(
+        self, headers: Dict[str, Any], in_port: Optional[int] = None
+    ) -> Optional[FlowEntry]:
+        """Find the winning entry for a packet-header dict.
+
+        ``in_port``, when given, is the packet's ingress port and overrides
+        any ``in_port`` header; ``headers`` is only read, never copied.
+        """
         self.lookup_count += 1
         get = headers.get
         best: Optional[_Ranked] = None
+        # An unhashable header value under a mask raises TypeError: no
+        # entry of the mask can equal it, so the mask cannot match.
         for mask, buckets in self._classifier.items():
             try:
                 bucket = buckets.get(tuple(map(get, mask)))
             except TypeError:
-                # An unhashable header value under this mask: no entry of
-                # the mask can equal it, so the mask cannot match.
                 continue
             if bucket is not None and (best is None or bucket[0] < best):
                 best = bucket[0]
+        if self._ported:
+            if in_port is None:
+                in_port = get("in_port")
+            for rest, buckets in self._ported.items():
+                try:
+                    bucket = buckets.get((in_port, *map(get, rest)))
+                except TypeError:
+                    continue
+                if bucket is not None and (best is None or bucket[0] < best):
+                    best = bucket[0]
         if best is None:
             return None
         self.matched_count += 1
@@ -172,8 +202,8 @@ class FlowTable:
         whose match is a subset of ``match``.
         """
         if strict:
-            mask, values = match.classifier_key()
-            bucket = self._classifier.get(mask, {}).get(values, ())
+            space, mask, values = self._slot(match)
+            bucket = space.get(mask, {}).get(values, ())
             return [
                 entry
                 for _key, _arrival, entry in bucket

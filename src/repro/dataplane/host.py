@@ -29,8 +29,6 @@ class Host:
         self.rx_packets = 0
         self.rx_bytes = 0
         self.on_receive: Optional[Callable[[Packet, float], None]] = None
-        #: The network this host is wired into (set by Network.add_host).
-        self.network: Optional[object] = None
 
     @property
     def mac(self) -> str:

@@ -47,7 +47,8 @@ class Link:
         self.capacity_bps = capacity_bps
         self.window = window
         self.up = True
-        # Per-direction byte accounting for the current window.
+        # Per-direction byte accounting for the current window; direction
+        # 0 is a→b traffic, 1 is b→a.
         self._window_start = 0.0
         self._window_bytes = {0: 0, 1: 0}
         self.total_bytes = {0: 0, 1: 0}
@@ -56,13 +57,6 @@ class Link:
 
     def endpoints(self) -> Tuple[LinkEndpoint, LinkEndpoint]:
         return (self.a, self.b)
-
-    def other_end(self, endpoint: LinkEndpoint) -> LinkEndpoint:
-        return self.b if endpoint is self.a else self.a
-
-    def direction_from(self, endpoint: LinkEndpoint) -> int:
-        """0 for a→b traffic, 1 for b→a traffic."""
-        return 0 if endpoint is self.a else 1
 
     def _roll_window(self, now: float) -> None:
         if now - self._window_start >= self.window:

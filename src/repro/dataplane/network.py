@@ -5,11 +5,19 @@ discrete-event simulator.  It is deliberately controller-agnostic — the
 controller package attaches itself through each switch's control channel —
 so the same topology can run bare (Cbench), under a single controller, or
 under a three-instance cluster as in the paper's evaluation.
+
+Wiring resolves every switch port once to its egress: the link, the
+direction it is crossed in and the receiver at the far end.  A hop is
+then one dict lookup, the link's capacity accounting and one scheduled
+delivery of the *same* :class:`Packet` — nothing is copied per hop.
+Each host likewise gets one injector into its edge switch, so a
+scheduled injection holds only its packet.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.dataplane.host import Host
 from repro.dataplane.link import Link, LinkEndpoint
@@ -18,6 +26,9 @@ from repro.dataplane.switch import OpenFlowSwitch
 from repro.errors import DataPlaneError
 from repro.simkernel import Simulator
 from repro.types import ConnectPoint, Dpid
+
+#: Delivers a packet at the far end of a link, at the current sim time.
+Receiver = Callable[[Packet], None]
 
 
 class Network:
@@ -28,8 +39,11 @@ class Network:
         self.switches: Dict[Dpid, OpenFlowSwitch] = {}
         self.hosts: Dict[str, Host] = {}
         self.links: List[Link] = []
-        self._attachments: Dict[ConnectPoint, Link] = {}
-        self._host_links: Dict[str, Link] = {}
+        #: (dpid, port) -> where a packet leaving that port goes: the
+        #: link, its direction (0 is a→b) and the receiver at the far end.
+        self._egress: Dict[Tuple[Dpid, int], Tuple[Link, int, Receiver]] = {}
+        #: host name -> its link and the injector into its edge switch.
+        self._ingress: Dict[str, Tuple[Link, Receiver]] = {}
         self._expiry_interval = 1.0
         self._expiry_armed = False
 
@@ -49,7 +63,6 @@ class Network:
         if name in self.hosts:
             raise DataPlaneError(f"duplicate host {name}")
         host = Host(name=name, mac=mac, ip=ip)
-        host.network = self
         self.hosts[name] = host
         return host
 
@@ -66,11 +79,7 @@ class Network:
         point_a = ConnectPoint(a_dpid, a_port)
         point_b = ConnectPoint(b_dpid, b_port)
         for point in (point_a, point_b):
-            if point in self._attachments:
-                raise DataPlaneError(f"port already wired: {point}")
-            switch = self._require_switch(point.dpid)
-            if point.port not in switch.ports:
-                switch.add_port(point.port, speed_bps=capacity_bps)
+            self._claim_port(point, capacity_bps)
         link = Link(
             LinkEndpoint(switch_point=point_a),
             LinkEndpoint(switch_point=point_b),
@@ -78,8 +87,8 @@ class Network:
             capacity_bps=capacity_bps,
         )
         self.links.append(link)
-        self._attachments[point_a] = link
-        self._attachments[point_b] = link
+        self._egress[(a_dpid, a_port)] = (link, 0, self._switch_receiver(b_dpid, b_port))
+        self._egress[(b_dpid, b_port)] = (link, 1, self._switch_receiver(a_dpid, a_port))
         return link
 
     def attach_host(
@@ -93,11 +102,7 @@ class Network:
         """Wire a host to an edge switch port."""
         host = self._require_host(host_name)
         point = ConnectPoint(dpid, port)
-        if point in self._attachments:
-            raise DataPlaneError(f"port already wired: {point}")
-        switch = self._require_switch(dpid)
-        if port not in switch.ports:
-            switch.add_port(port, speed_bps=capacity_bps)
+        self._claim_port(point, capacity_bps)
         link = Link(
             LinkEndpoint(switch_point=point),
             LinkEndpoint(host_name=host_name),
@@ -105,10 +110,30 @@ class Network:
             capacity_bps=capacity_bps,
         )
         self.links.append(link)
-        self._attachments[point] = link
-        self._host_links[host_name] = link
+        clock = self.sim.clock
+        self._egress[(dpid, port)] = (link, 0, lambda packet: host.deliver(packet, clock.now))
+        switch = self.switches[dpid]
+
+        def inject(packet: Packet) -> None:
+            now = clock.now
+            if link.try_send(1, packet.size, now):
+                switch.receive_packet(port, packet, now)
+
+        self._ingress[host_name] = (link, inject)
         host.attachment = point
         return link
+
+    def _claim_port(self, point: ConnectPoint, speed_bps: float) -> None:
+        """Refuse an already wired point; give its switch the port if new."""
+        if (point.dpid, point.port) in self._egress:
+            raise DataPlaneError(f"port already wired: {point}")
+        switch = self._require_switch(point.dpid)
+        if point.port not in switch.ports:
+            switch.add_port(point.port, speed_bps=speed_bps)
+
+    def _switch_receiver(self, dpid: Dpid, port: int) -> Receiver:
+        switch, clock = self.switches[dpid], self.sim.clock
+        return lambda packet: switch.receive_packet(port, packet, clock.now)
 
     def _require_switch(self, dpid: Dpid) -> OpenFlowSwitch:
         switch = self.switches.get(dpid)
@@ -126,53 +151,23 @@ class Network:
 
     def _transmit(self, switch: OpenFlowSwitch, port_no: int, packet: Packet, now: float) -> None:
         """Carry a packet leaving ``switch``:``port_no`` across its link."""
-        point = ConnectPoint(switch.dpid, port_no)
-        link = self._attachments.get(point)
-        if link is None:
+        egress = self._egress.get((switch.dpid, port_no))
+        if egress is None:
             # Unwired port: packet leaves the modeled network.
             return
-        endpoint = link.a if link.a.switch_point == point else link.b
-        direction = link.direction_from(endpoint)
-        if not link.try_send(direction, packet.size, now):
-            return
-        destination = link.other_end(endpoint)
-        packet = Packet(
-            headers=packet.headers,
-            size=packet.size,
-            packet_id=packet.packet_id,
-            created_at=packet.created_at,
-            hops=packet.hops + 1,
-        )
-        if destination.is_host:
-            host = self.hosts[destination.host_name]
-            self.sim.after(link.latency, lambda: host.deliver(packet, self.sim.now))
-        else:
-            target = self.switches[destination.switch_point.dpid]
-            in_port = destination.switch_point.port
-            self.sim.after(
-                link.latency,
-                lambda: target.receive_packet(in_port, packet, self.sim.now),
-            )
+        link, direction, receive = egress
+        if link.try_send(direction, packet.size, now):
+            self.sim.after(link.latency, partial(receive, packet))
 
     def inject_from_host(self, host_name: str, packet: Packet, when: Optional[float] = None) -> None:
         """Schedule a packet originating at a host."""
-        host = self._require_host(host_name)
-        link = self._host_links.get(host_name)
-        if link is None or host.attachment is None:
+        self._require_host(host_name)
+        ingress = self._ingress.get(host_name)
+        if ingress is None:
             raise DataPlaneError(f"host {host_name} is not attached")
-        point = host.attachment
-        switch = self.switches[point.dpid]
-
-        def deliver() -> None:
-            now = self.sim.now
-            direction = link.direction_from(
-                link.b if link.b.is_host else link.a
-            )
-            if link.try_send(direction, packet.size, now):
-                switch.receive_packet(point.port, packet, now)
-
+        link, inject = ingress
         when = self.sim.now if when is None else when
-        self.sim.at(when + link.latency, deliver)
+        self.sim.at(when + link.latency, partial(inject, packet))
 
     # -- housekeeping --------------------------------------------------------
 

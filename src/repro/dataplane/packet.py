@@ -3,7 +3,8 @@
 The simulator does not carry payload bytes; a :class:`Packet` is a header
 dict (the same field names :class:`repro.openflow.match.Match` uses) plus a
 size.  That is exactly the information OpenFlow matching and counters need,
-and it keeps per-packet simulation cheap enough to run scenario traffic.
+and it keeps per-packet simulation cheap enough to run scenario traffic: a
+packet is built once, where it is injected, and forwarded as is.
 """
 
 from __future__ import annotations
@@ -12,13 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
-from repro.openflow.constants import (
-    ETH_TYPE_ARP,
-    ETH_TYPE_IPV4,
-    IPPROTO_ICMP,
-    IPPROTO_TCP,
-    IPPROTO_UDP,
-)
+from repro.openflow.constants import ETH_TYPE_ARP, ETH_TYPE_IPV4, IPPROTO_TCP, IPPROTO_UDP
 
 _packet_ids = itertools.count(1)
 
@@ -64,43 +59,22 @@ def reverse_headers(headers: Dict[str, Any]) -> Dict[str, Any]:
     return {k: v for k, v in flipped.items() if v is not None}
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
-    """A simulated packet: headers + size + trace metadata."""
+    """A simulated packet: headers, size and an id kept across rewrites.
+
+    Forwarding never copies or mutates a packet: every hop and every
+    flooded copy carries the same object, and packets of one flow
+    direction may share one header dict.  Treat ``headers`` as read-only;
+    a set-field action goes through :meth:`rewritten`.
+    """
 
     headers: Dict[str, Any]
     size: int = 1000
     packet_id: int = field(default_factory=lambda: next(_packet_ids))
-    created_at: float = 0.0
-    hops: int = 0
-
-    def header(self, name: str, default: Any = None) -> Any:
-        return self.headers.get(name, default)
-
-    @property
-    def is_ip(self) -> bool:
-        return self.headers.get("eth_type") == ETH_TYPE_IPV4
-
-    @property
-    def is_tcp(self) -> bool:
-        return self.headers.get("ip_proto") == IPPROTO_TCP
-
-    @property
-    def is_udp(self) -> bool:
-        return self.headers.get("ip_proto") == IPPROTO_UDP
-
-    @property
-    def is_icmp(self) -> bool:
-        return self.headers.get("ip_proto") == IPPROTO_ICMP
 
     def rewritten(self, **updates: Any) -> "Packet":
         """Copy of the packet with some header fields replaced (set-field)."""
         headers = dict(self.headers)
         headers.update(updates)
-        return Packet(
-            headers=headers,
-            size=self.size,
-            packet_id=self.packet_id,
-            created_at=self.created_at,
-            hops=self.hops,
-        )
+        return Packet(headers=headers, size=self.size, packet_id=self.packet_id)

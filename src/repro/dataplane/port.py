@@ -8,7 +8,6 @@ the ``*_VAR`` variation features the LFA detector keys on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.openflow.messages import PortStatsEntry
 
@@ -29,15 +28,14 @@ class PortCounters:
 
 @dataclass
 class Port:
-    """A single switch port; ``peer`` is wired up by the Network."""
+    """A single switch port.  Where its packets go is resolved by the
+    Network when it wires the port, not stored here."""
 
     port_no: int
     name: str = ""
     up: bool = True
     speed_bps: float = 1e9
     counters: PortCounters = field(default_factory=PortCounters)
-    #: The Link object attached to this port (set by Network.wire).
-    link: Optional[object] = None
 
     def record_rx(self, size: int, packets: int = 1) -> None:
         self.counters.rx_packets += packets

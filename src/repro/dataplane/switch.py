@@ -6,6 +6,10 @@ flow and port counters on a hit, punt a PACKET_IN on a miss (buffering the
 packet so a later FLOW_MOD/PACKET_OUT with the buffer id releases it), and
 emit FLOW_REMOVED when entries expire.  Statistics requests are answered
 from live counters, which is where Athena's polled features originate.
+
+A forwarded packet costs one flow-table lookup and counter updates here;
+the packet itself is handed on unchanged (set-field actions and PACKET_IN
+copy, nothing else does).
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from repro.openflow.actions import (
 )
 from repro.openflow.constants import FlowModCommand, FlowRemovedReason
 from repro.openflow.flow import FlowEntry
-from repro.openflow.match import Match
 from repro.openflow.messages import (
     AggregateStatsReply,
     AggregateStatsRequest,
@@ -63,13 +66,14 @@ from repro.types import (
     OFPP_CONTROLLER,
     OFPP_FLOOD,
     OFPP_IN_PORT,
+    OFPP_MAX,
     format_dpid,
 )
 
 #: Signature of the upcall delivering a switch-originated message.
 ControlChannel = Callable[[OpenFlowMessage], None]
 #: Signature of the downcall transmitting a packet out of a port.
-TransmitFn = Callable[["OpenFlowSwitch", int, Packet], None]
+TransmitFn = Callable[["OpenFlowSwitch", int, Packet, float], None]
 
 
 class OpenFlowSwitch:
@@ -130,7 +134,11 @@ class OpenFlowSwitch:
     # -- data path -------------------------------------------------------
 
     def receive_packet(self, in_port: int, packet: Packet, now: float) -> None:
-        """Entry point for a packet arriving on ``in_port``."""
+        """Entry point for a packet arriving on ``in_port``.
+
+        The table sees the packet's own header dict and ``in_port`` as a
+        separate argument, so a hop copies nothing.
+        """
         port = self.ports.get(in_port)
         if port is None:
             raise DataPlaneError(f"{self.name}: no such port {in_port}")
@@ -139,9 +147,7 @@ class OpenFlowSwitch:
             self.packets_dropped += 1
             return
         port.record_rx(packet.size)
-        headers = dict(packet.headers)
-        headers["in_port"] = in_port
-        entry = self.table.lookup(headers)
+        entry = self.tables[0].lookup(packet.headers, in_port)
         if entry is None:
             self._punt(in_port, packet, now)
             return
@@ -175,10 +181,13 @@ class OpenFlowSwitch:
             return
         current = packet
         for action in actions:
-            if isinstance(action, ActionDrop):
+            # Output first: the reactive rules are all a single output.
+            if isinstance(action, ActionOutput):
+                self._output(action.port, in_port, current, now)
+            elif isinstance(action, ActionDrop):
                 self.packets_dropped += 1
                 return
-            if isinstance(action, ActionSetEthSrc):
+            elif isinstance(action, ActionSetEthSrc):
                 current = current.rewritten(eth_src=action.mac)
             elif isinstance(action, ActionSetEthDst):
                 current = current.rewritten(eth_dst=action.mac)
@@ -188,10 +197,11 @@ class OpenFlowSwitch:
                 current = current.rewritten(ip_dst=action.ip)
             elif isinstance(action, ActionController):
                 self._punt(in_port, current, now)
-            elif isinstance(action, ActionOutput):
-                self._output(action.port, in_port, current, now)
 
     def _output(self, out_port: int, in_port: int, packet: Packet, now: float) -> None:
+        if out_port < OFPP_MAX:
+            self._transmit_out(out_port, packet, now)
+            return
         if out_port == OFPP_CONTROLLER:
             self._punt(in_port, packet, now)
             return

@@ -18,8 +18,9 @@ pin a pair of fields inside an ``$and``.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import defaultdict
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.distdb.query import (
     collect_equality_pins,
@@ -90,6 +91,21 @@ def approx_size(doc: Dict[str, Any]) -> int:
     return size
 
 
+def _path_getter(field: str) -> Callable[[Dict[str, Any]], Any]:
+    """``doc -> get_path(doc, field)``; a plain field skips the path walk."""
+    if "." not in field:
+        return operator.methodcaller("get", field)
+    return lambda doc: get_path(doc, field)
+
+
+def _index_key(fields: Tuple[str, ...]) -> Callable[[Dict[str, Any]], Any]:
+    """``doc -> index key``: the field's value, or the fields' value tuple."""
+    getters = [_path_getter(field) for field in fields]
+    if len(getters) == 1:
+        return getters[0]
+    return lambda doc: tuple([get(doc) for get in getters])
+
+
 def _fill_index(index: Dict[Any, set], keys: List[Any], ids: List[Any]) -> None:
     for key, _id in zip(keys, ids):
         bucket = index.get(key)
@@ -110,6 +126,9 @@ class Collection:
         #: the single-field indexes and consulted first when a filter pins
         #: every field of the compound key.
         self._compound_indexes: Dict[Tuple[str, ...], Dict[Tuple[Any, ...], set]] = {}
+        #: Every index, single and compound, as ``(key of a doc, index)``
+        #: under its field tuple: what a write updates.
+        self._index_keys: Dict[Tuple[str, ...], Tuple[Callable[[Dict[str, Any]], Any], Dict[Any, set]]] = {}
         #: _id -> memoized approx_size of the stored document.
         self._size_cache: Dict[Any, int] = {}
         # Operation accounting.
@@ -130,34 +149,32 @@ class Collection:
         """
         if not fields:
             raise DatabaseError("create_index needs at least one field")
-        if len(fields) == 1:
-            field = fields[0]
-            index: Dict[Any, set] = defaultdict(set)
-            for _id, doc in self._docs.items():
-                index[get_path(doc, field)].add(_id)
-            self._indexes[field] = index
-            return
-        compound: Dict[Tuple[Any, ...], set] = defaultdict(set)
+        key_of = _index_key(fields)
+        index: Dict[Any, set] = defaultdict(set)
         for _id, doc in self._docs.items():
-            compound[tuple(get_path(doc, f) for f in fields)].add(_id)
-        self._compound_indexes[tuple(fields)] = compound
+            index[key_of(doc)].add(_id)
+        if len(fields) == 1:
+            self._indexes[fields[0]] = index
+        else:
+            self._compound_indexes[fields] = index
+        self._index_keys[fields] = (key_of, index)
 
     def _index_add(self, doc: Dict[str, Any]) -> None:
-        for field, index in self._indexes.items():
-            index.setdefault(get_path(doc, field), set()).add(doc["_id"])
-        for fields, index in self._compound_indexes.items():
-            key = tuple(get_path(doc, f) for f in fields)
-            index.setdefault(key, set()).add(doc["_id"])
+        _id = doc["_id"]
+        for key_of, index in self._index_keys.values():
+            key = key_of(doc)
+            bucket = index.get(key)
+            if bucket is None:
+                index[key] = {_id}
+            else:
+                bucket.add(_id)
 
     def _index_remove(self, doc: Dict[str, Any]) -> None:
-        for field, index in self._indexes.items():
-            bucket = index.get(get_path(doc, field))
+        _id = doc["_id"]
+        for key_of, index in self._index_keys.values():
+            bucket = index.get(key_of(doc))
             if bucket is not None:
-                bucket.discard(doc["_id"])
-        for fields, index in self._compound_indexes.items():
-            bucket = index.get(tuple(get_path(doc, f) for f in fields))
-            if bucket is not None:
-                bucket.discard(doc["_id"])
+                bucket.discard(_id)
 
     # -- writes --------------------------------------------------------------
 

@@ -39,17 +39,18 @@ class EventQueue:
     """A time-ordered queue of :class:`Event` objects."""
 
     def __init__(self) -> None:
-        self._heap: List[Tuple[float, int, Event]] = []
+        #: ``(time, seq, event)`` items; ``Simulator.run`` pops it directly.
+        self.heap: List[Tuple[float, int, Event]] = []
         self._counter = itertools.count()
 
     def __len__(self) -> int:
-        return sum(1 for _time, _seq, event in self._heap if not event.cancelled)
+        return sum(1 for _time, _seq, event in self.heap if not event.cancelled)
 
     def push(self, time: float, action: Callable[[], None]) -> Event:
         """Schedule ``action`` at simulated ``time`` and return its handle."""
         seq = next(self._counter)
         event = Event(time, seq, action)
-        heapq.heappush(self._heap, (time, seq, event))
+        heapq.heappush(self.heap, (time, seq, event))
         return event
 
     def rearm(self, event: Event, time: float) -> None:
@@ -57,11 +58,11 @@ class EventQueue:
         its handle (and so its cancellation) for the next firing."""
         event.time = time
         event.seq = seq = next(self._counter)
-        heapq.heappush(self._heap, (time, seq, event))
+        heapq.heappush(self.heap, (time, seq, event))
 
     def pop(self) -> Optional[Event]:
         """Remove and return the earliest live event, or ``None`` if empty."""
-        heap = self._heap
+        heap = self.heap
         while heap:
             event = heapq.heappop(heap)[2]
             if not event.cancelled:
@@ -70,7 +71,7 @@ class EventQueue:
 
     def peek_time(self) -> Optional[float]:
         """Return the firing time of the earliest live event, if any."""
-        heap = self._heap
+        heap = self.heap
         while heap and heap[0][2].cancelled:
             heapq.heappop(heap)
         return heap[0][0] if heap else None

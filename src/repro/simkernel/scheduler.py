@@ -3,13 +3,15 @@
 A :class:`Simulator` owns a :class:`~repro.simkernel.clock.SimClock` and an
 :class:`~repro.simkernel.events.EventQueue`.  Components schedule callbacks
 (absolute via :meth:`Simulator.at` or relative via :meth:`Simulator.after`)
-and the loop fires them in timestamp order, advancing the clock as it goes.
+and the loop fires them in timestamp order, advancing the clock as it goes;
+it pops the queue's heap itself, once per event.
 """
 
 # athena-lint: hot-path
 
 from __future__ import annotations
 
+from heapq import heappop
 from typing import Callable, Optional
 
 from repro.errors import SimulationError
@@ -78,16 +80,6 @@ class Simulator:
         handle = self.after(interval, fire)
         return handle
 
-    def step(self) -> bool:
-        """Fire the earliest event.  Returns ``False`` when the queue is empty."""
-        event = self._queue.pop()
-        if event is None:
-            return False
-        self.clock.advance_to(event.time)
-        event.action()
-        self._processed += 1
-        return True
-
     def run(
         self,
         until: Optional[float] = None,
@@ -95,25 +87,30 @@ class Simulator:
     ) -> int:
         """Run the loop until the queue drains, ``until`` passes, or
         ``max_events`` fire.  Returns the number of events fired by this call.
+
+        A live event costs one heap pop: the loop reads the head, drops it
+        if cancelled, and otherwise pops and fires it, unless it lies past
+        ``until`` — then the clock moves to ``until`` and the event stays.
         """
         if self._running:
             raise SimulationError("simulator loop is not reentrant")
         self._running = True
+        heap, clock = self._queue.heap, self.clock
         fired = 0
         try:
-            while True:
-                if max_events is not None and fired >= max_events:
+            while heap and (max_events is None or fired < max_events):
+                time, _seq, event = heap[0]
+                if event.cancelled:
+                    heappop(heap)
+                elif until is not None and time > until:
+                    clock.advance_to(until)
                     break
-                next_time = self._queue.peek_time()
-                if next_time is None:
-                    break
-                if until is not None and next_time > until:
-                    # Drain time up to the horizon without firing the event.
-                    self.clock.advance_to(until)
-                    break
-                if not self.step():
-                    break
-                fired += 1
+                else:
+                    heappop(heap)
+                    clock.advance_to(time)
+                    event.action()
+                    self._processed += 1
+                    fired += 1
         finally:
             self._running = False
         return fired

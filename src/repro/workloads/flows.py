@@ -77,7 +77,11 @@ class TrafficSchedule:
         return count
 
     def add_flow(self, spec: FlowSpec) -> int:
-        """Schedule every packet of one flow; returns packets scheduled."""
+        """Schedule every packet of one flow; returns packets scheduled.
+
+        All packets of one direction share one header dict: forwarding
+        never mutates a packet, so nothing needs its own copy.
+        """
         src = self._host(spec.src_host)
         dst = self._host(spec.dst_host)
         headers = flow_headers(
@@ -88,7 +92,7 @@ class TrafficSchedule:
         for when in send_times:
             self.network.inject_from_host(
                 spec.src_host,
-                Packet(headers=dict(headers), size=spec.packet_size),
+                Packet(headers=headers, size=spec.packet_size),
                 when=when,
             )
         scheduled = len(send_times)
@@ -109,7 +113,7 @@ class TrafficSchedule:
             for when in reverse_times:
                 self.network.inject_from_host(
                     spec.dst_host,
-                    Packet(headers=dict(reverse), size=spec.reverse_packet_size),
+                    Packet(headers=reverse, size=spec.reverse_packet_size),
                     when=when,
                 )
             scheduled += len(reverse_times)

@@ -3,7 +3,9 @@
 Deliberately naive — one plain list, linear scans, no index, no cache, no
 heap — so that what they compute is obviously the specification.  They
 took over the equivalence duty of the linear-scan, per-call and copy-first
-reference implementations that used to ship in ``src/`` behind a switch.
+reference implementations that used to ship in ``src/`` behind a switch,
+and :class:`ListSimulator` keeps the simulator loop as it was before it
+popped once per event.
 The one dict-based oracle, :class:`DictFlowStateTable`, is the flow table
 as it shipped before its entries were linked to their reverse flow: every
 flow keeps a copy of its indicators and every drop rebuilds the reverse
@@ -15,9 +17,11 @@ import statistics
 import numpy as np
 
 from repro.distdb.query import matches_filter, sort_documents
+from repro.errors import SimulationError
 from repro.openflow.constants import FlowRemovedReason
 from repro.openflow.flow import FlowEntry
 from repro.openflow.match import MATCH_FIELDS
+from repro.simkernel import SimClock
 
 
 def oracle_matches(match, headers):
@@ -108,6 +112,62 @@ class ListEventQueue:
     def peek_time(self):
         return next((e.time for e in self.events if not e.cancelled), None)
 
+    def rearm(self, event, time):
+        event.time, event.seq = time, self.seq
+        self.seq += 1
+        self.events = sorted(self.events + [event], key=lambda e: e.time)
+
+
+class ListSimulator:
+    """``Simulator`` on a :class:`ListEventQueue`, with the loop it had
+    before it popped once per event: peek at the next live time, stop at
+    the horizon, otherwise pop and fire."""
+
+    def __init__(self):
+        self.clock, self.queue, self.processed = SimClock(), ListEventQueue(), 0
+
+    @property
+    def now(self):
+        return self.clock.now
+
+    @property
+    def pending(self):
+        return len(self.queue)
+
+    def at(self, when, action):
+        if when < self.now:
+            raise SimulationError(f"cannot schedule event at {when} before now={self.now}")
+        return self.queue.push(when, action)
+
+    def after(self, delay, action):
+        return self.at(self.now + delay, action)
+
+    def every(self, interval, action, until=None):
+        def fire():
+            action()
+            next_time = self.now + interval
+            if not handle.cancelled and (until is None or next_time <= until):
+                self.queue.rearm(handle, next_time)
+
+        handle = self.after(interval, fire)
+        return handle
+
+    def run(self, until=None, max_events=None):
+        fired = 0
+        while max_events is None or fired < max_events:
+            next_time = self.queue.peek_time()
+            if next_time is None:
+                break
+            if until is not None and next_time > until:
+                self.clock.advance_to(until)
+                break
+            event = self.queue.pop()
+            self.clock.advance_to(event.time)
+            event.action()
+            self.processed += 1
+            fired += 1
+        return fired
+
 
 HARD, IDLE = FlowRemovedReason.HARD_TIMEOUT, FlowRemovedReason.IDLE_TIMEOUT
 
@@ -159,7 +219,9 @@ class ListFlowTable:
             entry.actions = list(actions)
         return len(covered)
 
-    def lookup(self, headers):
+    def lookup(self, headers, in_port=None):
+        if in_port is not None:
+            headers = {**headers, "in_port": in_port}
         winner = next((e for e in self.entries if oracle_matches(e.match, headers)), None)
         self.lookup_count += 1
         self.matched_count += winner is not None

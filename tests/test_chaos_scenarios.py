@@ -15,17 +15,18 @@ is simulated once no matter how many assertions consume it.
 """
 
 import functools
-import os
+import hashlib
 
 import pytest
 
 from repro.chaos import canned_plan
 from repro.chaos.scenarios import RECALL_TOLERANCE, run_scenario
 
-PLANS = ("midrun-failover", "shard-loss", "link-flap")
-# The ATHENA_CHAOS=1 CI leg widens the sweep to every canned plan.
-if os.environ.get("ATHENA_CHAOS") == "1":
-    PLANS = PLANS + ("total-db-outage", "noisy-southbound")
+# Under --wide (tests/conftest.py) the sweep covers every canned plan.
+PLANS = ("midrun-failover", "shard-loss", "link-flap") + tuple(
+    pytest.param(name, marks=pytest.mark.wide)
+    for name in ("total-db-outage", "noisy-southbound")
+)
 
 
 @functools.lru_cache(maxsize=None)
@@ -133,3 +134,23 @@ class TestDeterministicReplay:
         result = _run(scenario, "midrun-failover")
         data = json.loads(result.snapshot_json)
         assert data
+
+
+class TestPinnedSnapshots:
+    """sha256 of the snapshot ``repro.cli chaos --scenario S --plan P
+    --seed 7 --snapshot`` writes.  ``link-flap`` drives packets into a
+    downed link; any change to what the data plane forwards, drops or
+    counts, or to the order it does so in, moves these bytes."""
+
+    SNAPSHOT_SHA256 = {
+        ("portscan", "midrun-failover"): "4c289a00a9baa8b657a1c99577ca87fdae9164bf42fbe7aaae4682cf2bc3eda1",
+        ("ddos", "midrun-failover"): "f87a002d27bd8a26f261f634c98515b682bcf3d8cf15fe0433a09a9a11f342cd",
+        ("portscan", "link-flap"): "d3a05b78cfb4a432623b30cbfd3243d16312a451a812a8fe06ead4f21808a3ca",
+        ("ddos", "link-flap"): "03ba84622d85f89ffd0e43fad872030d049596ec71e757b7be4fcbc78a8d439b",
+    }
+
+    @pytest.mark.parametrize("which, plan_name", sorted(SNAPSHOT_SHA256))
+    def test_snapshot_bytes_are_pinned(self, which, plan_name):
+        snapshot = _run(which, plan_name, seed=7).snapshot_json
+        digest = hashlib.sha256(snapshot.encode()).hexdigest()
+        assert digest == self.SNAPSHOT_SHA256[(which, plan_name)]

@@ -1,5 +1,9 @@
 """Integration tests: the full Athena deployment over live topologies."""
 
+import functools
+import hashlib
+import json
+
 import pytest
 
 from repro.controller import ControllerCluster, ReactiveForwarding
@@ -14,6 +18,7 @@ from repro.dataplane.packet import Packet, flow_headers
 from repro.dataplane.topologies import enterprise_topology, linear_topology
 from repro.errors import AthenaError, ReactionError
 from repro.workloads.flows import FlowSpec, TrafficSchedule
+from repro.workloads.lfa import LFATrafficGenerator
 
 
 def _stack(topo=None, n_instances=1, poll_interval=2.0):
@@ -104,6 +109,96 @@ class TestFeaturePipeline:
         assert all(r.scope == FeatureScope.FLOW for r in received)
 
 
+@functools.lru_cache(maxsize=None)
+def _quarantine_run():
+    """h1 -> h3 traffic, then h1 quarantined toward the h2 honeypot and a
+    second flow; returns the network and h3's / h2's rx count at the
+    quarantine.  Cached: the tests below only read it."""
+    topo, cluster, athena, schedule = _stack()
+    net = topo.network
+    h1, h2, h3 = net.hosts["h1"], net.hosts["h2"], net.hosts["h3"]
+    schedule.add_flow(
+        FlowSpec(src_host="h1", dst_host="h3", rate_pps=10.0,
+                 start=1.0, duration=2.0)
+    )
+    net.sim.run(until=4.0)
+    # Quarantine h1: its traffic to h3 is rewritten toward h2 (honeypot).
+    athena.northbound.reactor(
+        None, QuarantineReaction(target_ips=[h1.ip], honeypot_ip=h2.ip)
+    )
+    before_h3, before_h2 = h3.rx_packets, h2.rx_packets
+    schedule.add_flow(
+        FlowSpec(src_host="h1", dst_host="h3", sport=42000,
+                 rate_pps=20.0, start=net.sim.now, duration=2.0)
+    )
+    net.sim.run(until=net.sim.now + 4.0)
+    return net, before_h3, before_h2
+
+
+def _lfa_run():
+    """A small link-flooding run: three bots and two benign senders on s1
+    toward s3, with the s2-s3 link cut to 2 Mbit/s so it drops packets."""
+    topo = linear_topology(n_switches=3, hosts_per_switch=3)
+    cluster = ControllerCluster(topo.network, n_instances=1)
+    cluster.adopt_all()
+    cluster.start(poll=False)
+    ReactiveForwarding().activate(cluster)
+    AthenaDeployment(cluster, athena_poll_interval=1.0).start()
+    net = topo.network
+    net.link_between(2, 3).capacity_bps = 2e6
+    schedule = TrafficSchedule(net)
+    schedule.prime_arp()
+    generator = LFATrafficGenerator(
+        bot_hosts=["h1", "h2", "h3"],
+        decoy_hosts=["h7", "h8"],
+        benign_pairs=[("h4", "h9"), ("h5", "h9")],
+        bot_rate_pps=120.0,
+        flows_per_bot=2,
+        attack_start=1.0,
+        attack_duration=2.0,
+    )
+    schedule.add_flows(generator.all_flows(benign_duration=3.0))
+    net.sim.run(until=4.0)
+    return net
+
+
+def _forwarding_digest(net):
+    """sha256 over every port's counters, every link's per-direction
+    totals and drops, every host's rx and the events fired."""
+    state = {
+        "ports": [
+            [dpid, port_no, vars(port.counters)]
+            for dpid, switch in sorted(net.switches.items())
+            for port_no, port in sorted(switch.ports.items())
+        ],
+        "links": [
+            [str(link), link.total_packets, link.total_bytes, link.dropped_packets]
+            for link in net.links
+        ],
+        "hosts": [[name, h.rx_packets, h.rx_bytes] for name, h in sorted(net.hosts.items())],
+        "events": net.sim.processed,
+    }
+    return hashlib.sha256(json.dumps(state, sort_keys=True).encode()).hexdigest()
+
+
+class TestForwardingPins:
+    """What the data plane forwarded, dropped and counted, pinned.  The
+    constants were recorded before forwarding stopped copying packets
+    per hop; a reordered event or a changed drop moves them."""
+
+    QUARANTINE_SHA256 = "a154745f9a903430639338d76b1ed3d86bfa7fe14ba3fd2ee8a8206defa3a493"
+    LFA_SHA256 = "6ee6be4343da866ac8447a2d5544d21a8de3986682766aab8da0f0b3e520f87f"
+
+    def test_quarantine_redirect_counters_are_pinned(self):
+        net, _before_h3, _before_h2 = _quarantine_run()
+        assert _forwarding_digest(net) == self.QUARANTINE_SHA256
+
+    def test_lfa_link_capacity_drops_are_pinned(self):
+        net = _lfa_run()
+        assert sum(sum(link.dropped_packets.values()) for link in net.links) > 0
+        assert _forwarding_digest(net) == self.LFA_SHA256
+
+
 class TestReactions:
     def test_block_stops_traffic(self):
         topo, cluster, athena, schedule = _stack()
@@ -133,26 +228,9 @@ class TestReactions:
         assert reactor.undo(h1.ip) >= 1
 
     def test_quarantine_redirects_to_honeypot(self):
-        topo, cluster, athena, schedule = _stack()
-        net = topo.network
-        h1, h2, h3 = net.hosts["h1"], net.hosts["h2"], net.hosts["h3"]
-        schedule.add_flow(
-            FlowSpec(src_host="h1", dst_host="h3", rate_pps=10.0,
-                     start=1.0, duration=2.0)
-        )
-        net.sim.run(until=4.0)
-        # Quarantine h1: its traffic to h3 is rewritten toward h2 (honeypot).
-        athena.northbound.reactor(
-            None, QuarantineReaction(target_ips=[h1.ip], honeypot_ip=h2.ip)
-        )
-        before_h3, before_h2 = h3.rx_packets, h2.rx_packets
-        schedule.add_flow(
-            FlowSpec(src_host="h1", dst_host="h3", sport=42000,
-                     rate_pps=20.0, start=net.sim.now, duration=2.0)
-        )
-        net.sim.run(until=net.sim.now + 4.0)
-        assert h3.rx_packets == before_h3
-        assert h2.rx_packets > before_h2
+        net, before_h3, before_h2 = _quarantine_run()
+        assert net.hosts["h3"].rx_packets == before_h3
+        assert net.hosts["h2"].rx_packets > before_h2
 
     def test_reactor_via_query_targets(self):
         topo, cluster, athena, schedule = _stack()

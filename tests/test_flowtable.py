@@ -385,6 +385,7 @@ def _packet_headers(i=0, tcp_dst=80, in_port=1):
 _MATCHES = st.one_of(
     st.builds(
         Match,
+        in_port=st.sampled_from([None, 1, 2]),
         ip_src=st.sampled_from([None, "10.0.0.1", "10.0.0.2"]),
         tcp_dst=st.sampled_from([None, 80, 81]),
     ),
@@ -478,7 +479,19 @@ class FlowTableMachine(RuleBasedStateMachine):
 
     @rule(headers=_HEADERS)
     def lookup(self, headers):
-        winner, expected = self.table.lookup(headers), self.oracle.lookup(headers)
+        self._lookup(headers)
+
+    @rule(headers=_HEADERS, in_port=st.integers(1, 4), keep_header=st.booleans())
+    def lookup_with_in_port_argument(self, headers, in_port, keep_header):
+        """How the switch looks up: the port as an argument, which
+        overrides an ``in_port`` header when one is kept."""
+        if not keep_header:
+            headers = {k: v for k, v in headers.items() if k != "in_port"}
+        self._lookup(headers, in_port)
+
+    def _lookup(self, headers, in_port=None):
+        winner = self.table.lookup(headers, in_port)
+        expected = self.oracle.lookup(headers, in_port)
         assert winner == expected
         # Traffic on the winner refreshes its idle deadline (the heap's
         # reschedule-on-pop path).

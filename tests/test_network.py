@@ -13,8 +13,8 @@ from repro.dataplane.topologies import (
     tree_topology,
 )
 from repro.errors import DataPlaneError
-from repro.openflow import ActionOutput, FlowMod, FlowModCommand, Match
-from repro.types import ConnectPoint
+from repro.openflow import ActionOutput, ActionSetIpDst, FlowMod, FlowModCommand, Match
+from repro.types import OFPP_FLOOD, ConnectPoint
 
 
 class TestPacketHelpers:
@@ -154,6 +154,84 @@ class TestNetworkWiring:
         host.on_receive = lambda packet, now: received.append(packet)
         host.deliver(Packet(headers={}, size=1), now=0.0)
         assert len(received) == 1
+
+
+def _chain(n_switches, hosts):
+    """Switches 1..n in a row (port 2 -> next switch's port 1) and hosts
+    as ``name -> (dpid, port)``; every delivery is logged per host."""
+    net = Network()
+    for dpid in range(1, n_switches + 1):
+        net.add_switch(dpid)
+    for dpid in range(1, n_switches):
+        net.add_link(dpid, 2, dpid + 1, 1)
+    received = {}
+    for i, (name, (dpid, port)) in enumerate(hosts.items(), start=1):
+        host = net.add_host(name, f"aa:00:00:00:00:{i:02x}", f"10.0.0.{i}")
+        net.attach_host(name, dpid, port)
+        received[name] = []
+        host.on_receive = lambda packet, now, log=received[name]: log.append(packet)
+    return net, received
+
+
+def _install(switch, actions):
+    switch.handle_message(
+        FlowMod(command=FlowModCommand.ADD, match=Match(), actions=actions), now=0.0
+    )
+
+
+class TestForwardingContract:
+    """A forwarded packet is never copied or mutated: the object injected
+    at a host is the object every receiving host gets; only a set-field
+    action makes a (rewritten) copy."""
+
+    @staticmethod
+    def _packet():
+        return Packet(headers=flow_headers(
+            "aa:00:00:00:00:01", "aa:00:00:00:00:02", "10.0.0.1", "10.0.0.2",
+            sport=1234, dport=80,
+        ), size=500)
+
+    def test_same_packet_and_headers_across_three_switches(self):
+        net, received = _chain(3, {"h1": (1, 100), "h2": (3, 100)})
+        for dpid, out in ((1, 2), (2, 2), (3, 100)):
+            _install(net.switches[dpid], [ActionOutput(port=out)])
+        packet = self._packet()
+        headers, before = packet.headers, dict(packet.headers)
+        net.inject_from_host("h1", packet)
+        net.sim.run()
+        assert len(received["h2"]) == 1
+        assert received["h2"][0] is packet
+        assert packet.headers is headers and headers == before
+        assert [s.packets_forwarded for s in net.switches.values()] == [1, 1, 1]
+
+    def test_flood_delivers_the_one_object_everywhere(self):
+        net, received = _chain(
+            2, {"h1": (1, 100), "h2": (1, 101), "h3": (2, 100), "h4": (2, 101)}
+        )
+        for switch in net.switches.values():
+            _install(switch, [ActionOutput(port=OFPP_FLOOD)])
+        packet = self._packet()
+        before = dict(packet.headers)
+        net.inject_from_host("h1", packet)
+        net.sim.run()
+        assert received["h1"] == []
+        for name in ("h2", "h3", "h4"):
+            assert len(received[name]) == 1 and received[name][0] is packet
+        assert packet.headers == before
+
+    def test_set_field_delivers_a_rewritten_copy(self):
+        net, received = _chain(2, {"h1": (1, 100), "h2": (2, 100)})
+        _install(net.switches[1], [ActionSetIpDst(ip="10.0.0.9"), ActionOutput(port=2)])
+        _install(net.switches[2], [ActionOutput(port=100)])
+        packet = self._packet()
+        before = dict(packet.headers)
+        net.inject_from_host("h1", packet)
+        net.sim.run()
+        (delivered,) = received["h2"]
+        assert delivered is not packet
+        assert delivered.headers == {**before, "ip_dst": "10.0.0.9"}
+        assert delivered.packet_id == packet.packet_id
+        assert packet.headers == before
 
 
 class TestTopologies:

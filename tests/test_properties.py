@@ -9,8 +9,6 @@ These complement the per-module tests with randomized invariant checks:
 * Athena query compilation vs direct evaluation.
 """
 
-import os
-
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -374,12 +372,9 @@ def _plan_from(events, seed):
     return plan
 
 
-# The ATHENA_CHAOS=1 CI leg explores a deeper random-plan space.
-_CHAOS_EXAMPLES = 40 if os.environ.get("ATHENA_CHAOS") == "1" else 12
-
-
+# The "chaos-plans" profile (tests/conftest.py) draws more plans under --wide.
 class TestChaosProperties:
-    @settings(max_examples=_CHAOS_EXAMPLES, deadline=None)
+    @settings(settings.get_profile("chaos-plans"))
     @given(events=_chaos_event_strategy(), seed=st.integers(0, 2**16))
     def test_random_plans_terminate_and_fire_every_event(self, events, seed):
         # Liveness: whatever the schedule, the sim drains (no deadlock)
@@ -393,7 +388,7 @@ class TestChaosProperties:
         topo.network.sim.run(until=7.0)
         assert chaos.faults_injected + chaos.faults_skipped == len(plan)
 
-    @settings(max_examples=_CHAOS_EXAMPLES, deadline=None)
+    @settings(settings.get_profile("chaos-plans"))
     @given(events=_chaos_event_strategy(), seed=st.integers(0, 2**16))
     def test_no_acknowledged_write_is_lost(self, events, seed):
         # Durability: features published during arbitrary faults are never
@@ -428,7 +423,7 @@ class TestChaosProperties:
         assert athena.feature_manager.pending_writes == 0
         assert athena.feature_manager.count_features() == published
 
-    @settings(max_examples=_CHAOS_EXAMPLES, deadline=None)
+    @settings(settings.get_profile("chaos-plans"))
     @given(events=_chaos_event_strategy(), seed=st.integers(0, 2**16))
     def test_every_switch_has_a_live_master_after_recovery(
         self, events, seed

@@ -1,12 +1,12 @@
 """Tests for the discrete-event kernel."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
 from repro.simkernel import EventQueue, SeededRng, SimClock, Simulator
 
-from tests.oracles import ListEventQueue
+from tests.oracles import ListEventQueue, ListSimulator
 
 
 class TestSimClock:
@@ -234,6 +234,80 @@ class TestSimulator:
             sim.at(t, lambda t=t: fired.append(t))
         sim.run()
         assert fired == sorted(fired)
+
+
+#: What a scheduled action does besides logging that it fired.
+_EFFECTS = st.one_of(
+    st.none(),
+    st.tuples(st.just("after"), st.sampled_from([0.0, 0.5, 1.0])),
+    st.tuples(st.just("cancel"), st.integers(0, 30)),
+)
+#: Every series ends (``until`` is never None), so ``run()`` drains.
+_SIM_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("at"), st.sampled_from([0.0, 0.5, 1.0, 1.5, 3.0]), _EFFECTS),
+        st.tuples(st.just("after"), st.sampled_from([0.0, 0.5, 1.0]), _EFFECTS),
+        st.tuples(st.just("every"), st.sampled_from([0.5, 1.0]), st.sampled_from([2.0, 4.0])),
+        st.tuples(st.just("cancel"), st.integers(0, 30), st.none()),
+        st.tuples(
+            st.just("run"),
+            st.sampled_from([None, 0.5, 1.0, 2.0, 5.0]),
+            st.sampled_from([None, 0, 1, 3]),
+        ),
+    ),
+    max_size=30,
+)
+
+
+class _SimScript:
+    """Applies one op sequence to a simulator and logs every firing."""
+
+    def __init__(self, sim):
+        self.sim, self.handles, self.log = sim, [], []
+
+    def _action(self, label, effect=None):
+        def fire():
+            self.log.append((label, self.sim.now))
+            if effect is not None and effect[0] == "after":
+                self.handles.append(self.sim.after(effect[1], self._action(f"{label}'")))
+            elif effect is not None and self.handles:
+                self.handles[effect[1] % len(self.handles)].cancel()
+
+        return fire
+
+    def apply(self, op, a, b):
+        """The op's return value, or the type of the error it raised."""
+        label = len(self.handles)
+        try:
+            if op == "at":
+                self.handles.append(self.sim.at(a, self._action(label, b)))
+            elif op == "after":
+                self.handles.append(self.sim.after(a, self._action(label, b)))
+            elif op == "every":
+                self.handles.append(self.sim.every(a, self._action(label), until=b))
+            elif op == "cancel" and self.handles:
+                self.handles[a % len(self.handles)].cancel()
+            elif op == "run":
+                return self.sim.run(until=a, max_events=b)
+        except SimulationError as exc:
+            return type(exc)
+        return None
+
+    def state(self):
+        return (self.log, self.sim.processed, self.sim.now, self.sim.pending)
+
+
+class TestRunAgainstPeekThenPopLoop:
+    @settings(max_examples=150, deadline=None)
+    @given(_SIM_OPS)
+    def test_same_firings_returns_counts_and_clock(self, ops):
+        """One pop per event fires what peek-then-pop fired: same order,
+        same clock, same stop at ``until`` / ``max_events``, with actions
+        that schedule and cancel other events."""
+        real, oracle = _SimScript(Simulator()), _SimScript(ListSimulator())
+        for op in ops + [("run", None, None)]:
+            assert real.apply(*op) == oracle.apply(*op)
+            assert real.state() == oracle.state()
 
 
 class TestSeededRng:

@@ -14,12 +14,11 @@ A property test then holds the two *drivers* against each other record
 by record: the same event interleaving through a FeatureGenerator and a
 StreamingPipeline yields identical flow records (one engine, two drivers).
 
-The default sweep runs each scenario at one seed; the
-``ATHENA_STREAMING=1`` CI leg widens it to extra seeds.
+The default sweep runs each scenario at one seed; ``--wide``
+(tests/conftest.py) adds two more.
 """
 
 import functools
-import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -46,10 +45,8 @@ from repro.streaming.scenarios import (
     run_streaming_scenario,
 )
 
-SEEDS = (0,)
-# The ATHENA_STREAMING=1 CI leg widens the sweep to extra seeds.
-if os.environ.get("ATHENA_STREAMING") == "1":
-    SEEDS = SEEDS + (1, 2)
+# Under --wide (tests/conftest.py) the sweep adds two seeds.
+SEEDS = (0, pytest.param(1, marks=pytest.mark.wide), pytest.param(2, marks=pytest.mark.wide))
 
 
 @functools.lru_cache(maxsize=None)
@@ -116,11 +113,10 @@ class TestDeterminism:
         assert first.alert_stream_digest == second.alert_stream_digest
         assert len(first.alert_stream_json) > 2  # non-empty stream
 
-    def test_different_seeds_still_detect(self):
+    def test_different_seeds_still_detect(self, request):
         # Determinism must not come from ignoring the seed entirely.
         base = _run("portscan", 0)
-        other = _run("portscan", 1) if os.environ.get(
-            "ATHENA_STREAMING") == "1" else base
+        other = _run("portscan", 1) if request.config.getoption("--wide") else base
         assert other.streaming_detected
 
 
