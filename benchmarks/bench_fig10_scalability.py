@@ -142,82 +142,3 @@ def test_fig10_scalability(benchmark, dataset, recorder):
     for n_workers in NODE_COUNTS:
         assert athena_times[n_workers] / raw_times[n_workers] < 1.25
 
-
-# -- measured wall clock on the process backend -------------------------------
-
-PROCESS_WORKER_COUNTS = (1, 2, 4)
-#: Fixed partition count so every configuration runs the identical task
-#: graph; only the worker count (and therefore real parallelism) varies.
-WALLCLOCK_PARTITIONS = 8
-
-
-def _wallclock_workload():
-    """A training workload heavy enough for real speedup to show.
-
-    K-Means over a ~240k x 16 matrix: each round's map tasks dominate the
-    per-round IPC (one chunk per worker; partitions are fork-inherited,
-    so nothing but centers and partials moves per round).
-    """
-    import numpy as np
-
-    rng = np.random.default_rng(42)
-    return rng.normal(size=(240_000, 16))
-
-
-def _train_wallclock(matrix, n_workers: int, backend: str):
-    from repro.compute import PartitionedDataset
-    from repro.ml.kmeans import KMeans
-
-    cluster = ComputeCluster(n_workers, backend=backend)
-    dataset = PartitionedDataset.from_matrix(matrix, WALLCLOCK_PARTITIONS)
-    model = KMeans(k=12, max_iterations=12, epsilon=0.0, seed=9)
-    model.fit_distributed(cluster, dataset)
-    return model, model.last_job_report
-
-
-def test_fig10_measured_wallclock(benchmark, recorder):
-    """Real elapsed training time, serial vs process x worker count."""
-    import os
-
-    matrix = _wallclock_workload()
-    serial_model, serial_report = benchmark.pedantic(
-        lambda: _train_wallclock(matrix, 1, "serial"), rounds=1, iterations=1
-    )
-    recorder.add_row(
-        backend="serial", workers=1,
-        wall_s=serial_report.wall_seconds,
-        modeled_makespan_s=serial_report.makespan_seconds,
-        fallback_tasks=serial_report.fallback_tasks,
-    )
-    wall = {}
-    for n_workers in PROCESS_WORKER_COUNTS:
-        model, report = _train_wallclock(matrix, n_workers, "process")
-        assert report.backend == "process"
-        # The pool really ran every task and trained the same model.
-        assert report.fallback_tasks == 0
-        assert (model.centers == serial_model.centers).all()
-        wall[n_workers] = report.wall_seconds
-        recorder.add_row(
-            backend="process", workers=n_workers,
-            wall_s=report.wall_seconds,
-            modeled_makespan_s=report.makespan_seconds,
-            fallback_tasks=report.fallback_tasks,
-        )
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
-        else (os.cpu_count() or 1)
-    speedup = wall[1] / wall[4]
-    recorder.set_meta(
-        matrix_shape=f"{matrix.shape[0]}x{matrix.shape[1]}",
-        partitions=WALLCLOCK_PARTITIONS,
-        cpus_available=cpus,
-        speedup_1_to_4=f"{speedup:.2f}x",
-    )
-    recorder.print_table(
-        "Figure 10 (measured): K-Means training wall clock vs process workers"
-    )
-    if cpus >= 4:
-        # With real cores behind the pool, 4 workers must beat 1 clearly.
-        assert speedup > 1.5, (
-            f"expected >1.5x speedup from 1 to 4 process workers on a "
-            f"{cpus}-CPU machine, measured {speedup:.2f}x"
-        )

@@ -7,9 +7,8 @@ the framework flows through instruments that can be snapshot, disabled,
 and audited in one place.  ATH1xx deliberately permits those duration
 clocks (profiling does not perturb simulated results); this checker
 closes the remaining gap by restricting the raw calls to the modules
-that implement the measurement substrate itself — ``repro.telemetry``,
-``repro.simkernel``, and ``repro.compute.backends`` (whose pool
-processes measure task time without a registry).
+that implement the measurement substrate itself — ``repro.telemetry``
+and ``repro.simkernel``.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ _DURATION_CLOCKS = {
 
 #: Module path prefixes allowed to touch the raw clocks (relative to the
 #: package root, matching how athena-lint reports relpaths).
-_EXEMPT_PREFIXES = ("telemetry", "simkernel", "compute/backends")
+_EXEMPT_PREFIXES = ("telemetry", "simkernel")
 
 
 class TelemetryChecker(Checker):

@@ -12,7 +12,7 @@ simulator and applies it to the matching layer:
   data-plane link faults (ports flip too, so PortStatus reaches the
   controller);
 * ``worker_crash`` — the next tasks on a compute worker raise, driving
-  the backend's retry-on-another-worker path;
+  the compute cluster's retry-on-another-worker path;
 * ``sb_drop`` / ``sb_delay`` / ``sb_dup`` — probabilistic southbound
   channel faults on one instance, drawn from a :class:`SeededRng` stream
   per fault event.

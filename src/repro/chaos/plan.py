@@ -40,7 +40,7 @@ FAULT_KINDS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
     # when given.
     "partition": (("groups",), ("duration",)),
     # Compute-worker crash: the next ``count`` tasks scheduled onto the
-    # worker raise, exercising the backend retry path.
+    # worker raise, exercising the cluster's retry path.
     "worker_crash": (("worker",), ("count",)),
     # Southbound message faults on one controller instance's channels.
     "sb_drop": (("instance", "rate"), ("duration", "direction")),

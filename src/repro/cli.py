@@ -20,7 +20,6 @@ from typing import List, Optional
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
-    from repro.compute import available_backends
     from repro.core.features.catalog import FEATURE_CATALOG
     from repro.core.northbound import AthenaNorthbound
     from repro.core.utility import utility_api_count
@@ -32,7 +31,6 @@ def _cmd_info(args: argparse.Namespace) -> int:
     print(f"  utility APIs        : {utility_api_count()}")
     print(f"  ML algorithms       : {len(list_algorithms())} "
           f"({', '.join(list_algorithms())})")
-    print(f"  compute backends    : {', '.join(available_backends())}")
     return 0
 
 
@@ -63,7 +61,7 @@ def _cmd_ddos(args: argparse.Namespace) -> int:
     topo = enterprise_topology()
     cluster = ControllerCluster(topo.network, n_instances=3)
     cluster.adopt_domains(topo.domains)
-    compute = ComputeCluster(n_workers=args.workers, backend=args.backend)
+    compute = ComputeCluster(n_workers=args.workers)
     athena = AthenaDeployment(
         cluster,
         compute=compute,
@@ -384,9 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="fraction of the paper's 37.37M entries")
     ddos.add_argument("--algorithm", default="kmeans",
                       help="any registered algorithm name")
-    ddos.add_argument("--backend", choices=["serial", "process"], default=None,
-                      help="compute execution backend (default: "
-                           "$ATHENA_COMPUTE_BACKEND or serial)")
     ddos.add_argument("--workers", type=int, default=4,
                       help="compute cluster worker count")
     ddos.add_argument("--distributed-threshold", type=int, default=50_000,

@@ -1,11 +1,12 @@
-"""The compute cluster: scheduling, execution backends, and the makespan model.
+"""The compute cluster: scheduling, task execution, and the makespan model.
 
-**Execution.**  Every job runs for real through a pluggable
-:class:`~repro.compute.backends.ExecutionBackend`: serially in the driver
-process (default, bit-for-bit deterministic) or across genuine worker
-processes (``backend="process"``), with each task's wall time measured
-either way.  ``JobReport.wall_seconds`` is the job's real elapsed time —
-the number the measured Figure 10 curve plots.
+**Execution.**  Every job runs for real in the driver process: tasks are
+placed on :class:`~repro.compute.worker.Worker` records, run one at a time
+in task-index order, and each task's wall time is measured and credited to
+the worker that spent it.  ``JobReport.wall_seconds`` is the job's real
+elapsed time.  A process pool was measured against this path and lost at
+every size a 2-vCPU host can run (``docs/COMPUTE.md``), so this is the only
+one.
 
 **Cost model.**  The paper measures total test time of a distributed
 validation job as compute nodes are added (Figure 10) over a 37M-entry
@@ -35,9 +36,8 @@ Figure 10 bench.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from repro.compute.backends import ExecutionBackend, create_backend, lpt_assignment
 from repro.compute.partition import PartitionedDataset
 from repro.compute.worker import Worker
 from repro.errors import ComputeError
@@ -46,7 +46,7 @@ from repro.telemetry import Stopwatch, get_telemetry
 
 @dataclass
 class ClusterConfig:
-    """Distribution-cost constants (seconds) and execution limits."""
+    """Distribution-cost constants (seconds) and the retry budget."""
 
     #: One-off job submission and DAG scheduling cost.
     t_setup: float = 0.9
@@ -57,16 +57,9 @@ class ClusterConfig:
     #: Calibration multiplier applied to measured task time, so scaled-down
     #: datasets occupy workers the way the paper's 37M-entry dataset did.
     work_scale: float = 1.0
-    #: Times a failed task is re-executed before the job aborts (Spark's
-    #: ``spark.task.maxFailures`` analogue).  The process backend restarts
-    #: its pool this many times before falling back to serial execution.
+    #: Times a failed task is re-executed on the next worker before the
+    #: job aborts (Spark's ``spark.task.maxFailures`` analogue).
     task_retries: int = 2
-    #: Per-task wall-clock limit on the process backend (None = unlimited).
-    #: A timed-out chunk counts as a failed attempt.
-    task_timeout: Optional[float] = None
-    #: Maximum tasks per dispatch chunk on the process backend (None = one
-    #: chunk per scheduled worker).
-    chunk_size: Optional[int] = None
 
 
 @dataclass
@@ -79,16 +72,14 @@ class JobReport:
     measured_task_seconds: float
     measured_reduce_seconds: float
     makespan_seconds: float
-    #: Real elapsed time of the whole job (the measured Fig. 10 number).
+    #: Real elapsed time of the whole job.
     wall_seconds: float = 0.0
-    #: Which execution backend ran the tasks.
+    #: ``"serial"`` for a cluster job, ``"local"`` for :meth:`run_local`.
     backend: str = "serial"
-    #: Approximate bytes moved across process boundaries (process backend).
+    #: Bytes moved between processes; every task runs in the driver, so 0.
     bytes_shuffled: int = 0
     #: Failed task attempts that were retried during this job.
     tasks_retried: int = 0
-    #: Tasks that fell back to in-process execution (process backend only).
-    fallback_tasks: int = 0
     per_worker_busy: List[float] = field(default_factory=list)
     #: Per-round, per-worker busy seconds — the makespan model's input.
     per_round_busy: List[List[float]] = field(default_factory=list)
@@ -96,30 +87,20 @@ class JobReport:
 
 
 class ComputeCluster:
-    """A fixed-size pool of workers executing partitioned jobs.
-
-    ``backend`` selects how tasks execute: ``"serial"`` (default),
-    ``"process"``, an :class:`ExecutionBackend` instance, or ``None`` to
-    defer to the runtime config (``ATHENA_COMPUTE_BACKEND``).  Every
-    job method also takes a per-job ``backend`` override, which is how the
-    northbound API selects a backend per detection task.
-    """
+    """A fixed-size pool of workers executing partitioned jobs."""
 
     def __init__(
-        self,
-        n_workers: int = 4,
-        config: Optional[ClusterConfig] = None,
-        backend: Any = None,
+        self, n_workers: int = 4, config: Optional[ClusterConfig] = None
     ) -> None:
         if n_workers < 1:
             raise ComputeError("cluster needs at least one worker")
         self.workers = [Worker(i) for i in range(n_workers)]
         self.config = config or ClusterConfig()
-        self.backend = create_backend(backend)
         self.jobs_run = 0
         self.tasks_retried = 0
-        self.tasks_fallback = 0
-        # Telemetry: JobReport fields fold into these after every job.
+        # Telemetry: JobReport fields fold into these after every job.  The
+        # fallback and shuffle counters stay registered (always 0) so the
+        # exported metric set is stable.
         registry = get_telemetry().registry
         self._metric_jobs = registry.counter(
             "athena_compute_jobs_total",
@@ -134,11 +115,11 @@ class ComputeCluster:
             "athena_compute_tasks_retried_total",
             "Failed task attempts that were retried.",
         )
-        self._metric_fallback = registry.counter(
+        registry.counter(
             "athena_compute_fallback_tasks_total",
             "Tasks that fell back to in-process execution.",
         )
-        self._metric_shuffle_bytes = registry.counter(
+        registry.counter(
             "athena_compute_shuffle_bytes_total",
             "Bytes moved across process boundaries.",
         )
@@ -153,8 +134,6 @@ class ComputeCluster:
         self._metric_jobs.labels(backend=report.backend).inc()
         self._metric_tasks.inc(report.n_tasks)
         self._metric_retried.inc(report.tasks_retried)
-        self._metric_fallback.inc(report.fallback_tasks)
-        self._metric_shuffle_bytes.inc(report.bytes_shuffled)
         self._metric_job_wall.labels(backend=report.backend).observe(
             report.wall_seconds
         )
@@ -164,35 +143,32 @@ class ComputeCluster:
     def n_workers(self) -> int:
         return len(self.workers)
 
-    @property
-    def backend_name(self) -> str:
-        return self.backend.name
-
-    def _backend_for(self, backend: Any) -> ExecutionBackend:
-        """Per-job backend override; ``None`` keeps the cluster default."""
-        return self.backend if backend is None else create_backend(backend)
-
     def _schedule(self, costs: Sequence[float]) -> List[int]:
-        """LPT assignment: task index -> worker index."""
-        return lpt_assignment(costs, self.n_workers)
+        """Longest-processing-time-first: task index -> worker index."""
+        order = sorted(range(len(costs)), key=lambda i: -costs[i])
+        loads = [0.0] * self.n_workers
+        assignment = [0] * len(costs)
+        for task_idx in order:
+            worker_idx = loads.index(min(loads))
+            assignment[task_idx] = worker_idx
+            loads[worker_idx] += costs[task_idx]
+        return assignment
 
     def run_map(
         self,
         dataset: PartitionedDataset,
         map_fn: Callable[[Any], Any],
         reduce_fn: Optional[Callable[[List[Any]], Any]] = None,
-        backend: Any = None,
     ) -> JobReport:
         """One map round over every partition plus a driver-side reduce."""
         return self.run_iterative(
             dataset,
-            _StatelessTask(map_fn),
+            lambda part, _state: map_fn(part),
             lambda partials, _state: (
                 reduce_fn(partials) if reduce_fn else partials
             ),
             initial_state=None,
             rounds=1,
-            backend=backend,
         )
 
     def run_iterative(
@@ -203,54 +179,55 @@ class ComputeCluster:
         initial_state: Any,
         rounds: int,
         converged: Optional[Callable[[Any, Any], bool]] = None,
-        backend: Any = None,
     ) -> JobReport:
         """Iterative map/reduce (the K-Means / gradient-descent shape).
 
         Each round maps ``map_fn(partition, state)`` over all partitions and
         folds the partial results with ``reduce_fn(partials, state)`` into
         the next state.  ``converged(old, new)`` may stop the loop early.
-        The reduce always sees partials in partition order, whichever
-        backend (and completion order) produced them.
+        The reduce always sees partials in partition order.
         """
         if rounds < 1:
             raise ComputeError(f"invalid round count {rounds}")
         for worker in self.workers:
             worker.reset()
         self.jobs_run += 1
-        engine = self._backend_for(backend)
+        partitions = dataset.partitions
+        # A task's scheduling cost is its partition's record count.
+        assignment = self._schedule([
+            float(len(p[0]) if isinstance(p, tuple) else len(p))
+            for p in partitions
+        ])
         wall_watch = Stopwatch()
         state = initial_state
         total_task_seconds = 0.0
         total_reduce_seconds = 0.0
-        bytes_shuffled = 0
         job_retried = 0
-        job_fallback = 0
-        n_tasks = 0
         rounds_run = 0
         per_round_busy: List[List[float]] = []
-        engine.open(dataset.partitions, self.workers, self.config)
-        try:
-            for _round in range(rounds):
-                rounds_run += 1
-                stats = engine.run_round(map_fn, state)
-                per_round_busy.append(stats.busy)
-                total_task_seconds += stats.task_seconds
-                bytes_shuffled += stats.bytes_shuffled
-                job_retried += stats.retried
-                job_fallback += stats.fallback_tasks
-                n_tasks += len(stats.results)
-                reduce_watch = Stopwatch()
-                new_state = reduce_fn(stats.results, state)
-                total_reduce_seconds += reduce_watch.elapsed()
-                if converged is not None and converged(state, new_state):
-                    state = new_state
-                    break
+        for _round in range(rounds):
+            rounds_run += 1
+            busy = [0.0] * self.n_workers
+            results = []
+            for part, worker_idx in zip(partitions, assignment):
+                result, attempts = self._execute_with_retries(
+                    worker_idx, map_fn, part, state
+                )
+                for worker_id, elapsed in attempts:
+                    busy[worker_id] += elapsed
+                    total_task_seconds += elapsed
+                job_retried += len(attempts) - 1
+                results.append(result)
+            per_round_busy.append(busy)
+            reduce_watch = Stopwatch()
+            new_state = reduce_fn(results, state)
+            total_reduce_seconds += reduce_watch.elapsed()
+            if converged is not None and converged(state, new_state):
                 state = new_state
-        finally:
-            engine.close()
+                break
+            state = new_state
         self.tasks_retried += job_retried
-        self.tasks_fallback += job_fallback
+        n_tasks = rounds_run * len(partitions)
         cfg = self.config
         # Makespan: per-round critical path is the busiest worker that
         # round (rounds end at the driver-side reduce barrier).
@@ -272,14 +249,45 @@ class ComputeCluster:
             measured_reduce_seconds=total_reduce_seconds,
             makespan_seconds=makespan,
             wall_seconds=wall_watch.elapsed(),
-            backend=engine.name,
-            bytes_shuffled=bytes_shuffled,
             tasks_retried=job_retried,
-            fallback_tasks=job_fallback,
             per_worker_busy=[w.busy_seconds for w in self.workers],
             per_round_busy=per_round_busy,
             result=state,
         ))
+
+    def _execute_with_retries(
+        self, worker_idx: int, map_fn, payload, state
+    ) -> Tuple[Any, List[Tuple[int, float]]]:
+        """Run a task, retrying on the next worker after a failure.
+
+        Returns (result, [(worker_idx, elapsed), ...]) so every attempt's
+        time lands on the worker that spent it — failed attempts cost real
+        makespan, as they do on Spark.  A :class:`ComputeError` from the
+        task aborts the job at once; any other exception is retried up to
+        ``config.task_retries`` times.
+        """
+        attempts = []
+        last_error: Optional[BaseException] = None
+        for attempt in range(self.config.task_retries + 1):
+            worker = self.workers[(worker_idx + attempt) % self.n_workers]
+            started_busy = worker.busy_seconds
+            try:
+                result, elapsed = worker.execute(
+                    lambda part: map_fn(part, state), payload
+                )
+                attempts.append((worker.worker_id, elapsed))
+                return result, attempts
+            except ComputeError:
+                raise
+            except Exception as exc:  # noqa: BLE001 - task code is arbitrary
+                attempts.append(
+                    (worker.worker_id, worker.busy_seconds - started_busy)
+                )
+                last_error = exc
+        raise ComputeError(
+            f"task failed after {self.config.task_retries + 1} attempts: "
+            f"{last_error}"
+        ) from last_error
 
     def run_local(
         self,
@@ -310,15 +318,3 @@ class ComputeCluster:
             per_worker_busy=[elapsed],
             result=result,
         ))
-
-
-class _StatelessTask:
-    """Adapts a one-argument map function to the (partition, state) task
-    shape without capturing a closure, so it stays picklable whenever the
-    wrapped function is."""
-
-    def __init__(self, fn: Callable[[Any], Any]) -> None:
-        self.fn = fn
-
-    def __call__(self, part: Any, _state: Any) -> Any:
-        return self.fn(part)

@@ -76,18 +76,17 @@ class PartitionedDataset:
         return total
 
     def map_partitions(
-        self, fn: Callable[[Any], Any], cluster=None, backend=None
+        self, fn: Callable[[Any], Any], cluster=None
     ) -> "PartitionedDataset":
         """Eagerly apply ``fn`` per partition.
 
         Driver-local by default; pass a
-        :class:`~repro.compute.cluster.ComputeCluster` (and optionally a
-        ``backend`` name) to execute the transformation as a distributed
-        map job on that cluster's workers instead.
+        :class:`~repro.compute.cluster.ComputeCluster` to execute the
+        transformation as a map job on that cluster's workers instead.
         """
         if cluster is None:
             return PartitionedDataset([fn(part) for part in self._partitions])
-        report = cluster.run_map(self, fn, backend=backend)
+        report = cluster.run_map(self, fn)
         return PartitionedDataset(report.result)
 
     def repartition(self, n_partitions: int) -> "PartitionedDataset":

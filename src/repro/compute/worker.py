@@ -1,37 +1,25 @@
-"""Compute workers: in-process executors and the process-pool task runner.
+"""Compute workers: the executor records tasks run on.
 
-Two kinds of worker live here:
-
-* :class:`Worker` — the driver-side executor record.  Under the serial
-  backend it *runs* tasks (in-process, wall time measured); under the
-  process backend it is the accounting slot that real pool processes map
-  onto, so per-worker busy time and task counts stay meaningful either
-  way.
-* the pool side — :func:`initialize_pool_worker` and
-  :func:`execute_task_chunk` are the functions a
-  ``ProcessPoolExecutor`` child runs.  The job's partitions are cached
-  once per process (inherited zero-copy under the ``fork`` start method,
-  shipped through the pool initializer otherwise) so each round only
-  moves the map function, the broadcast state, and the partial results —
-  the Spark dataflow shape, not a per-round re-shuffle of the dataset.
+A :class:`Worker` runs a task in the driver process, measures its wall
+time, and keeps the per-job busy time and task count the makespan model
+reads.  Chaos plans arm injected crashes on it to drive the cluster's
+retry-on-another-worker path.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Tuple
 
-from repro.errors import ComputeError
 from repro.telemetry.clocks import Stopwatch
 
 
 class InjectedWorkerCrash(RuntimeError):
     """A chaos-injected worker crash.
 
-    Deliberately *not* a :class:`~repro.errors.ComputeError`: the
-    execution backends treat ComputeError as fatal but retry arbitrary
-    task exceptions on another worker, which is exactly the failover path
-    a crash should exercise.
+    Deliberately *not* a :class:`~repro.errors.ComputeError`: the cluster
+    treats ComputeError as fatal but retries arbitrary task exceptions on
+    another worker, which is exactly the failover path a crash should
+    exercise.
     """
 
 
@@ -66,70 +54,11 @@ class Worker:
             result = fn(payload)
         finally:
             elapsed = watch.elapsed()
-            self.credit(elapsed)
+            self.busy_seconds += elapsed
+            self.tasks_run += 1
         return result, elapsed
-
-    def credit(self, elapsed: float) -> None:
-        """Account time spent on this slot by an out-of-process executor."""
-        self.busy_seconds += elapsed
-        self.tasks_run += 1
 
     def reset(self) -> None:
         """Per-job accounting reset; armed chaos crashes survive it."""
         self.busy_seconds = 0.0
         self.tasks_run = 0
-
-
-# -- process-pool side --------------------------------------------------------
-
-#: The current job's partitions, cached per process.  In the pool parent
-#: this is set before the pool is created so ``fork``-started children
-#: inherit it copy-on-write; under other start methods the initializer
-#: receives a pickled copy instead.
-_CACHED_PARTITIONS: Optional[List[Any]] = None
-
-
-def set_cached_partitions(partitions: Optional[List[Any]]) -> None:
-    """Install (or clear) the partition cache in this process."""
-    global _CACHED_PARTITIONS
-    _CACHED_PARTITIONS = partitions
-
-
-def cached_partitions() -> Optional[List[Any]]:
-    return _CACHED_PARTITIONS
-
-
-def initialize_pool_worker(partitions: Optional[List[Any]]) -> None:
-    """Pool initializer: adopt the job's partitions in a child process.
-
-    ``partitions`` is ``None`` under the ``fork`` start method — the child
-    already inherited the parent's cache and nothing needs to be shipped.
-    """
-    if partitions is not None:
-        set_cached_partitions(partitions)
-
-
-def execute_task_chunk(
-    indices: Sequence[int],
-    map_fn: Callable[[Any, Any], Any],
-    state: Any,
-) -> Tuple[int, List[Tuple[int, Any, float]]]:
-    """Run one chunk of tasks against the cached partitions (pool side).
-
-    Returns ``(pid, [(task_index, result, elapsed_seconds), ...])`` so the
-    driver can both reassemble results in task order and attribute each
-    task's measured time to the pool process that spent it.
-    """
-    partitions = cached_partitions()
-    if partitions is None:
-        raise ComputeError(
-            "pool worker has no cached partitions; the pool initializer "
-            "did not run (or the job was already closed)"
-        )
-    results: List[Tuple[int, Any, float]] = []
-    watch = Stopwatch()
-    for index in indices:
-        watch.restart()
-        result = map_fn(partitions[index], state)
-        results.append((index, result, watch.elapsed()))
-    return os.getpid(), results

@@ -24,7 +24,7 @@ _ENABLING = ("1", "true", "yes", "on")
 
 @dataclass(frozen=True)
 class RuntimeConfig:
-    """The three independently settable runtime values."""
+    """The two independently settable runtime switches."""
 
     #: ``ATHENA_SKETCH`` — feature generation also emits the approximate,
     #: bounded-memory ``SKETCH_*`` scope (docs/SKETCH.md).
@@ -32,9 +32,6 @@ class RuntimeConfig:
     #: ``ATHENA_TELEMETRY`` — the process-wide telemetry facade is created
     #: enabled (docs/TELEMETRY.md).
     telemetry: bool = False
-    #: ``ATHENA_COMPUTE_BACKEND`` — execution backend of compute clusters
-    #: built without an explicit one (docs/COMPUTE.md).
-    compute_backend: str = "serial"
 
 
 def from_env(environ: Optional[Mapping[str, str]] = None) -> RuntimeConfig:
@@ -45,8 +42,7 @@ def from_env(environ: Optional[Mapping[str, str]] = None) -> RuntimeConfig:
     for spec in fields(RuntimeConfig):
         raw = environ.get("ATHENA_" + spec.name.upper(), "").strip().lower()
         if raw:
-            is_switch = isinstance(spec.default, bool)
-            values[spec.name] = raw in _ENABLING if is_switch else raw
+            values[spec.name] = raw in _ENABLING
     return RuntimeConfig(**values)
 
 

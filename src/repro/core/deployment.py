@@ -109,9 +109,7 @@ class AthenaDeployment:
             # before anything below binds one.
             configure_telemetry(enabled=config.telemetry)
         self.database = database or DatabaseCluster(n_shards=3)
-        self.compute = compute or ComputeCluster(
-            n_workers=4, backend=self.config.compute_backend
-        )
+        self.compute = compute or ComputeCluster(n_workers=4)
         # Spans record deterministic sim-clock durations alongside wall time.
         sim = cluster.network.sim
         get_telemetry().set_sim_time_source(lambda: sim.now)

@@ -133,15 +133,11 @@ class DetectorManager:
         preprocessor: Preprocessor,
         algorithm: Algorithm,
         documents: Optional[List[Document]] = None,
-        backend: Optional[str] = None,
     ) -> DetectionModel:
         """GenerateDetectionModel(q, f, a).
 
         ``documents`` short-circuits the feature fetch when the caller
         already holds the training documents (bench replay path).
-        ``backend`` selects the compute execution backend for this
-        detection task's distributed training job (``"serial"`` /
-        ``"process"``; ``None`` keeps the cluster default).
         """
         watch = Stopwatch()
         with self._telemetry.span("detector.generate_model"):
@@ -162,11 +158,11 @@ class DetectorManager:
                         f"{algorithm.name} needs labels; configure Marking in the preprocessor"
                     )
                 job_report = self.attack_detector.run_training(
-                    estimator, matrix, marks, algorithm, backend=backend
+                    estimator, matrix, marks, algorithm
                 )
             else:
                 job_report = self.attack_detector.run_training(
-                    estimator, matrix, None, algorithm, backend=backend
+                    estimator, matrix, None, algorithm
                 )
                 if algorithm.needs_marks:
                     if marks is None:
@@ -195,14 +191,8 @@ class DetectorManager:
         preprocessor: Preprocessor,
         model: DetectionModel,
         documents: Optional[List[Document]] = None,
-        backend: Optional[str] = None,
     ) -> ValidationSummary:
-        """ValidateFeatures(q, f, m) → testing summary (Figure 6).
-
-        ``backend`` selects the compute execution backend for this
-        validation task when it runs distributed (``None`` = cluster
-        default).
-        """
+        """ValidateFeatures(q, f, m) → testing summary (Figure 6)."""
         watch = Stopwatch()
         with self._telemetry.span("detector.validate"):
             # The model's *fitted* preprocessor guarantees train/test consistency;
@@ -216,7 +206,7 @@ class DetectorManager:
                 raise AthenaError("no features matched the validation query")
             matrix, marks, kept = active.transform(documents)
             predictions, job_report = self.attack_detector.run_validation(
-                model.estimator, matrix, backend=backend
+                model.estimator, matrix
             )
             summary = self._summarise(model, matrix, marks, kept, predictions)
             summary.elapsed_seconds = watch.elapsed()
@@ -235,7 +225,6 @@ class DetectorManager:
         query: Query,
         preprocessor: Preprocessor,
         model: DetectionModel,
-        backend: Optional[str] = None,
     ) -> Optional[ValidationSummary]:
         """One periodic detection round with graceful degradation.
 
@@ -256,7 +245,7 @@ class DetectorManager:
             self._flag_degraded(self._metric_degraded_empty)
             return None
         summary = self.validate_features(
-            query, preprocessor, model, documents=documents, backend=backend
+            query, preprocessor, model, documents=documents
         )
         if self._degraded_streak:
             self._degraded_streak = 0

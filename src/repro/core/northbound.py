@@ -112,7 +112,6 @@ class AthenaNorthbound:
         preprocessor: Preprocessor,
         algorithm: Algorithm,
         documents: Optional[List[Dict[str, Any]]] = None,
-        backend: Optional[str] = None,
     ) -> DetectionModel:
         """``GenerateDetectionModel(q, f, a)`` — train an anomaly model.
 
@@ -120,13 +119,11 @@ class AthenaNorthbound:
         preprocessor ``f`` (weighting / sampling / normalization /
         marking, Table III) and fitted with algorithm ``a``; the Detector
         Manager auto-configures the pipeline from the algorithm's
-        category.  Large datasets train on the compute cluster —
-        ``backend`` selects the execution backend for this detection task
-        (``"serial"``/``"process"``, ``None`` = cluster default).
+        category.  Large datasets train on the compute cluster.
         Returns the generated :class:`DetectionModel` (Table III's *m*).
         """
         return self.detector.generate_detection_model(
-            query, preprocessor, algorithm, documents=documents, backend=backend
+            query, preprocessor, algorithm, documents=documents
         )
 
     # -- 4. ValidateFeatures(q, f, m) ---------------------------------------------------
@@ -137,19 +134,17 @@ class AthenaNorthbound:
         preprocessor: Preprocessor,
         model: DetectionModel,
         documents: Optional[List[Dict[str, Any]]] = None,
-        backend: Optional[str] = None,
     ) -> ValidationSummary:
         """``ValidateFeatures(q, f, m)`` — test features against a model.
 
         Table II, row 4.  Features matching ``q`` are transformed by the
         model's fitted preprocessor (``f`` contributes marking when the
         fitted one lacks it) and classified by detection model ``m``;
-        large validations run on the compute cluster (``backend`` selects
-        this task's execution backend).  Returns the Figure 6
+        large validations run on the compute cluster.  Returns the Figure 6
         :class:`ValidationSummary` (Table III's *r'*).
         """
         return self.detector.validate_features(
-            query, preprocessor, model, documents=documents, backend=backend
+            query, preprocessor, model, documents=documents
         )
 
     # -- 5. AddEventHandler(q) ---------------------------------------------------------

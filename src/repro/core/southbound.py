@@ -109,26 +109,17 @@ class AthenaProxy:
 
 
 class AttackDetector:
-    """Job execution: single-instance for small data, distributed otherwise.
-
-    ``backend`` is this detector's default execution backend for
-    distributed jobs (``None`` defers to the compute cluster's own
-    default); every job method also accepts a per-task override, which is
-    what the northbound API's per-detection-task backend selection
-    resolves to.
-    """
+    """Job execution: single-instance for small data, distributed otherwise."""
 
     def __init__(
         self,
         compute: Optional[ComputeCluster] = None,
         distributed_threshold: int = 50_000,
         partitions_per_worker: int = 2,
-        backend=None,
     ) -> None:
         self.compute = compute
         self.distributed_threshold = distributed_threshold
         self.partitions_per_worker = partitions_per_worker
-        self.backend = backend
         self.jobs_local = 0
         self.jobs_distributed = 0
         jobs = get_telemetry().registry.counter(
@@ -145,21 +136,17 @@ class AttackDetector:
     def _partitions(self) -> int:
         return max(1, self.compute.n_workers * self.partitions_per_worker)
 
-    def _backend(self, backend):
-        return backend if backend is not None else self.backend
-
     def run_training(
         self,
         estimator: Estimator,
         matrix: np.ndarray,
         labels: Optional[np.ndarray],
         algorithm,
-        backend=None,
     ):
         """Fit ``estimator``; returns a JobReport when run distributed.
 
-        Any estimator exposing ``fit_distributed(compute, dataset,
-        backend=...)`` (K-Means, Gaussian naive Bayes) trains on the
+        Any estimator exposing ``fit_distributed(compute, dataset)``
+        (K-Means, Gaussian naive Bayes) trains on the
         compute cluster once the dataset crosses the distribution
         threshold; everything else fits in-process.
         """
@@ -169,9 +156,7 @@ class AttackDetector:
             dataset = PartitionedDataset.from_matrix(
                 matrix, self._partitions(), labels=labels
             )
-            estimator.fit_distributed(
-                self.compute, dataset, backend=self._backend(backend)
-            )
+            estimator.fit_distributed(self.compute, dataset)
             self.jobs_distributed += 1
             self._metric_jobs_distributed.inc()
             return estimator.last_job_report
@@ -181,7 +166,7 @@ class AttackDetector:
         return None
 
     def run_validation(
-        self, estimator: Estimator, matrix: np.ndarray, backend=None
+        self, estimator: Estimator, matrix: np.ndarray
     ) -> Tuple[np.ndarray, object]:
         """Predict over ``matrix``; distributed when the dataset is large."""
         if not self._should_distribute(matrix.shape[0]):
@@ -193,7 +178,6 @@ class AttackDetector:
             dataset,
             map_fn=estimator.predict,
             reduce_fn=lambda partials: np.concatenate(partials),
-            backend=self._backend(backend),
         )
         self.jobs_distributed += 1
         self._metric_jobs_distributed.inc()

@@ -61,9 +61,8 @@ def partial_sums(
 def _kmeans_partial_sums(part, centers):
     """The distributed map task: per-partition K-Means statistics.
 
-    Module-level (not a closure) so the process execution backend can
-    ship it to pool workers; labelled partitions carry ``(rows, labels)``
-    tuples whose labels the unsupervised map ignores.
+    Labelled partitions carry ``(rows, labels)`` tuples whose labels the
+    unsupervised map ignores.
     """
     rows = part[0] if isinstance(part, tuple) else part
     return partial_sums(as_matrix(rows), centers)
@@ -125,15 +124,14 @@ class KMeans(ClusteringModel):
         self.centers, self.inertia, self.iterations_run = best
         return self
 
-    def fit_distributed(self, compute_cluster, dataset, backend=None) -> "KMeans":
+    def fit_distributed(self, compute_cluster, dataset) -> "KMeans":
         """Fit via per-partition map/reduce on a compute cluster.
 
         Each round maps :func:`_kmeans_partial_sums` over partitions; the
         driver merges sums/counts into new centers — the MLlib
-        decomposition.  ``backend`` picks the cluster's execution backend
-        for this job (``"serial"``/``"process"``); results are
-        bit-identical across backends because initialisation happens on
-        the driver and the reduce folds partials in partition order.
+        decomposition.  Results do not depend on the worker count, because
+        initialisation happens on the driver and the reduce folds partials
+        in partition order.
         """
         first = dataset.partition(0)
         sample = first[0] if isinstance(first, tuple) else first
@@ -162,7 +160,6 @@ class KMeans(ClusteringModel):
             initial_state=initial,
             rounds=self.max_iterations,
             converged=converged,
-            backend=backend,
         )
         self.centers = report.result
         self.iterations_run = report.rounds

@@ -4,7 +4,7 @@ Training reduces to per-class sufficient statistics (count, sum, sum of
 squares per feature), so :meth:`GaussianNaiveBayes.fit_distributed` fits
 the same model as a single map/reduce round over labelled partitions —
 the second trainer (after K-Means) that fans out over the compute
-cluster's execution backends.
+cluster.
 """
 
 from __future__ import annotations
@@ -22,12 +22,11 @@ _MIN_VARIANCE = 1e-9
 def _nb_partial_stats(part):
     """Distributed map task: per-class and global sufficient statistics.
 
-    Module-level (picklable) so the process execution backend can ship it
-    to pool workers.  Partitions must be labelled ``(rows, labels)``
-    tuples.  Returns ``(per_class, total)`` where ``per_class`` maps each
-    class to ``(count, sum_vector, sum_of_squares_vector)`` and ``total``
-    carries the same triple over all rows (for the shared variance
-    smoothing term).
+    Partitions must be labelled ``(rows, labels)`` tuples.  Returns
+    ``(per_class, total)`` where ``per_class`` maps each class to
+    ``(count, sum_vector, sum_of_squares_vector)`` and ``total`` carries
+    the same triple over all rows (for the shared variance smoothing
+    term).
     """
     if not isinstance(part, tuple):
         raise MLError("GaussianNaiveBayes needs labelled (rows, labels) partitions")
@@ -75,25 +74,19 @@ class GaussianNaiveBayes(Estimator):
             self.variances[idx] = rows.var(axis=0) + max(smoothing, _MIN_VARIANCE)
         return self
 
-    def fit_distributed(
-        self, compute_cluster, dataset, backend=None
-    ) -> "GaussianNaiveBayes":
+    def fit_distributed(self, compute_cluster, dataset) -> "GaussianNaiveBayes":
         """Fit from per-partition sufficient statistics on a compute cluster.
 
         One map round computes per-class ``(count, sum, sum_of_squares)``
         on each labelled partition; the driver-side reduce merges them and
-        closes the moments into priors, means, and variances.  Results are
-        bit-identical across execution backends (same partials, same merge
-        order); against the in-memory :meth:`fit` they agree to floating
-        rounding, since the variance is formed from moments instead of
-        centred residuals.
+        closes the moments into priors, means, and variances.  Against the
+        in-memory :meth:`fit` they agree to floating rounding, since the
+        variance is formed from moments instead of centred residuals.
 
         ``dataset`` is a :class:`~repro.compute.partition.PartitionedDataset`
         of labelled ``(rows, labels)`` partitions.
         """
-        report = compute_cluster.run_map(
-            dataset, _nb_partial_stats, backend=backend
-        )
+        report = compute_cluster.run_map(dataset, _nb_partial_stats)
         merged = {}
         n_total = 0
         sum_total = None

@@ -499,7 +499,7 @@ class NorthboundAPI:
                 f"parameter 'wait' must be a number of sim seconds, "
                 f"got {wait_raw!r}"
             )
-        if wait < 0:
+        if not wait >= 0:  # also rejects nan
             raise ApiParamError(f"parameter 'wait' must be >= 0, got {wait}")
         wait = min(wait, MAX_ALERT_WAIT)
         baseline = (

@@ -14,7 +14,7 @@ trades exactness for *bounded* error at *bounded* memory:
 
 All three are seeded and deterministic (pure-python 64-bit mixing, no
 dependency on ``PYTHONHASHSEED``), picklable, byte-serialisable, and
-mergeable so the compute backends can combine per-partition sketches.
+mergeable so compute jobs can combine per-partition sketches.
 :mod:`repro.sketch.features` turns them into the ``SKETCH_*`` scope of
 the feature catalog behind the ``ATHENA_SKETCH`` flag.
 """

@@ -1,7 +1,7 @@
 """Wall- and CPU-clock access for measurement code.
 
 This module is the one sanctioned home for duration clocks outside
-``simkernel`` and the compute execution backends: athena-lint's ATH501
+``simkernel``: athena-lint's ATH501
 flags direct ``time.perf_counter()`` / ``time.process_time()`` calls
 anywhere else, so every stopwatch in the framework routes through here
 and stays auditable.  These clocks measure *how long real computation

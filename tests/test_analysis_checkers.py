@@ -401,14 +401,23 @@ class TestTelemetryChecker:
         )
         assert findings == []
 
-    def test_simkernel_and_backends_are_exempt(self):
+    def test_simkernel_is_exempt(self):
         source = """
             import time
             started = time.perf_counter()
             """
-        for path in ("src/repro/simkernel/loop.py",
-                     "src/repro/compute/backends/process.py"):
+        for path in ("src/repro/simkernel/loop.py", "simkernel/loop.py"):
             assert run_checker(TelemetryChecker(), source, path=path) == []
+
+    def test_compute_modules_are_not_exempt(self):
+        # Relative to the repo root and to a ``lint src/repro`` root.
+        source = """
+            import time
+            started = time.perf_counter()
+            """
+        for path in ("src/repro/compute/backends.py", "compute/backends.py"):
+            findings = run_checker(TelemetryChecker(), source, path=path)
+            assert rules_of(findings) == ["ATH501"]
 
     def test_stopwatch_usage_is_clean(self):
         findings = run_checker(

@@ -1,10 +1,15 @@
 """Tests for the compute cluster."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.compute import ClusterConfig, ComputeCluster, PartitionedDataset
+from repro.core.southbound import AttackDetector
 from repro.errors import ComputeError
+from repro.ml.kmeans import KMeans
+from repro.ml.naive_bayes import GaussianNaiveBayes
 
 
 class TestPartitionedDataset:
@@ -42,6 +47,12 @@ class TestPartitionedDataset:
         doubled = ds.map_partitions(lambda part: [x * 2 for x in part])
         assert doubled.partitions == [[2, 4], [6, 8]]
 
+    def test_map_partitions_on_cluster(self):
+        ds = PartitionedDataset.from_records(list(range(12)), 3)
+        local = ds.map_partitions(sum)
+        distributed = ds.map_partitions(sum, cluster=ComputeCluster(2))
+        assert local.partitions == distributed.partitions
+
     def test_repartition_matrix(self):
         matrix = np.arange(12).reshape(6, 2)
         ds = PartitionedDataset.from_matrix(matrix, 2).repartition(3)
@@ -58,6 +69,26 @@ class TestComputeCluster:
         )
         assert report.result == sum(range(100))
         assert report.n_tasks == 6
+
+    def test_run_map_equals_local_map(self):
+        matrix = np.random.default_rng(11).normal(size=(12_000, 6))
+        ds = PartitionedDataset.from_matrix(matrix, 6)
+        cluster = ComputeCluster(n_workers=3)
+        report = cluster.run_map(
+            ds, map_fn=lambda part: part.sum(axis=0), reduce_fn=np.vstack
+        )
+        local = cluster.run_local(
+            ds, map_fn=lambda part: part.sum(axis=0), reduce_fn=np.vstack
+        )
+        assert np.array_equal(report.result, local.result)
+
+    def test_job_report_moves_no_bytes(self):
+        cluster = ComputeCluster(n_workers=2)
+        ds = PartitionedDataset.from_records(list(range(10)), 2)
+        report = cluster.run_map(ds, map_fn=sum, reduce_fn=sum)
+        assert report.bytes_shuffled == 0
+        assert report.backend == "serial"
+        assert cluster.run_local(ds, map_fn=sum).backend == "local"
 
     def test_all_workers_used(self):
         cluster = ComputeCluster(n_workers=3)
@@ -162,6 +193,24 @@ class TestTaskRetries:
         assert report.result == 10
         assert cluster.tasks_retried == 1
 
+    def test_worker_crash_retried_and_succeeds(self):
+        cluster = ComputeCluster(
+            n_workers=2, config=ClusterConfig(task_retries=2)
+        )
+        cluster.workers[0].inject_crashes(1)
+        ds = PartitionedDataset.from_records([1, 2, 3, 4], 1)
+        report = cluster.run_iterative(
+            ds,
+            lambda part, _state: sum(part),
+            lambda parts, _state: sum(parts),
+            initial_state=None,
+            rounds=1,
+        )
+        assert report.result == 10
+        assert report.tasks_retried >= 1
+        assert cluster.tasks_retried >= 1
+        assert cluster.workers[0].crashes_fired == 1
+
     def test_exhausted_retries_abort_job(self):
         cluster = ComputeCluster(
             n_workers=2, config=ClusterConfig(task_retries=1)
@@ -173,6 +222,22 @@ class TestTaskRetries:
 
         with pytest.raises(ComputeError, match="after 2 attempts"):
             cluster.run_map(ds, map_fn=always_fails, reduce_fn=sum)
+
+    def test_compute_error_aborts_without_retry(self):
+        cluster = ComputeCluster(
+            n_workers=2, config=ClusterConfig(task_retries=2)
+        )
+        ds = PartitionedDataset.from_records([1, 2], 1)
+        calls = []
+
+        def fatal(part):
+            calls.append(part)
+            raise ComputeError("fatal task error")
+
+        with pytest.raises(ComputeError, match="fatal task error"):
+            cluster.run_map(ds, map_fn=fatal, reduce_fn=sum)
+        assert len(calls) == 1
+        assert cluster.tasks_retried == 0
 
     def test_failed_attempts_cost_worker_time(self):
         import time as _time
@@ -252,3 +317,98 @@ class TestMakespanModel:
             ).makespan_seconds
 
         assert makespan(4) < makespan(1)
+
+
+class TestDistributedTraining:
+    @pytest.fixture(scope="class")
+    def matrix(self):
+        return np.random.default_rng(11).normal(size=(12_000, 6))
+
+    def test_kmeans_fit_independent_of_worker_count(self, matrix):
+        centers = []
+        for n_workers in (1, 3):
+            model = KMeans(k=5, max_iterations=6, seed=3)
+            ds = PartitionedDataset.from_matrix(matrix, 6)
+            model.fit_distributed(ComputeCluster(n_workers), ds)
+            assert model.last_job_report.n_workers == n_workers
+            centers.append(model.centers)
+        assert np.array_equal(centers[0], centers[1])
+
+    def test_naive_bayes_distributed_fit_agrees_with_local(self, matrix):
+        labels = (matrix[:, 0] > 0).astype(float)
+        ds = PartitionedDataset.from_matrix(matrix, 6, labels=labels)
+        distributed = GaussianNaiveBayes().fit_distributed(ComputeCluster(3), ds)
+        local = GaussianNaiveBayes().fit(matrix, labels)
+        assert np.allclose(local.means, distributed.means)
+        assert np.allclose(local.variances, distributed.variances)
+        # Rounding-level model differences may flip only near-tied rows.
+        agreement = distributed.predict(matrix) == local.predict(matrix)
+        assert agreement.mean() > 0.999
+
+    def test_distributed_validation_equals_predict(self, matrix):
+        model = KMeans(k=4, max_iterations=5, seed=7).fit(matrix)
+        model.label_clusters(matrix, (matrix[:, 1] > 0).astype(float))
+        detector = AttackDetector(
+            compute=ComputeCluster(3), distributed_threshold=1_000
+        )
+        predicted, report = detector.run_validation(model, matrix)
+        assert report is not None and report.n_tasks == 6
+        assert np.array_equal(predicted, model.predict(matrix))
+
+
+class TestBatchDDoSPin:
+    """The Scenario 1 batch job through the compute cluster, pinned.
+
+    ``distributed_threshold`` sits below both the fetched training rows
+    (9 500) and the test rows (18 500), so ``KMeans.fit_distributed`` and
+    the ``run_map`` validation both run on the cluster.  Every constant was
+    recorded before the process-pool backend was removed; a change that
+    reorders partials, tasks or rows fails here.
+    """
+
+    def test_distributed_batch_run(self):
+        from repro.apps.ddos import DDoSDetectorApp
+        from repro.controller import ControllerCluster
+        from repro.core import AthenaDeployment
+        from repro.dataplane.topologies import enterprise_topology
+        from repro.workloads.ddos import DDoSDatasetGenerator, DDoSDatasetSpec
+
+        generator = DDoSDatasetGenerator(DDoSDatasetSpec(scale=0.001))
+        train, test = generator.train_test_split(generator.generate())
+        topo = enterprise_topology()
+        cluster = ControllerCluster(topo.network, n_instances=3)
+        cluster.adopt_domains(topo.domains)
+        athena = AthenaDeployment(
+            cluster, compute=ComputeCluster(n_workers=4),
+            distributed_threshold=5_000,
+        )
+        app = DDoSDetectorApp(algorithm="kmeans")
+        athena.register_app(app)
+        athena.feature_manager.publish_documents(train)
+        summary = app.run_batch(test_documents=test)
+
+        assert app.model.trained_entries == 9_500
+        assert (summary.true_positives, summary.false_positives,
+                summary.true_negatives, summary.false_negatives) == (
+            13_736, 195, 4_457, 112)
+        digest = hashlib.sha256(
+            summary.predictions.tobytes() + app.model.estimator.centers.tobytes()
+        ).hexdigest()
+        assert digest == (
+            "85b9e9fe6669074b6bb9d8e92f3dfd03ff324360b00e8af76cb5b67500dc91c9"
+        )
+        training = app.model.job_report
+        assert (training.n_tasks, training.rounds, training.tasks_retried,
+                training.backend) == (160, 20, 0, "serial")
+        validation = athena.detector_manager.last_job_report
+        assert (validation.n_tasks, validation.rounds, validation.tasks_retried,
+                validation.backend) == (8, 1, 0, "serial")
+
+    def test_ddos_cli_stdout(self, capsys):
+        from repro.cli import main
+
+        assert main(["ddos", "--scale", "0.001"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == (
+            "564380860223aac0ab3301d80211a44cc6f52063f594aa584ba0d61cea92672a"
+        )

@@ -8,11 +8,11 @@ from repro.config import RuntimeConfig, current, from_env, override
 
 
 class TestRuntimeConfig:
-    def test_exactly_the_three_fields_with_off_defaults(self):
+    def test_exactly_the_two_switches_with_off_defaults(self):
         assert [f.name for f in dataclasses.fields(RuntimeConfig)] == [
-            "sketch", "telemetry", "compute_backend",
+            "sketch", "telemetry",
         ]
-        assert RuntimeConfig() == RuntimeConfig(False, False, "serial")
+        assert RuntimeConfig() == RuntimeConfig(False, False)
         assert from_env({}) == RuntimeConfig()
 
     def test_frozen(self):
@@ -28,9 +28,9 @@ class TestRuntimeConfig:
     def test_anything_else_is_off(self, raw):
         assert not from_env({"ATHENA_SKETCH": raw}).sketch
 
-    def test_backend_name_is_normalised_and_empty_keeps_default(self):
-        assert from_env({"ATHENA_COMPUTE_BACKEND": " Process "}).compute_backend == "process"
-        assert from_env({"ATHENA_COMPUTE_BACKEND": ""}).compute_backend == "serial"
+    def test_switch_words_are_normalised_and_empty_keeps_default(self):
+        assert from_env({"ATHENA_SKETCH": " On "}) == RuntimeConfig(sketch=True)
+        assert from_env({"ATHENA_TELEMETRY": " "}) == RuntimeConfig()
 
     def test_unknown_athena_variables_are_ignored(self):
         assert from_env({"ATHENA_NO_SUCH_SWITCH": "1"}) == RuntimeConfig()
@@ -48,10 +48,10 @@ class TestOverride:
         assert current() is before
 
     def test_nests(self):
-        with override(compute_backend="process"):
+        with override(telemetry=True):
             with override(sketch=True):
-                assert current().compute_backend == "process" and current().sketch
-            assert current().compute_backend == "process"
+                assert current().telemetry and current().sketch
+            assert current().telemetry and not current().sketch
 
     def test_unknown_field_rejected(self):
         before = current()
@@ -84,11 +84,11 @@ class TestDeploymentPin:
             assert not athena.config.sketch
 
     def test_pinned_config_ignores_overrides(self):
-        pinned = RuntimeConfig(compute_backend="serial")
-        with override(sketch=True, compute_backend="process"):
+        pinned = RuntimeConfig(sketch=False)
+        with override(sketch=True):
             athena = self._deployment(config=pinned)
             assert athena.config is pinned
-            assert athena.compute.backend_name == "serial"
+            assert not athena.config.sketch
             assert all(i.generator._config is pinned for i in athena.instances)
 
     def test_pinned_telemetry_is_honoured(self):
