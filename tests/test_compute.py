@@ -345,6 +345,24 @@ class TestDistributedTraining:
         agreement = distributed.predict(matrix) == local.predict(matrix)
         assert agreement.mean() > 0.999
 
+    def test_naive_bayes_predictions_pinned(self, matrix):
+        labels = (matrix[:, 0] > 0).astype(float)
+        ds = PartitionedDataset.from_matrix(matrix, 6, labels=labels)
+        local = GaussianNaiveBayes().fit(matrix, labels)
+        distributed = GaussianNaiveBayes().fit_distributed(ComputeCluster(3), ds)
+        digest = hashlib.sha256(
+            local.predict(matrix).tobytes() + distributed.predict(matrix).tobytes()
+        ).hexdigest()
+        assert digest == (
+            "db5d12986594c3cd64cbf67f749fb3c05fef42870695423c150af49b8dd72c41"
+        )
+
+    def test_kmeans_local_centers_pinned(self, matrix):
+        model = KMeans(k=8, max_iterations=20, runs=5, seed=11).fit(matrix)
+        assert hashlib.sha256(model.centers.tobytes()).hexdigest() == (
+            "fd99307d5f736380d209d5fd19b0ebfc5e83675b65f66327c9a10a87392168dc"
+        )
+
     def test_distributed_validation_equals_predict(self, matrix):
         model = KMeans(k=4, max_iterations=5, seed=7).fit(matrix)
         model.label_clusters(matrix, (matrix[:, 1] > 0).astype(float))

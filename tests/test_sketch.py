@@ -89,6 +89,20 @@ class TestStateDeterminism:
         assert first.alert_digest == second.alert_digest
         assert first.alerts == second.alerts
 
+    @pytest.mark.parametrize("scenario, state_digest, alert_digest", [
+        ("ddos",
+         "2e744f7de32b3a11aef3f27f1c615a246b226d31b2f3d7145ad42919a24445d9",
+         "97e18163299cbe851f64745fa99829a5ed3751ee204dacc7688f94a1bbc7f073"),
+        ("portscan",
+         "eb4017a7c73b3d2b4acafabc6874edfb12278456c33c5b29e5d7c208336ba8a3",
+         "53a51e47383be13fbbec96bc707c144c5c8ef6679ef0621622bdbb3a83e9a105"),
+    ])
+    def test_pipeline_digests_pinned(self, scenario, state_digest, alert_digest):
+        outcome = _outcome(scenario)
+        assert (outcome.state_digest, outcome.alert_digest) == (
+            state_digest, alert_digest
+        )
+
     def test_exact_path_has_no_state_digest(self):
         assert _outcome("ddos", use_sketch=False).state_digest == ""
 

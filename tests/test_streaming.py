@@ -108,6 +108,31 @@ class TestOnlineGaussianNB:
         )
         assert np.array_equal(online_preds, batch.predict(X))
 
+    @pytest.mark.parametrize("two_class, digest", [
+        (True, "ca0a50cbe832a68923c76b606ef97b80f2b0360106bb638398dec58238d02b98"),
+        (False, "0ba45803834e58a9dee66a9186cae5706801df15ae9fb35ae6d1230f82b04d4a"),
+    ])
+    def test_replay_pinned(self, two_class, digest):
+        """The closed moments and three probe scores after a seeded replay.
+
+        The single-class replay runs density mode, so its probe scores
+        also pin the running log-likelihood baseline.
+        """
+        rng = np.random.default_rng(23)
+        model = OnlineGaussianNB()
+        for i in range(400):
+            attack = two_class and i % 4 == 3
+            row = rng.normal([9.0, 1.0, 4.0] if attack else [2.0, 5.0, 4.0], 1.0)
+            model.partial_fit(row, 1.0 if attack else 0.0)
+        closed = model._close()
+        probes = ([2.0, 5.0, 4.0], [9.0, 1.0, 4.0], [40.0, -30.0, 4.0])
+        scores = np.array([model.score_event(probe) for probe in probes])
+        hasher = hashlib.sha256(np.asarray(closed["classes"], dtype=float).tobytes())
+        for name in ("priors", "means", "variances"):
+            hasher.update(closed[name].tobytes())
+        hasher.update(scores.tobytes())
+        assert hasher.hexdigest() == digest
+
     def test_single_class_density_mode(self):
         online = OnlineGaussianNB(n_sigma=3.0)
         rng = np.random.default_rng(0)
