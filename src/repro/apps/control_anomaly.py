@@ -25,30 +25,17 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.core.app import AthenaApp
 from repro.core.feature_format import AthenaFeature
 from repro.core.query import GenerateQuery
+from repro.ml.online import Welford
 
 #: Control-scope features profiled per switch.
 PROFILE_FEATURES = ("PACKET_IN_RATE", "FLOW_MOD_RATE", "CONTROL_MSG_RATE")
 
 
-class _RunningStats:
-    """Numerically stable streaming mean/stddev (Welford)."""
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.mean = 0.0
-        self._m2 = 0.0
-
-    def update(self, value: float) -> None:
-        self.count += 1
-        delta = value - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (value - self.mean)
-
-    @property
-    def stddev(self) -> float:
-        if self.count < 2:
-            return 0.0
-        return math.sqrt(self._m2 / (self.count - 1))
+def _stddev(stats: Welford) -> float:
+    """Sample standard deviation of a profile (0 below two samples)."""
+    if stats.count < 2:
+        return 0.0
+    return math.sqrt(stats.m2 / (stats.count - 1))
 
 
 class ControlPlaneAnomalyApp(AthenaApp):
@@ -68,9 +55,7 @@ class ControlPlaneAnomalyApp(AthenaApp):
         self.sigma = sigma
         #: Rates below this never alarm (quiet-network noise guard).
         self.min_rate_floor = min_rate_floor
-        self._profiles: Dict[Tuple[int, str], _RunningStats] = defaultdict(
-            _RunningStats
-        )
+        self._profiles: Dict[Tuple[int, str], Welford] = defaultdict(Welford)
         self._first_seen: Optional[float] = None
         self.anomalies: List[Dict[str, Any]] = []
         self._handler_id: Optional[int] = None
@@ -109,11 +94,11 @@ class ControlPlaneAnomalyApp(AthenaApp):
                 continue
             stats = self._profiles[(feature.switch_id, name)]
             if in_calibration:
-                stats.update(value)
+                stats.push(value)
                 continue
             threshold = max(
                 self.min_rate_floor,
-                stats.mean + self.sigma * max(stats.stddev, 1e-9),
+                stats.mean + self.sigma * max(_stddev(stats), 1e-9),
             )
             if stats.count >= 2 and value > threshold:
                 self._alarm(feature, name, value, threshold)
@@ -144,7 +129,7 @@ class ControlPlaneAnomalyApp(AthenaApp):
             if switch_id == dpid and stats.count:
                 report[metric] = {
                     "mean": stats.mean,
-                    "stddev": stats.stddev,
+                    "stddev": _stddev(stats),
                     "samples": stats.count,
                 }
         return report

@@ -161,11 +161,12 @@ class DatabaseCluster(ShardedStore):
     # -- reads ----------------------------------------------------------------
 
     def _read_shards(self, filter_: Optional[Dict[str, Any]]) -> List[ShardNode]:
-        """The pinned shard when the filter fixes the shard key, else every
-        live shard."""
+        """Every live shard, or, when the filter fixes the shard key, the
+        live nodes of the key's replica chain in shard order: a document
+        written while its home shard was down sits on the next one."""
         pinned = equality_value(filter_, self.shard_key)
         if pinned is not None:
-            return [self._shard_for(pinned)]
+            return sorted(self._write_chain(pinned), key=lambda shard: shard.node_id)
         return self._live_shards()
 
     @tracked("find")

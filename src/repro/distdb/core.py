@@ -65,10 +65,6 @@ class StoreNode:
         self.node_id = node_id
         self.up = True
 
-    def ensure_up(self) -> None:
-        if not self.up:
-            raise ShardDownError(self.node_id)
-
     def document_count(self) -> int:
         """Documents held on this node, replica copies included."""
         raise NotImplementedError
@@ -194,12 +190,6 @@ class ShardedStore:
             for append in route:
                 append(position)
         return admitted, primaries, replicas
-
-    def _shard_for(self, value: Any) -> Any:
-        """The live home shard of a pinned shard-key value."""
-        shard = self.shards[_hash_value(value) % len(self.shards)]
-        shard.ensure_up()
-        return shard
 
     def _live_shards(self) -> List[Any]:
         live = [shard for shard in self.shards if shard.up]

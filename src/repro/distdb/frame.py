@@ -26,7 +26,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.distdb.query import _compare, get_path, matches_filter
+from repro.distdb.query import _compare, matches_filter, sort_key
 from repro.errors import QueryError
 
 
@@ -199,49 +199,61 @@ class FeatureFrame:
     def sort(self, sort: Optional[List[Tuple[str, int]]]) -> "FeatureFrame":
         """Stable Mongo-style sort, bit-compatible with ``sort_documents``.
 
-        Per field (applied in reverse, each pass stable — equivalent to
-        the document path's composite key): ascending orders by
-        ``(value is None, value)``; descending is Python's stable
-        ``reverse=True``.  Numeric NaN-free columns use ``np.lexsort``;
-        anything else falls back to Python's sort with the identical key
-        (including raising TypeError on cross-type values, as the
-        document path does).
+        Fields that share one direction sort as ``sort_documents`` sorts
+        them, in one pass on the composite key.  Numeric NaN-free columns
+        give the same order by per-field ``np.lexsort`` passes; any other
+        column makes the one pass run in Python on the identical key,
+        which also raises TypeError exactly where the document path does.
+        Mixed directions are per-field stable passes on both paths.
         """
         if not sort:
             return self
-        order = np.arange(self.n_rows)
-        for name, direction in reversed(sort):
-            order = order[self._argsort_field(name, order, direction < 0)]
+        names = [name for name, _direction in sort]
+        directions = {direction for _name, direction in sort}
+        if len(directions) == 1 and not all(map(self._lexsortable, names)):
+            order = self._ranked(names, np.arange(self.n_rows), directions.pop() < 0)
+        else:
+            order = np.arange(self.n_rows)
+            for name, direction in reversed(sort):
+                order = order[self._argsort_field(name, order, direction < 0)]
         if (order == np.arange(self.n_rows)).all():
             return self
         return self.take(order)
 
+    def _lexsortable(self, name: str) -> bool:
+        """A numeric, NaN-free column: ``np.lexsort`` orders it.
+
+        Dotted keys reach into sub-documents the columns don't hold, so
+        they sort through ``get_path`` like the document path does.
+        """
+        if "." in name or self.values(name).dtype == object:
+            return False
+        return not np.isnan(self.values(name)[~self.is_missing(name)]).any()
+
+    def _ranked(
+        self, names: List[str], rows: np.ndarray, descending: bool
+    ) -> np.ndarray:
+        """Positions of ``rows`` after Python's stable sort on the
+        document path's key over ``names``."""
+        key, docs, rows = sort_key(names), self._docs, rows.tolist()
+        ranked = sorted(
+            range(len(rows)), key=lambda i: key(docs[rows[i]]), reverse=descending
+        )
+        return np.asarray(ranked, dtype=np.intp)
+
     def _argsort_field(
         self, name: str, order: np.ndarray, descending: bool
     ) -> np.ndarray:
-        # Dotted keys reach into sub-documents the columns don't hold;
-        # they sort through get_path like the document path does.
-        column = None if "." in name else self.values(name)
-        if column is not None and column.dtype != object:
-            miss = self.is_missing(name)[order]
-            vals = column[order]
-            present = vals[~miss]
-            if not (len(present) and np.isnan(present).any()):
-                vals = np.where(miss, 0.0, vals)
-                if descending:
-                    # Python's reverse=True: (missing, value) tuples compare
-                    # descending, ties keep original order → stable lexsort
-                    # on negated keys, missing (flag False after inversion)
-                    # first.
-                    return np.lexsort((-vals, ~miss))
-                return np.lexsort((vals, miss))
-        raw = [get_path(self._docs[i], name) for i in order.tolist()]
-        ranked = sorted(
-            range(len(raw)),
-            key=lambda i: (raw[i] is None, raw[i]),
-            reverse=descending,
-        )
-        return np.asarray(ranked, dtype=np.intp)
+        if not self._lexsortable(name):
+            return self._ranked([name], order, descending)
+        miss = self.is_missing(name)[order]
+        vals = np.where(miss, 0.0, self.values(name)[order])
+        if descending:
+            # Python's reverse=True: (missing, value) tuples compare
+            # descending, ties keep original order → stable lexsort on
+            # negated keys, missing (flag False after inversion) first.
+            return np.lexsort((-vals, ~miss))
+        return np.lexsort((vals, miss))
 
     # -- matrix handoff ----------------------------------------------------
 

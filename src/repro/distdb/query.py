@@ -15,7 +15,7 @@ $exists``; logical: ``$and $or $nor $not``.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import QueryError
 
@@ -177,49 +177,50 @@ def collect_equality_pins(filter_: Optional[Dict[str, Any]]) -> Dict[str, Any]:
     return pins
 
 
+def sort_key(names: Sequence[str]) -> Callable[[Dict[str, Any]], Tuple[Any, ...]]:
+    """The key of one stable sort pass over ``names``.
+
+    Each field contributes ``(value is None, value)``, so missing values
+    order first ascending and last descending.
+    """
+    if len(names) == 1:
+        name = names[0]
+
+        def single_key(doc: Dict[str, Any]) -> Tuple[bool, Any]:
+            value = get_path(doc, name)
+            return (value is None, value)
+
+        return single_key
+
+    def composite_key(doc: Dict[str, Any]) -> Tuple[Any, ...]:
+        key: List[Any] = []
+        for name in names:
+            value = get_path(doc, name)
+            key.append((value is None, value))
+        return tuple(key)
+
+    return composite_key
+
+
 def sort_documents(
     docs: List[Dict[str, Any]], sort: Optional[List[Tuple[str, int]]]
 ) -> List[Dict[str, Any]]:
     """Sort ``docs`` in place by a Mongo-style ``[(field, +1/-1)]`` spec.
 
-    Missing values order first ascending / last descending, like the
-    historical per-field passes.  When every field shares one direction
-    the list is sorted once with a composite key; mixed directions fall
-    back to stable per-field passes (still computing each key once per
-    document — Python's sort calls ``key`` once per element).
+    When every field shares one direction the list is sorted once with a
+    composite key; mixed directions fall back to stable per-field passes
+    (still computing each key once per document — Python's sort calls
+    ``key`` once per element).
     """
     if not sort:
         return docs
     directions = {direction for _field, direction in sort}
     if len(directions) == 1:
-        descending = directions.pop() < 0
         names = [name for name, _direction in sort]
-        if len(names) == 1:
-            name = names[0]
-
-            def single_key(doc: Dict[str, Any]) -> Tuple[bool, Any]:
-                value = get_path(doc, name)
-                return (value is None, value)
-
-            docs.sort(key=single_key, reverse=descending)
-        else:
-
-            def composite_key(doc: Dict[str, Any]) -> Tuple[Any, ...]:
-                key: List[Any] = []
-                for name in names:
-                    value = get_path(doc, name)
-                    key.append((value is None, value))
-                return tuple(key)
-
-            docs.sort(key=composite_key, reverse=descending)
+        docs.sort(key=sort_key(names), reverse=directions.pop() < 0)
         return docs
     for name, direction in reversed(sort):
-
-        def field_key(doc: Dict[str, Any], _name: str = name) -> Tuple[bool, Any]:
-            value = get_path(doc, _name)
-            return (value is None, value)
-
-        docs.sort(key=field_key, reverse=direction < 0)
+        docs.sort(key=sort_key([name]), reverse=direction < 0)
     return docs
 
 

@@ -4,12 +4,13 @@ This is the algorithm the paper's flagship DDoS experiment runs (Figure 6:
 ``K(8), Iterations(20), Runs(5), InitializedMode(k-means||), Epsilon(1e-4)``).
 Multiple runs with different seeds keep the best inertia, matching Spark
 MLlib's ``runs`` parameter.  ``fit_distributed`` exposes the per-iteration
-map/reduce decomposition the compute cluster executes.
+map/reduce decomposition the compute cluster executes; both paths reduce
+:func:`partial_sums` partials with the one :func:`lloyd_update`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -58,6 +59,21 @@ def partial_sums(
     return sums, counts, inertia
 
 
+def lloyd_update(centers: np.ndarray, partials: list) -> Tuple[np.ndarray, float]:
+    """New centers (an empty cluster keeps its own) and inertia from partials."""
+    sums = sum(p[0] for p in partials)
+    counts = sum(p[1] for p in partials)
+    new_centers = centers.copy()
+    nonempty = counts > 0
+    new_centers[nonempty] = sums[nonempty] / counts[nonempty, None]
+    return new_centers, float(sum(p[2] for p in partials))
+
+
+def center_shift(old: np.ndarray, new: np.ndarray) -> float:
+    """The largest distance any center moved in one Lloyd step."""
+    return float(np.sqrt(((new - old) ** 2).sum(axis=1)).max())
+
+
 def _kmeans_partial_sums(part, centers):
     """The distributed map task: per-partition K-Means statistics.
 
@@ -101,11 +117,8 @@ class KMeans(ClusteringModel):
         iterations = 0
         for _ in range(self.max_iterations):
             iterations += 1
-            sums, counts, inertia = partial_sums(X, centers)
-            new_centers = centers.copy()
-            nonempty = counts > 0
-            new_centers[nonempty] = sums[nonempty] / counts[nonempty, None]
-            shift = float(np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max())
+            new_centers, inertia = lloyd_update(centers, [partial_sums(X, centers)])
+            shift = center_shift(centers, new_centers)
             centers = new_centers
             if shift <= self.epsilon:
                 break
@@ -141,17 +154,8 @@ class KMeans(ClusteringModel):
         initial = _kmeanspp_init(sample, k, rng)
 
         def reduce_fn(partials, centers):
-            sums = sum(p[0] for p in partials)
-            counts = sum(p[1] for p in partials)
-            self.inertia = float(sum(p[2] for p in partials))
-            new_centers = centers.copy()
-            nonempty = counts > 0
-            new_centers[nonempty] = sums[nonempty] / counts[nonempty, None]
+            new_centers, self.inertia = lloyd_update(centers, partials)
             return new_centers
-
-        def converged(old, new):
-            shift = float(np.sqrt(((new - old) ** 2).sum(axis=1)).max())
-            return shift <= self.epsilon
 
         report = compute_cluster.run_iterative(
             dataset,
@@ -159,7 +163,7 @@ class KMeans(ClusteringModel):
             reduce_fn,
             initial_state=initial,
             rounds=self.max_iterations,
-            converged=converged,
+            converged=lambda old, new: center_shift(old, new) <= self.epsilon,
         )
         self.centers = report.result
         self.iterations_run = report.rounds

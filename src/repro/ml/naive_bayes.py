@@ -1,15 +1,15 @@
 """Gaussian naive Bayes classification.
 
-Training reduces to per-class sufficient statistics (count, sum, sum of
-squares per feature), so :meth:`GaussianNaiveBayes.fit_distributed` fits
-the same model as a single map/reduce round over labelled partitions —
-the second trainer (after K-Means) that fans out over the compute
-cluster.
+Training is one fold over per-class ``[count, Σx, Σx²]`` moments
+(:func:`nb_moments`, :func:`merge_moments`, :func:`close_moments`):
+``fit`` folds one block, ``fit_distributed`` one block per partition and
+:class:`~repro.ml.online.OnlineGaussianNB` one row per event, so the three
+fit the same model and differ only in the order the sums are added.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -19,29 +19,63 @@ from repro.ml.base import Estimator, as_matrix, as_vector
 _MIN_VARIANCE = 1e-9
 
 
-def _nb_partial_stats(part):
-    """Distributed map task: per-class and global sufficient statistics.
+def nb_moments(block) -> Dict[float, list]:
+    """Per class ``[count, Σx, Σx²]`` of a labelled ``(rows, labels)`` block.
 
-    Partitions must be labelled ``(rows, labels)`` tuples.  Returns
-    ``(per_class, total)`` where ``per_class`` maps each class to
-    ``(count, sum_vector, sum_of_squares_vector)`` and ``total`` carries
-    the same triple over all rows (for the shared variance smoothing
-    term).
+    This is also the distributed map task, one block per partition.
     """
-    if not isinstance(part, tuple):
+    if not isinstance(block, tuple):
         raise MLError("GaussianNaiveBayes needs labelled (rows, labels) partitions")
-    X = as_matrix(part[0])
-    y = as_vector(part[1], X.shape[0])
-    per_class = {}
+    X = as_matrix(block[0])
+    y = as_vector(block[1], X.shape[0])
+    moments = {}
     for cls in np.unique(y):
         rows = X[y == cls]
-        per_class[float(cls)] = (
-            rows.shape[0],
-            rows.sum(axis=0),
-            np.square(rows).sum(axis=0),
-        )
-    total = (X.shape[0], X.sum(axis=0), np.square(X).sum(axis=0))
-    return per_class, total
+        moments[float(cls)] = [len(rows), rows.sum(axis=0), np.square(rows).sum(axis=0)]
+    return moments
+
+
+def merge_moments(into: Dict[float, list], moments: Dict[float, list]) -> None:
+    """Add ``moments`` into ``into`` in place; a new class is copied in."""
+    for cls, (count, sums, squares) in moments.items():
+        entry = into.get(cls)
+        if entry is None:
+            into[cls] = [count, sums.copy(), squares.copy()]
+        else:
+            entry[0] += count
+            entry[1] += sums
+            entry[2] += squares
+
+
+def close_moments(moments: Dict[float, list]):
+    """``(classes, priors, means, variances)`` of merged class moments.
+
+    Classes are sorted.  The global moments, summed over the class
+    entries, set a shared variance smoothing that keeps near-constant
+    columns usable.
+    """
+    entries = moments.values()
+    total = sum(entry[0] for entry in entries)
+    g_mean = sum(entry[1] for entry in entries) / total
+    g_var = np.maximum(sum(entry[2] for entry in entries) / total - g_mean ** 2, 0.0)
+    smoothing = max(1e-9 * float(g_var.max()) if total > 1 else _MIN_VARIANCE,
+                    _MIN_VARIANCE)
+    classes = sorted(moments)
+    counts, sums, squares = map(np.array, zip(*(moments[c] for c in classes)))
+    means = sums / counts[:, None]
+    variances = np.maximum(squares / counts[:, None] - means ** 2, 0.0) + smoothing
+    return classes, counts / total, means, variances
+
+
+def log_joint(X: np.ndarray, priors, means, variances) -> np.ndarray:
+    """Per-class log prior plus Gaussian log-likelihood.
+
+    ``X`` is one event of shape ``(d,)``, giving ``(n_classes,)``, or rows
+    lifted to ``(n, 1, d)``, giving ``(n, n_classes)``.
+    """
+    diff = X - means
+    squared = (diff * diff / variances).sum(axis=-1)
+    return np.log(priors) - 0.5 * (np.log(2 * np.pi * variances).sum(axis=1) + squared)
 
 
 class GaussianNaiveBayes(Estimator):
@@ -53,94 +87,40 @@ class GaussianNaiveBayes(Estimator):
         self.means: Optional[np.ndarray] = None
         self.variances: Optional[np.ndarray] = None
 
+    def _close(self, moments: Dict[float, list]) -> "GaussianNaiveBayes":
+        if len(moments) < 2:
+            raise MLError("GaussianNaiveBayes needs at least two classes")
+        classes, self.priors, self.means, self.variances = close_moments(moments)
+        self.classes = np.array(classes)
+        return self
+
     def fit(self, X, y=None) -> "GaussianNaiveBayes":
         if y is None:
             raise MLError("GaussianNaiveBayes requires labels")
-        X = as_matrix(X)
-        y = as_vector(y, X.shape[0])
-        self.classes = np.unique(y)
-        if len(self.classes) < 2:
-            raise MLError("GaussianNaiveBayes needs at least two classes")
-        n_classes, d = len(self.classes), X.shape[1]
-        self.priors = np.empty(n_classes)
-        self.means = np.empty((n_classes, d))
-        self.variances = np.empty((n_classes, d))
-        # Shared variance smoothing keeps near-constant columns usable.
-        smoothing = 1e-9 * X.var(axis=0).max() if X.shape[0] > 1 else _MIN_VARIANCE
-        for idx, cls in enumerate(self.classes):
-            rows = X[y == cls]
-            self.priors[idx] = len(rows) / len(X)
-            self.means[idx] = rows.mean(axis=0)
-            self.variances[idx] = rows.var(axis=0) + max(smoothing, _MIN_VARIANCE)
-        return self
+        return self._close(nb_moments((X, y)))
 
     def fit_distributed(self, compute_cluster, dataset) -> "GaussianNaiveBayes":
-        """Fit from per-partition sufficient statistics on a compute cluster.
-
-        One map round computes per-class ``(count, sum, sum_of_squares)``
-        on each labelled partition; the driver-side reduce merges them and
-        closes the moments into priors, means, and variances.  Against the
-        in-memory :meth:`fit` they agree to floating rounding, since the
-        variance is formed from moments instead of centred residuals.
-
-        ``dataset`` is a :class:`~repro.compute.partition.PartitionedDataset`
-        of labelled ``(rows, labels)`` partitions.
-        """
-        report = compute_cluster.run_map(dataset, _nb_partial_stats)
-        merged = {}
-        n_total = 0
-        sum_total = None
-        sq_total = None
-        for per_class, (count, sums, squares) in report.result:
-            n_total += count
-            sum_total = sums if sum_total is None else sum_total + sums
-            sq_total = squares if sq_total is None else sq_total + squares
-            for cls, (c_count, c_sum, c_sq) in per_class.items():
-                if cls in merged:
-                    count0, sum0, sq0 = merged[cls]
-                    merged[cls] = (count0 + c_count, sum0 + c_sum, sq0 + c_sq)
-                else:
-                    merged[cls] = (c_count, c_sum, c_sq)
-        if len(merged) < 2:
-            raise MLError("GaussianNaiveBayes needs at least two classes")
-        self.classes = np.array(sorted(merged))
-        n_classes, d = len(self.classes), len(sum_total)
-        self.priors = np.empty(n_classes)
-        self.means = np.empty((n_classes, d))
-        self.variances = np.empty((n_classes, d))
-        global_mean = sum_total / n_total
-        global_var = np.maximum(sq_total / n_total - global_mean ** 2, 0.0)
-        smoothing = 1e-9 * global_var.max() if n_total > 1 else _MIN_VARIANCE
-        for idx, cls in enumerate(self.classes):
-            count, sums, squares = merged[float(cls)]
-            mean = sums / count
-            self.priors[idx] = count / n_total
-            self.means[idx] = mean
-            self.variances[idx] = np.maximum(
-                squares / count - mean ** 2, 0.0
-            ) + max(smoothing, _MIN_VARIANCE)
+        """One :func:`nb_moments` map task per labelled ``(rows, labels)``
+        partition of ``dataset``, merged on the driver in partition order,
+        so the model does not depend on the worker count."""
+        report = compute_cluster.run_map(dataset, nb_moments)
+        moments: Dict[float, list] = {}
+        for partial in report.result:
+            merge_moments(moments, partial)
+        self._close(moments)
         self.last_job_report = report
         return self
 
-    def _joint_log_likelihood(self, X: np.ndarray) -> np.ndarray:
-        scores = np.empty((X.shape[0], len(self.classes)))
-        for idx in range(len(self.classes)):
-            var = self.variances[idx]
-            diff = X - self.means[idx]
-            scores[:, idx] = (
-                np.log(self.priors[idx])
-                - 0.5 * (np.log(2 * np.pi * var).sum() + ((diff ** 2) / var).sum(axis=1))
-            )
-        return scores
+    def _joint(self, X) -> np.ndarray:
+        self._require_fitted("classes")
+        X = as_matrix(X)[:, None, :]
+        return log_joint(X, self.priors, self.means, self.variances)
 
     def predict(self, X) -> np.ndarray:
-        self._require_fitted("classes")
-        X = as_matrix(X)
-        return self.classes[np.argmax(self._joint_log_likelihood(X), axis=1)]
+        return self.classes[np.argmax(self._joint(X), axis=1)]
 
     def predict_proba(self, X) -> np.ndarray:
-        self._require_fitted("classes")
-        scores = self._joint_log_likelihood(as_matrix(X))
+        scores = self._joint(X)
         scores -= scores.max(axis=1, keepdims=True)
         probabilities = np.exp(scores)
         return probabilities / probabilities.sum(axis=1, keepdims=True)

@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.errors import MLError
 from repro.ml.base import Estimator, as_matrix, as_vector
+from repro.ml.naive_bayes import close_moments, log_joint, merge_moments
 
 _MIN_VARIANCE = 1e-9
 
@@ -72,7 +73,7 @@ class OnlineLearner(Estimator):
         return np.array([self.score_event(X[i]) for i in range(X.shape[0])])
 
 
-class _Welford:
+class Welford:
     """Numerically stable running mean/variance of a scalar stream."""
 
     __slots__ = ("count", "mean", "m2")
@@ -97,10 +98,9 @@ class _Welford:
 class OnlineGaussianNB(OnlineLearner):
     """Incremental Gaussian naive Bayes from running sufficient statistics.
 
-    The same per-class ``(count, sum, sum_of_squares)`` triples that
-    :meth:`repro.ml.naive_bayes.GaussianNaiveBayes.fit_distributed` merges
-    across partitions, maintained one event at a time.  With two or more
-    observed classes the score is the posterior probability of class 1
+    Each event is a one-row block of the per-class ``[count, Σx, Σx²]``
+    fold of :mod:`repro.ml.naive_bayes`.  With two or more observed
+    classes the score is the posterior probability of class 1
     (malicious); with a single (benign) class the learner degrades to a
     density model and flags events whose log-likelihood sits more than
     ``n_sigma`` running standard deviations below the running mean.
@@ -112,72 +112,39 @@ class OnlineGaussianNB(OnlineLearner):
         #: class label -> [count, sum vector, sum-of-squares vector]
         self._stats: Dict[float, list] = {}
         self._closed: Optional[dict] = None
-        self._loglik = _Welford()
+        self._loglik = Welford()
         self.events_absorbed = 0
 
     def partial_fit(self, x, y=None) -> "OnlineGaussianNB":
         x = np.asarray(x, dtype=float).ravel()
         label = float(y) if y is not None else 0.0
-        entry = self._stats.get(label)
-        if entry is None:
-            self._stats[label] = [1, x.copy(), np.square(x)]
-        else:
-            entry[0] += 1
-            entry[1] += x
-            entry[2] += np.square(x)
+        merge_moments(self._stats, {label: [1, x, np.square(x)]})
         self._closed = None
         self.events_absorbed += 1
         if len(self._stats) == 1:
             # Density-mode calibration: track the running distribution of
             # in-stream log-likelihoods here so score_event stays pure.
-            self._loglik.push(float(self._log_likelihoods(x)[0]))
+            closed = self._close()
+            self._loglik.push(float(log_joint(
+                x, closed["priors"], closed["means"], closed["variances"]
+            )[0]))
         return self
 
     def _close(self) -> dict:
         """Close the running moments into priors/means/variances (cached)."""
-        if self._closed is not None:
-            return self._closed
-        if not self._stats:
-            raise MLError("OnlineGaussianNB has absorbed no events")
-        total = sum(entry[0] for entry in self._stats.values())
-        classes = sorted(self._stats)
-        means, variances, priors = [], [], []
-        # Shared smoothing from the global second moment, mirroring the
-        # distributed trainer's moment-based variance.
-        g_sum = sum(entry[1] for entry in self._stats.values())
-        g_sq = sum(entry[2] for entry in self._stats.values())
-        g_mean = g_sum / total
-        g_var = np.maximum(g_sq / total - g_mean ** 2, 0.0)
-        smoothing = max(1e-9 * float(g_var.max()) if total > 1 else _MIN_VARIANCE,
-                        _MIN_VARIANCE)
-        for cls in classes:
-            count, sums, squares = self._stats[cls]
-            mean = sums / count
-            means.append(mean)
-            variances.append(np.maximum(squares / count - mean ** 2, 0.0) + smoothing)
-            priors.append(count / total)
-        self._closed = {
-            "classes": classes,
-            "priors": np.array(priors),
-            "means": np.array(means),
-            "variances": np.array(variances),
-        }
+        if self._closed is None:
+            if not self._stats:
+                raise MLError("OnlineGaussianNB has absorbed no events")
+            classes, priors, means, variances = close_moments(self._stats)
+            self._closed = {"classes": classes, "priors": priors,
+                            "means": means, "variances": variances}
         return self._closed
-
-    def _log_likelihoods(self, x: np.ndarray) -> np.ndarray:
-        closed = self._close()
-        means, variances = closed["means"], closed["variances"]
-        diff = x - means
-        return (
-            np.log(closed["priors"])
-            - 0.5 * (np.log(2 * np.pi * variances).sum(axis=1)
-                     + (diff * diff / variances).sum(axis=1))
-        )
 
     def score_event(self, x) -> float:
         x = np.asarray(x, dtype=float).ravel()
-        scores = self._log_likelihoods(x)
-        classes = self._close()["classes"]
+        closed = self._close()
+        scores = log_joint(x, closed["priors"], closed["means"], closed["variances"])
+        classes = closed["classes"]
         if len(classes) >= 2 and 1.0 in classes:
             shifted = scores - scores.max()
             probabilities = np.exp(shifted)
@@ -230,7 +197,7 @@ class StreamingKMeans(OnlineLearner):
         self.decay_cap = decay_cap
         self.centers: List[np.ndarray] = []
         self.counts: List[int] = []
-        self._distance = _Welford()
+        self._distance = Welford()
         self.events_absorbed = 0
 
     def _nearest(self, x: np.ndarray):
@@ -313,7 +280,7 @@ class HalfSpaceTrees(OnlineLearner):
         self._latest: List[np.ndarray] = []
         self._lo: Optional[np.ndarray] = None        # running feature mins
         self._hi: Optional[np.ndarray] = None
-        self._score_mean = _Welford()
+        self._score_mean = Welford()
         self._window_fill = 0
         self.windows_closed = 0
         self.events_absorbed = 0
@@ -443,7 +410,7 @@ class SlidingWindowDetector(OnlineLearner):
         self.min_hits = min_hits
         self.n_sigma = n_sigma
         self._values: deque = deque(maxlen=window)
-        self._running = _Welford()
+        self._running = Welford()
         self.events_absorbed = 0
 
     def _value(self, x) -> float:

@@ -233,7 +233,7 @@ def _untouched(store, action, error):
 class TestAllOrNothing:
     def test_key_without_live_chain_rejects_the_whole_batch(self, layout):
         store = layout(replication=1)
-        homes = {k: store._shard_for(k).node_id for k in range(12)}
+        homes = {k: store._write_chain(k)[0].node_id for k in range(12)}
         batch = [{"k": k, "a": 1} for k in sorted(homes, key=lambda k: homes[k] == 0)]
         assert homes[batch[0]["k"]] != 0 and homes[batch[-1]["k"]] == 0
         store.insert_many("c", batch)
@@ -286,7 +286,7 @@ class TestDuplicateIds:
         # Same _id under two keys homed on different shards: with three
         # copies on three shards the replica tables are where they meet.
         store = _documents(replication=3)
-        keys = {store._shard_for(k).node_id: k for k in range(20)}
+        keys = {store._write_chain(k)[0].node_id: k for k in range(20)}
         batch = [{"_id": "x", "k": keys[0]}, {"_id": "x", "k": keys[1]}]
         _untouched(store, lambda: store.insert_many("c", batch), DatabaseError)
 

@@ -403,7 +403,7 @@ class TestDatabaseFaults:
                              shard_key="switch_id")
         # Pick a key whose home shard we then fail.
         key = next(
-            k for k in range(10) if db._shard_for(k).node_id == 0
+            k for k in range(10) if db._write_chain(k)[0].node_id == 0
         )
         db.fail_shard(0)
         with pytest.raises(ShardDownError) as exc_info:

@@ -4,12 +4,15 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.compute import ClusterConfig, ComputeCluster, PartitionedDataset
 from repro.core.southbound import AttackDetector
 from repro.errors import ComputeError
 from repro.ml.kmeans import KMeans
 from repro.ml.naive_bayes import GaussianNaiveBayes
+from repro.ml.online import OnlineGaussianNB
 
 
 class TestPartitionedDataset:
@@ -372,6 +375,79 @@ class TestDistributedTraining:
         predicted, report = detector.run_validation(model, matrix)
         assert report is not None and report.n_tasks == 6
         assert np.array_equal(predicted, model.predict(matrix))
+
+
+@st.composite
+def _labelled(draw, elements):
+    """A matrix, labels with at least two classes, and a partition count."""
+    n = draw(st.integers(4, 60))
+    matrix = draw(arrays(np.float64, (n, draw(st.integers(1, 4))), elements=elements))
+    labels = draw(
+        arrays(np.float64, n, elements=st.sampled_from([0.0, 1.0, 2.0]))
+        .filter(lambda y: len(np.unique(y)) >= 2)
+    )
+    return matrix, labels, draw(st.integers(1, 6))
+
+
+#: Multiples of 1/8 below 8 in magnitude: every sum the trainers form is
+#: exact, so disagreement can come only from how the folds are wired (a
+#: dropped row, a mislabelled class, a wrong prior), not from summation
+#: order.
+_DYADIC = st.integers(-64, 64).map(lambda v: v / 8)
+_FLOATS = st.floats(-1e3, 1e3, allow_nan=False)
+_WORKER_COUNTS = (1, 2, 6)
+
+
+def _nb_params(model):
+    return [model.priors, model.means, model.variances]
+
+
+class TestOneModelFromEveryPath:
+    """Every trainer folds the same statistics into the same model."""
+
+    @given(data=_labelled(_DYADIC))
+    @settings(max_examples=40, deadline=None)
+    def test_nb_fit_replay_and_distributed_agree(self, data):
+        matrix, labels, n_partitions = data
+        batch = GaussianNaiveBayes().fit(matrix, labels)
+        online = OnlineGaussianNB()
+        for row, label in zip(matrix, labels):
+            online.partial_fit(row, label)
+        closed = online._close()
+        ds = PartitionedDataset.from_matrix(matrix, n_partitions, labels=labels)
+        distributed = GaussianNaiveBayes().fit_distributed(ComputeCluster(2), ds)
+        classes = batch.classes.tolist()
+        assert closed["classes"] == distributed.classes.tolist() == classes
+        replayed = [closed["priors"], closed["means"], closed["variances"]]
+        for params in (replayed, _nb_params(distributed)):
+            for got, want in zip(params, _nb_params(batch)):
+                np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+
+    @given(data=_labelled(_FLOATS))
+    @settings(max_examples=25, deadline=None)
+    def test_nb_distributed_independent_of_worker_count(self, data):
+        matrix, labels, n_partitions = data
+        ds = PartitionedDataset.from_matrix(matrix, n_partitions, labels=labels)
+        fitted = [
+            GaussianNaiveBayes().fit_distributed(ComputeCluster(n_workers), ds)
+            for n_workers in _WORKER_COUNTS
+        ]
+        for model in fitted[1:]:
+            for got, want in zip(_nb_params(model), _nb_params(fitted[0])):
+                assert got.tobytes() == want.tobytes()
+
+    @given(data=_labelled(_FLOATS), k=st.integers(1, 4))
+    @settings(max_examples=25, deadline=None)
+    def test_kmeans_distributed_independent_of_worker_count(self, data, k):
+        matrix, _labels, n_partitions = data
+        ds = PartitionedDataset.from_matrix(matrix, n_partitions)
+        centers = [
+            KMeans(k=k, max_iterations=5, seed=3)
+            .fit_distributed(ComputeCluster(n_workers), ds)
+            .centers.tobytes()
+            for n_workers in _WORKER_COUNTS
+        ]
+        assert centers[1:] == centers[:1] * 2
 
 
 class TestBatchDDoSPin:

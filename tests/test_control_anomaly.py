@@ -2,26 +2,27 @@
 
 import pytest
 
-from repro.apps.control_anomaly import ControlPlaneAnomalyApp, _RunningStats
+from repro.apps.control_anomaly import ControlPlaneAnomalyApp, _stddev
 from repro.controller import ControllerCluster, ReactiveForwarding
 from repro.core import AthenaDeployment
 from repro.dataplane.packet import Packet, flow_headers
 from repro.dataplane.topologies import linear_topology
+from repro.ml.online import Welford
 from repro.workloads.flows import FlowSpec, TrafficSchedule
 
 
 class TestRunningStats:
     def test_mean_and_stddev(self):
-        stats = _RunningStats()
+        stats = Welford()
         for value in (2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0):
-            stats.update(value)
+            stats.push(value)
         assert stats.mean == pytest.approx(5.0)
-        assert stats.stddev == pytest.approx(2.138, abs=0.01)
+        assert _stddev(stats) == pytest.approx(2.138, abs=0.01)
 
     def test_single_sample_stddev_zero(self):
-        stats = _RunningStats()
-        stats.update(3.0)
-        assert stats.stddev == 0.0
+        stats = Welford()
+        stats.push(3.0)
+        assert _stddev(stats) == 0.0
 
 
 def _environment(calibration_seconds=8.0, sigma=4.0, floor=50.0):

@@ -531,7 +531,7 @@ class TestPartialShardAvailability:
 
         cluster = DatabaseCluster(n_shards=2, shard_key="k", replication=1)
         key = next(
-            k for k in range(10) if cluster._shard_for(k).node_id == 0
+            k for k in range(10) if cluster._write_chain(k)[0].node_id == 0
         )
         cluster.fail_shard(0)
         with pytest.raises(ShardDownError) as excinfo:
@@ -541,11 +541,30 @@ class TestPartialShardAvailability:
     def test_replicated_insert_survives_dead_home(self):
         cluster = DatabaseCluster(n_shards=3, shard_key="k", replication=2)
         key = next(
-            k for k in range(10) if cluster._shard_for(k).node_id == 0
+            k for k in range(10) if cluster._write_chain(k)[0].node_id == 0
         )
         cluster.fail_shard(0)
         cluster.insert_one("c", {"k": key, "v": 1})
         assert cluster.count("c") == 1
+
+    def test_pinned_read_finds_document_written_during_outage(self):
+        from repro.errors import ShardDownError
+
+        cluster = DatabaseCluster(n_shards=3, shard_key="k", replication=2)
+        home = cluster._write_chain(1)[0].node_id
+        cluster.fail_shard(home)
+        cluster.insert_one("c", {"k": 1})
+        cluster.recover_shard(home)
+        found = cluster.find("c", {"k": 1})
+        assert cluster.count("c") == len(found) == 1
+        assert found == cluster.find("c", {"k": {"$in": [1]}})
+        assert cluster.find_frame("c", {"k": 1}).copy_documents() == found
+        # With the whole chain down the read fails as the write would.
+        cluster.fail_shard(home)
+        cluster.fail_shard((home + 1) % 3)
+        with pytest.raises(ShardDownError) as excinfo:
+            cluster.find("c", {"k": 1})
+        assert excinfo.value.node_id == home
 
 
 # -- reads against the copy-filter-sort-limit-project list oracle --------------

@@ -18,7 +18,7 @@ from repro.distdb.frame import scan_fields
 from repro.distdb.query import matches_filter, sort_documents
 from repro.errors import QueryError
 
-from tests.oracles import oracle_matrix
+from tests.oracles import list_find, oracle_matrix
 
 DOCS = [
     {"switch_id": 1, "A": 1.0, "B": 10, "tag": "x", "label": 1},
@@ -256,3 +256,40 @@ class TestFilterMaskProperties:
             cluster.find_frame("c", filter_ or None).copy_documents()
             == cluster.find("c", filter_ or None)
         )
+
+
+_sort_value = st.one_of(
+    st.none(),
+    st.integers(min_value=-3, max_value=3),
+    st.floats(min_value=-3, max_value=3),
+    st.just(float("nan")),
+    st.just("a"),
+)
+
+
+class TestSameDirectionSortProperties:
+    """Two keys sharing a direction: ``sort_documents`` sorts once on the
+    composite key, so the frame must too — per-field passes order NaN
+    differently and compare secondary keys the composite key never
+    reaches."""
+
+    @given(
+        docs=st.lists(
+            st.fixed_dictionaries({}, optional={"x": _sort_value, "y": _sort_value}),
+            max_size=25,
+        ),
+        direction=st.sampled_from([1, -1]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_find_frame_equals_oracle_or_raises_with_it(self, docs, direction):
+        store = DatabaseCluster(n_shards=1)
+        store.insert_many("c", docs)
+        stored = store.shards[0].collection("c").all_documents()
+        sort = [("x", direction), ("y", direction)]
+        try:
+            expected = list_find(stored, sort=sort)[0]
+        except TypeError:
+            with pytest.raises(TypeError):
+                store.find_frame("c", sort=sort)
+            return
+        assert store.find_frame("c", sort=sort).copy_documents() == expected

@@ -82,9 +82,9 @@ class _StoreMachine(RuleBasedStateMachine):
     def build(self):
         raise NotImplementedError
 
-    def visible(self, filter_):
-        """The stored documents a read with this filter consults, in scan
-        order: the live shards', or the one shard the filter pins."""
+    def visible(self):
+        """The live stored documents, in scan order; a read with any
+        filter must see exactly those that match it."""
         raise NotImplementedError
 
     def _write(self, operation, *args):
@@ -149,7 +149,7 @@ class _StoreMachine(RuleBasedStateMachine):
                 missing = frame.is_missing(name).tolist()
                 values = [None if gone else v for v, gone in zip(values, missing)]
             assert values == [doc.get(name) for doc in found]
-        visible = self.visible(filter_)
+        visible = self.visible()
         expected, bytes_read = list_find(visible, filter_, sort, limit)
         if read_before is not None:
             assert store.op_stats()["bytes_read"] - read_before == bytes_read
@@ -175,14 +175,10 @@ class DocumentStoreMachine(_StoreMachine):
         store.create_index("c", "a", "b")
         return store
 
-    def visible(self, filter_):
-        # A filter that fixes the shard key is served by the key's home
-        # shard alone (a document written elsewhere while that shard was
-        # down is reachable by scan only — a routing matter, not this
-        # test's).
+    def visible(self):
         return [
             doc
-            for shard in self.store._read_shards(filter_)
+            for shard in self.store._live_shards()
             if shard.has_collection("c")
             for doc in shard.collection("c").all_documents()
         ]
@@ -196,7 +192,7 @@ class ColumnStoreMachine(_StoreMachine):
                 node.family(name).flush_threshold = 4
         return store
 
-    def visible(self, filter_):
+    def visible(self):
         return list(self.store._scan("c"))
 
 
