@@ -226,9 +226,12 @@ class FeatureFrame:
         Dotted keys reach into sub-documents the columns don't hold, so
         they sort through ``get_path`` like the document path does.
         """
-        if "." in name or self.values(name).dtype == object:
+        if "." in name:
             return False
-        return not np.isnan(self.values(name)[~self.is_missing(name)]).any()
+        column = self.values(name)
+        if column.dtype == object:
+            return False
+        return not np.isnan(column[~self.is_missing(name)]).any()
 
     def _ranked(
         self, names: List[str], rows: np.ndarray, descending: bool

@@ -406,7 +406,7 @@ class TestOneModelFromEveryPath:
     """Every trainer folds the same statistics into the same model."""
 
     @given(data=_labelled(_DYADIC))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=25, deadline=None)
     def test_nb_fit_replay_and_distributed_agree(self, data):
         matrix, labels, n_partitions = data
         batch = GaussianNaiveBayes().fit(matrix, labels)
@@ -447,7 +447,7 @@ class TestOneModelFromEveryPath:
             .centers.tobytes()
             for n_workers in _WORKER_COUNTS
         ]
-        assert centers[1:] == centers[:1] * 2
+        assert len(set(centers)) == 1
 
 
 class TestBatchDDoSPin:

@@ -96,7 +96,7 @@ class TestStateDeterminism:
         ("portscan",
          "eb4017a7c73b3d2b4acafabc6874edfb12278456c33c5b29e5d7c208336ba8a3",
          "53a51e47383be13fbbec96bc707c144c5c8ef6679ef0621622bdbb3a83e9a105"),
-    ])
+    ], ids=["ddos", "portscan"])
     def test_pipeline_digests_pinned(self, scenario, state_digest, alert_digest):
         outcome = _outcome(scenario)
         assert (outcome.state_digest, outcome.alert_digest) == (

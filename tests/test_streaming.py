@@ -111,7 +111,7 @@ class TestOnlineGaussianNB:
     @pytest.mark.parametrize("two_class, digest", [
         (True, "ca0a50cbe832a68923c76b606ef97b80f2b0360106bb638398dec58238d02b98"),
         (False, "0ba45803834e58a9dee66a9186cae5706801df15ae9fb35ae6d1230f82b04d4a"),
-    ])
+    ], ids=["two_class", "one_class"])
     def test_replay_pinned(self, two_class, digest):
         """The closed moments and three probe scores after a seeded replay.
 
