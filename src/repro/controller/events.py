@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, DefaultDict, List, Optional, Type
+from typing import Callable, DefaultDict, Dict, List, Optional, Tuple, Type
 
 from repro.openflow.messages import (
     FlowRemoved,
@@ -84,6 +84,9 @@ class EventBus:
 
     def __init__(self) -> None:
         self._listeners: DefaultDict[type, List[Callable]] = defaultdict(list)
+        #: event type -> its delivery tuple, built on first publish and
+        #: dropped whenever a subscription changes.
+        self._delivery: Dict[type, Tuple[Callable, ...]] = {}
 
     def subscribe(self, event_type: Type[ControllerEvent], listener: Callable) -> None:
         # Idempotent: subscribing the same listener twice (e.g. both a
@@ -92,32 +95,41 @@ class EventBus:
         listeners = self._listeners[event_type]
         if listener not in listeners:
             listeners.append(listener)
+            self._delivery.clear()
 
     def unsubscribe(self, event_type: Type[ControllerEvent], listener: Callable) -> None:
         if listener in self._listeners.get(event_type, []):
             self._listeners[event_type].remove(listener)
+            self._delivery.clear()
 
-    def publish(self, event: ControllerEvent) -> None:
+    def _delivery_for(self, event_type: type) -> Tuple[Callable, ...]:
         # Walk the event's class hierarchy so base-type subscriptions see
         # derived events, but deliver to each listener at most once even
         # if it subscribed at several levels (concrete + base type).
         # Equality, not identity: bound methods are re-created per access,
         # so ``instance.handler`` subscribed twice compares == but not is.
-        #
-        # The full delivery list is snapshotted *before* any listener runs:
-        # subscribers added mid-dispatch (e.g. a StreamingPipeline attaching
-        # while a round's events are flowing) are deferred until the next
-        # event, so the set of listeners an event reaches never depends on
-        # handler side-effect ordering.  Unsubscribing mid-dispatch likewise
-        # does not retract a delivery already snapshotted for this event.
-        delivered = []
-        for event_type in type(event).__mro__:
-            if event_type is object:
+        delivered: List[Callable] = []
+        for cls in event_type.__mro__:
+            if cls is object:
                 break
-            for listener in self._listeners.get(event_type, []):
+            for listener in self._listeners.get(cls, []):
                 if listener not in delivered:
                     delivered.append(listener)
-        for listener in delivered:
+        delivery = self._delivery[event_type] = tuple(delivered)
+        return delivery
+
+    def publish(self, event: ControllerEvent) -> None:
+        # The delivery tuple is fixed *before* any listener runs:
+        # subscribers added mid-dispatch (e.g. a StreamingPipeline attaching
+        # while a round's events are flowing) only clear the cache, so they
+        # are deferred until the next event and the set of listeners an
+        # event reaches never depends on handler side-effect ordering.
+        # Unsubscribing mid-dispatch likewise does not retract a delivery
+        # already fixed for this event.
+        delivery = self._delivery.get(type(event))
+        if delivery is None:
+            delivery = self._delivery_for(type(event))
+        for listener in delivery:
             listener(event)
 
     def listener_count(self, event_type: Type[ControllerEvent]) -> int:

@@ -7,8 +7,10 @@ event with bounded latency:
 
 * :meth:`OnlineLearner.partial_fit` — absorb one observation, O(d) work;
 * :meth:`OnlineLearner.score_event` — anomaly score for one vector,
-  higher = more anomalous, no allocation beyond a few scalars;
-* :meth:`OnlineLearner.predict_event` — boolean verdict from the score;
+  higher = more anomalous, pure (no state change), so a caller may score
+  only the events it alerts on;
+* :meth:`OnlineLearner.predict_event` — boolean verdict from the score
+  (it may update verdict calibration, e.g. a running score baseline);
 * :meth:`OnlineLearner.refresh` — periodic *off-path* maintenance
   (window swaps, cached-moment closes); never required for correctness
   of the hot path.
@@ -44,7 +46,7 @@ class OnlineLearner(Estimator):
         raise NotImplementedError
 
     def score_event(self, x) -> float:
-        """Anomaly score of one vector; higher = more anomalous."""
+        """Anomaly score of one vector; higher = more anomalous.  Pure."""
         raise NotImplementedError
 
     def predict_event(self, x) -> bool:
@@ -302,16 +304,11 @@ class HalfSpaceTrees(OnlineLearner):
             self._reference.append(np.zeros(n_leaves))
             self._latest.append(np.zeros(n_leaves))
 
-    def _normalise(self, x: np.ndarray) -> np.ndarray:
-        if self._lo is None:
-            self._lo = x.copy()
-            self._hi = x.copy()
-        else:
-            np.minimum(self._lo, x, out=self._lo)
-            np.maximum(self._hi, x, out=self._hi)
-        span = self._hi - self._lo
+    @staticmethod
+    def _normalise(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        span = hi - lo
         safe = np.where(span > 0.0, span, 1.0)
-        return (x - self._lo) / safe
+        return (x - lo) / safe
 
     def _leaf(self, tree: int, z: np.ndarray) -> int:
         lo = self._workspace[tree][:, 0].copy()
@@ -333,7 +330,12 @@ class HalfSpaceTrees(OnlineLearner):
         x = np.asarray(x, dtype=float).ravel()
         if self._dims is None:
             self._build(len(x))
-        z = self._normalise(x)
+            self._lo = x.copy()
+            self._hi = x.copy()
+        else:
+            np.minimum(self._lo, x, out=self._lo)
+            np.maximum(self._hi, x, out=self._hi)
+        z = self._normalise(x, self._lo, self._hi)
         for tree in range(self.n_trees):
             self._latest[tree][self._leaf(tree, z)] += 1.0
         self.events_absorbed += 1
@@ -348,17 +350,18 @@ class HalfSpaceTrees(OnlineLearner):
         if self._dims is None:
             return 0.0
         x = np.asarray(x, dtype=float).ravel()
-        z = self._normalise(x)
+        # The running bounds widen to x for this score only; partial_fit
+        # is what moves them.
+        z = self._normalise(x, np.minimum(self._lo, x), np.maximum(self._hi, x))
         mass = 0.0
         for tree in range(self.n_trees):
             mass += float(self._reference[tree][self._leaf(tree, z)])
         # Invert and normalise: empty regions score 1, dense regions -> 0.
-        score = 1.0 / (1.0 + mass)
-        self._score_mean.push(score)
-        return score
+        return 1.0 / (1.0 + mass)
 
     def predict_event(self, x) -> bool:
         score = self.score_event(x)
+        self._score_mean.push(score)
         if self.windows_closed == 0:
             return False  # no reference window yet — still learning
         mean, std = self._score_mean.mean, self._score_mean.std()
@@ -414,7 +417,10 @@ class SlidingWindowDetector(OnlineLearner):
         self.events_absorbed = 0
 
     def _value(self, x) -> float:
-        x = np.asarray(x, dtype=float).ravel()
+        # The streaming manager hands over a plain list: index it directly
+        # rather than build an array for one scalar.
+        if not isinstance(x, (list, tuple)):
+            x = np.asarray(x, dtype=float).ravel()
         if self.column >= len(x):
             raise MLError(
                 f"column {self.column} out of range for {len(x)} features"

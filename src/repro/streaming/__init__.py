@@ -9,9 +9,10 @@ the per-event alternative (docs/STREAMING.md):
   variation statistics under their FEATURE_CATALOG names;
 * :class:`StreamingPipeline` subscribes to each controller instance's
   EventBus and turns every event into a :class:`StreamEvent`;
-* :class:`StreamingDetectorManager` scores each event through the
-  online learners of :mod:`repro.ml.online` (``partial_fit`` /
-  ``score_event``) and emits alerts with bounded per-event latency —
+* :class:`StreamingDetectorManager` judges each event through the
+  online learners of :mod:`repro.ml.online` (``predict_event`` /
+  ``partial_fit``, ``score_event`` only for an alert) and emits alerts
+  with bounded per-event latency —
   no full retrain ever happens on the hot path; periodic model refresh
   runs off-path on the sim clock.
 """

@@ -1,14 +1,18 @@
 """Streaming detector manager: per-event scoring, bounded-latency alerts.
 
-The hot path for every stream event is strictly:
+The hot path for every stream event is strictly fold → vector →
+``predict_event`` → (``score_event`` only for an alert) → optional
+``partial_fit``:
 
 1. build the detector's feature vector from the event's fields
    (missing names read as 0.0 — catalog names are validated once, at
    registration, against FEATURE_CATALOG);
 2. ``predict_event`` on the online learner (O(d) or O(trees·depth));
-3. ``partial_fit`` the same observation (unsupervised absorption);
-4. on a positive verdict outside the per-source cooldown, append an
-   alert.
+3. on a positive verdict outside the per-source cooldown, score the
+   event with the pure ``score_event`` and append an alert — before
+   absorbing, so the alert carries the pre-absorb score;
+4. ``partial_fit`` the same observation (unsupervised absorption,
+   unless the detector is frozen).
 
 No model is ever retrained on this path; periodic maintenance
 (:meth:`refresh`) runs off-path, scheduled on the sim clock by
@@ -144,34 +148,40 @@ class StreamingDetectorManager:
                 if detector.absorb:
                     detector.learner.partial_fit(vector)
                 continue
-            verdict = detector.learner.predict_event(vector)
-            score = detector.learner.score_event(vector)
+            if detector.learner.predict_event(vector):
+                self._alert(detector, event, vector)
             if detector.absorb:
                 detector.learner.partial_fit(vector)
-            if not verdict:
-                continue
-            source = self._source_key(event)
-            last = detector.last_alert.get(source)
-            if last is not None and event.time - last < detector.cooldown:
-                continue
-            detector.last_alert[source] = event.time
-            detector.alerts_emitted += 1
-            self._metric_alerts.labels(detector=detector.name).inc()
-            self.alerts.append(
-                StreamingAlert(
-                    detector=detector.name,
-                    kind=event.kind,
-                    sim_time=event.time,
-                    dpid=event.dpid,
-                    instance_id=event.instance_id,
-                    source=source,
-                    score=round(float(score), 9),
-                    features={
-                        name: event.fields.get(name, 0.0)
-                        for name in detector.features
-                    },
-                )
+
+    def _alert(self, detector: _Detector, event: StreamEvent, vector) -> None:
+        """Append an alert for a positive verdict outside its cooldown.
+
+        Runs before the event is absorbed, so the alert carries the
+        pre-absorb score; ``score_event`` is pure, so scoring only here
+        gives the same alerts as scoring every event.
+        """
+        source = self._source_key(event)
+        last = detector.last_alert.get(source)
+        if last is not None and event.time - last < detector.cooldown:
+            return
+        detector.last_alert[source] = event.time
+        detector.alerts_emitted += 1
+        self._metric_alerts.labels(detector=detector.name).inc()
+        self.alerts.append(
+            StreamingAlert(
+                detector=detector.name,
+                kind=event.kind,
+                sim_time=event.time,
+                dpid=event.dpid,
+                instance_id=event.instance_id,
+                source=source,
+                score=round(float(detector.learner.score_event(vector)), 9),
+                features={
+                    name: event.fields.get(name, 0.0)
+                    for name in detector.features
+                },
             )
+        )
 
     # -- off-path maintenance ------------------------------------------------
 

@@ -28,7 +28,7 @@ from repro.openflow.messages import FlowStatsReply
 from repro.telemetry import Stopwatch, get_telemetry
 
 
-@dataclass
+@dataclass(slots=True)
 class StreamEvent:
     """One folded event on its way to the online detectors."""
 
@@ -138,12 +138,16 @@ class StreamingPipeline:
             # A stream kind that is itself a control message bears the
             # name of its counter.
             state.count_message(dpid, kind)
+        metric, sinks, latency = self._metric_events[kind], self._sinks, self._latency
+        # A disabled registry's histogram is the null instrument: do not
+        # read a clock per event only to discard the reading.
+        timed = latency.enabled
         for item in items:
-            watch = Stopwatch()
+            watch = Stopwatch() if timed else None
             indicators, fields = fold(dpid, item, now)
             self.events_processed += 1
             self.events_by_kind[kind] += 1
-            self._metric_events[kind].inc()
+            metric.inc()
             stream_event = StreamEvent(
                 kind=kind,
                 scope=FeatureScope.FLOW,
@@ -153,9 +157,10 @@ class StreamingPipeline:
                 indicators=indicators,
                 fields=fields,
             )
-            for sink in self._sinks:
+            for sink in sinks:
                 sink(stream_event)
-            self._latency.observe(watch.elapsed())
+            if watch is not None:
+                latency.observe(watch.elapsed())
 
     # -- snapshots ----------------------------------------------------------
 

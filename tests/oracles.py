@@ -10,6 +10,9 @@ The one dict-based oracle, :class:`DictFlowStateTable`, is the flow table
 as it shipped before its entries were linked to their reverse flow: every
 flow keeps a copy of its indicators and every drop rebuilds the reverse
 key from them.
+:class:`UncachedEventBus` is the event bus before it cached its delivery
+lists, and :class:`ScoreEveryEventManager` the streaming detector
+manager before it scored only the events it alerts on.
 """
 
 import statistics
@@ -22,6 +25,7 @@ from repro.openflow.constants import FlowRemovedReason
 from repro.openflow.flow import FlowEntry
 from repro.openflow.match import MATCH_FIELDS
 from repro.simkernel import SimClock
+from repro.streaming.detector import StreamingAlert, StreamingDetectorManager
 
 
 def oracle_matches(match, headers):
@@ -378,3 +382,79 @@ class DictFlowStateTable:
             state = self._switches.get(dpid)
             return len(state.flows) if state is not None else 0
         return sum(len(s.flows) for s in self._switches.values())
+
+
+class UncachedEventBus:
+    """The event bus that walks the event's MRO on every publish and
+    dedups the delivery list by ``==`` as it builds it."""
+
+    def __init__(self):
+        self._listeners = {}
+
+    def subscribe(self, event_type, listener):
+        listeners = self._listeners.setdefault(event_type, [])
+        if listener not in listeners:
+            listeners.append(listener)
+
+    def unsubscribe(self, event_type, listener):
+        if listener in self._listeners.get(event_type, []):
+            self._listeners[event_type].remove(listener)
+
+    def publish(self, event):
+        delivered = []
+        for event_type in type(event).__mro__:
+            if event_type is object:
+                break
+            for listener in self._listeners.get(event_type, []):
+                if listener not in delivered:
+                    delivered.append(listener)
+        for listener in delivered:
+            listener(event)
+
+    def listener_count(self, event_type):
+        return len(self._listeners.get(event_type, []))
+
+
+class ScoreEveryEventManager(StreamingDetectorManager):
+    """The detector manager that scores every event past warm-up, then
+    absorbs it, then checks the verdict and cooldown for an alert."""
+
+    def on_event(self, event):
+        for detector in self._detectors.values():
+            if detector.scope is not event.scope:
+                continue
+            if detector.kinds is not None and event.kind not in detector.kinds:
+                continue
+            detector.events_seen += 1
+            vector = [event.fields.get(name, 0.0) for name in detector.features]
+            if detector.events_seen <= detector.warmup:
+                if detector.absorb:
+                    detector.learner.partial_fit(vector)
+                continue
+            verdict = detector.learner.predict_event(vector)
+            score = detector.learner.score_event(vector)
+            if detector.absorb:
+                detector.learner.partial_fit(vector)
+            if not verdict:
+                continue
+            source = self._source_key(event)
+            last = detector.last_alert.get(source)
+            if last is not None and event.time - last < detector.cooldown:
+                continue
+            detector.last_alert[source] = event.time
+            detector.alerts_emitted += 1
+            self.alerts.append(
+                StreamingAlert(
+                    detector=detector.name,
+                    kind=event.kind,
+                    sim_time=event.time,
+                    dpid=event.dpid,
+                    instance_id=event.instance_id,
+                    source=source,
+                    score=round(float(score), 9),
+                    features={
+                        name: event.fields.get(name, 0.0)
+                        for name in detector.features
+                    },
+                )
+            )
