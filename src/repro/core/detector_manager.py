@@ -25,7 +25,7 @@ from repro.core.feature_manager import FeatureManager
 from repro.core.preprocessor import Preprocessor
 from repro.core.query import Query
 from repro.core.results import ClusterReport, ValidationSummary
-from repro.distdb.frame import FeatureFrame
+from repro.distdb.frame import FeatureFrame, read_rows
 from repro.errors import AthenaError, DatabaseError
 from repro.ml.base import ClusteringModel, Estimator
 from repro.telemetry import Stopwatch, get_telemetry
@@ -272,9 +272,9 @@ class DetectorManager:
             marks = np.zeros(len(predictions))
         malicious = marks == 1
         positive = predictions == 1
-        # One list per key field, zipped into flow keys: the values are
-        # read as stored, so keys compare exactly as the documents' do.
-        flows = list(zip(*([doc.get(name) for doc in docs] for name in _FLOW_KEY)))
+        # The flow keys are the values as stored, so keys compare exactly
+        # as the documents' do.
+        flows = read_rows(docs, _FLOW_KEY)
         malicious_flows = set(itertools.compress(flows, malicious.tolist()))
         benign_flows = set(itertools.compress(flows, (~malicious).tolist()))
         summary = ValidationSummary(

@@ -116,15 +116,14 @@ class DatabaseCluster(ShardedStore):
             else:
                 table = self.shards[node_id].collection(replicas_in)
                 tables.append((table, copies, [sizes[i] for i in positions]))
-        for table, batch, _ in tables:
-            table.new_ids(batch)
+        ids = [table.new_ids(batch) for table, batch, _ in tables]
         # Everything that can reject the batch has run; now write.
         self.router_ops += len(docs)
         self._bump()
         self.bytes_on_wire += encoded
         self._metric_wire_bytes.inc(encoded)
-        for table, batch, batch_sizes in tables:
-            table.insert_stored_many(batch, batch_sizes)
+        for (table, batch, batch_sizes), batch_ids in zip(tables, ids):
+            table.insert_stored_many(batch, batch_sizes, batch_ids)
         for queue, copies in lagged:
             queue.extend((replicas_in, copy) for copy in copies)
         return len(docs)

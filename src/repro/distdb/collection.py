@@ -218,15 +218,17 @@ class Collection:
                 seen.add(_id)
         return ids
 
-    def insert_stored_many(self, batch: List[Dict[str, Any]], sizes: List[int]) -> None:
+    def insert_stored_many(
+        self, batch: List[Dict[str, Any]], sizes: List[int], ids: List[Any]
+    ) -> None:
         """:meth:`insert_stored` for a batch, bookkeeping hoisted per batch.
 
         Leaves the collection exactly as inserting the documents one by
-        one would (insertion order, index buckets, size cache, counters),
-        except that a duplicate ``_id`` rejects the whole batch before any
-        document is stored.  ``sizes[i]`` is ``approx_size(batch[i])``.
+        one would (insertion order, index buckets, size cache, counters).
+        ``sizes[i]`` is ``approx_size(batch[i])`` and ``ids`` is what
+        :meth:`new_ids` returned for the batch: that check, which rejects
+        a duplicate ``_id`` before any document is stored, is the caller's.
         """
-        ids = self.new_ids(batch)
         self._docs.update(zip(ids, batch))
         self._size_cache.update(zip(ids, sizes))
         columns: Dict[str, List[Any]] = {}

@@ -22,6 +22,8 @@ returns them.
 
 from __future__ import annotations
 
+import itertools
+from operator import itemgetter
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -45,26 +47,53 @@ def _is_plain_number(value: Any) -> bool:
 _NUMERIC_TYPES = frozenset((int, float, type(None)))
 
 
-def _build_column(docs: Sequence[Dict[str, Any]], name: str) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """One typed column over ``docs``: (values, missing-mask).
+#: Rows per extraction block (docs/PERF.md, "The batch path").
+_BLOCK_ROWS = 4096
 
-    Numeric columns return ``float64`` values (missing slots hold NaN —
-    which makes ordered/equality masks correct with no extra masking)
-    plus a bool missing mask distinguishing absent values from stored
-    NaNs.  Mixed or non-numeric columns return an ``object`` array with
-    ``missing is None`` (the values themselves carry ``None``).
-    """
-    raw = [doc.get(name) for doc in docs]
-    kinds = set(map(type, raw))
-    for kind in kinds - _NUMERIC_TYPES:
-        if issubclass(kind, bool) or not issubclass(kind, (int, float)):
-            # fromiter keeps a list- or tuple-valued field one value per row.
-            return np.fromiter(raw, dtype=object, count=len(raw)), None
-    values = np.array(raw, dtype=np.float64)
-    if type(None) in kinds:
-        missing = np.fromiter((v is None for v in raw), dtype=bool, count=len(raw))
-    else:
-        missing = np.zeros(len(raw), dtype=bool)
+
+def read_rows(docs: Sequence[Dict[str, Any]], names: Sequence[str]) -> List[Any]:
+    """Each row's ``.get`` of ``names`` (a tuple, or the bare value for one name)
+    by one ``itemgetter`` pass; a row lacking a name or not an exact dict
+    (``defaultdict`` and ``Counter`` default on ``[]``) reads by ``.get``."""
+    get, wanted = itemgetter(*names), set(names)
+    if set(map(type, docs)) <= {dict}:
+        try:
+            return list(map(get, docs))
+        except KeyError:
+            pass
+    return [get(doc) if type(doc) is dict and wanted <= doc.keys()
+            else tuple(map(doc.get, names)) if len(names) > 1 else doc.get(names[0])
+            for doc in docs]
+
+
+def _build_columns(docs: Sequence[Dict[str, Any]], names: Sequence[str]) -> Tuple[dict, dict]:
+    """Typed columns over ``docs``, read block by block: ({name: values},
+    {name: missing-mask}).  Numeric columns are ``float64`` (missing slots
+    NaN, so ordered/equality masks need no extra masking) with a bool mask
+    telling absent values from stored NaNs; mixed or non-numeric columns
+    are ``object`` arrays (the values carry ``None``) with mask ``None``."""
+    n, width = len(docs), len(names)
+    values = {name: np.empty(n) for name in names}
+    missing = {name: np.zeros(n, dtype=bool) for name in names}
+    for start in range(0, n if width else 0, _BLOCK_ROWS):
+        rows = read_rows(docs[start : start + _BLOCK_ROWS], names)
+        stop = start + len(rows)
+        flat = itertools.chain.from_iterable(rows) if width > 1 else rows
+        block = np.fromiter(flat, dtype=object, count=len(rows) * width)
+        for name, cells in zip(names, block.reshape(-1, width).T):
+            column = values[name]
+            if column.dtype != object and any(
+                issubclass(kind, bool) or not issubclass(kind, (int, float))
+                for kind in set(map(type, cells)) - _NUMERIC_TYPES
+            ):
+                # The column is object after all: earlier rows are re-read.
+                column = values[name] = np.empty(n, dtype=object)
+                column[:start] = np.fromiter(read_rows(docs[:start], [name]), object, start)
+                missing[name] = None
+            column[start:stop] = cells
+            if column.dtype != object:
+                nan = np.flatnonzero(np.isnan(column[start:stop]))
+                missing[name][start + nan] = [v is None for v in cells[nan]]
     return values, missing
 
 
@@ -100,19 +129,8 @@ class FeatureFrame:
         """
         docs = docs if isinstance(docs, list) else list(docs)
         if columns is None:
-            seen: Dict[str, None] = {}
-            for doc in docs:
-                for key in doc:
-                    if key not in seen:
-                        seen[key] = None
-            columns = list(seen)
-        values: Dict[str, np.ndarray] = {}
-        missing: Dict[str, Optional[np.ndarray]] = {}
-        for name in columns:
-            if name in values:
-                continue
-            values[name], missing[name] = _build_column(docs, name)
-        return cls(values, missing, docs)
+            columns = itertools.chain.from_iterable(docs)  # every key, first use first
+        return cls(*_build_columns(docs, list(dict.fromkeys(columns))), docs)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -135,11 +153,9 @@ class FeatureFrame:
         first use — so filters, sorts, and markings never see a phantom
         all-missing column just because the caller trimmed the scan.
         """
-        column = self._values.get(name)
-        if column is None:
-            column, self._missing[name] = _build_column(self._docs, name)
-            self._values[name] = column
-        return column
+        if name not in self._values:
+            self.select((name,))
+        return self._values[name]
 
     def is_missing(self, name: str) -> np.ndarray:
         """Bool mask: True where the value is absent / ``None``."""
@@ -186,13 +202,14 @@ class FeatureFrame:
         return self.take(np.arange(max(0, limit)))
 
     def select(self, columns: Iterable[str]) -> "FeatureFrame":
-        """Frame restricted to (and materialising) ``columns``."""
-        values: Dict[str, np.ndarray] = {}
-        missing: Dict[str, Optional[np.ndarray]] = {}
-        for name in columns:
-            values[name] = self.values(name)
-            missing[name] = self._missing[name]
-        return FeatureFrame(values, missing, self._docs)
+        """Frame restricted to (and materialising) ``columns``; the ones not
+        yet held are built in one pass over the rows."""
+        columns = list(dict.fromkeys(columns))
+        built = _build_columns(self._docs, [n for n in columns if n not in self._values])
+        self._values.update(built[0])
+        self._missing.update(built[1])
+        values = {name: self._values[name] for name in columns}
+        return FeatureFrame(values, {name: self._missing[name] for name in columns}, self._docs)
 
     # -- sort (reproduces distdb.query.sort_documents exactly) -------------
 

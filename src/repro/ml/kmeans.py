@@ -51,22 +51,26 @@ def partial_sums(
     """Map-side K-Means statistics: per-cluster sums, counts, inertia."""
     assignments = assign_to_centers(X, centers)
     k, d = centers.shape
-    sums = np.zeros((k, d))
-    counts = np.zeros(k)
-    np.add.at(sums, assignments, X)
-    np.add.at(counts, assignments, 1.0)
+    sums = np.empty((k, d))
+    for j in range(d):  # bincount adds in row order, bit-equal to np.add.at
+        sums[:, j] = np.bincount(assignments, weights=X[:, j], minlength=k)
+    counts = np.bincount(assignments, minlength=k).astype(np.float64)
     inertia = float(np.sum((X - centers[assignments]) ** 2))
     return sums, counts, inertia
 
 
 def lloyd_update(centers: np.ndarray, partials: list) -> Tuple[np.ndarray, float]:
-    """New centers (an empty cluster keeps its own) and inertia from partials."""
+    """New centers (an empty cluster keeps its own) and inertia from
+    partials; a non-finite inertia (NaN or inf input) raises MLError."""
     sums = sum(p[0] for p in partials)
     counts = sum(p[1] for p in partials)
     new_centers = centers.copy()
     nonempty = counts > 0
     new_centers[nonempty] = sums[nonempty] / counts[nonempty, None]
-    return new_centers, float(sum(p[2] for p in partials))
+    inertia = float(sum(p[2] for p in partials))
+    if not np.isfinite(inertia):
+        raise MLError(f"K-Means inertia {inertia}: input is not finite")
+    return new_centers, inertia
 
 
 def center_shift(old: np.ndarray, new: np.ndarray) -> float:
@@ -128,6 +132,8 @@ class KMeans(ClusteringModel):
         X = as_matrix(X)
         if X.shape[0] == 0:
             raise MLError("cannot fit K-Means on an empty dataset")
+        if not np.isfinite(X).all():
+            raise MLError("K-Means input holds NaN or inf")
         best: Optional[Tuple[np.ndarray, float, int]] = None
         for run in range(max(1, self.runs)):
             rng = np.random.default_rng(self.seed + run)
@@ -144,11 +150,14 @@ class KMeans(ClusteringModel):
         driver merges sums/counts into new centers — the MLlib
         decomposition.  Results do not depend on the worker count, because
         initialisation happens on the driver and the reduce folds partials
-        in partition order.
+        in partition order.  NaN or inf raises here in the init sample,
+        elsewhere in :func:`lloyd_update`.
         """
         first = dataset.partition(0)
         sample = first[0] if isinstance(first, tuple) else first
         sample = as_matrix(sample)
+        if not np.isfinite(sample).all():
+            raise MLError("K-Means input holds NaN or inf")
         rng = np.random.default_rng(self.seed)
         k = min(self.k, sample.shape[0])
         initial = _kmeanspp_init(sample, k, rng)

@@ -360,10 +360,12 @@ class HalfSpaceTrees(OnlineLearner):
         return 1.0 / (1.0 + mass)
 
     def predict_event(self, x) -> bool:
+        if self.windows_closed == 0:
+            # No reference window yet — still learning.  Scores against
+            # an empty reference are all 1.0 and stay out of the baseline.
+            return False
         score = self.score_event(x)
         self._score_mean.push(score)
-        if self.windows_closed == 0:
-            return False  # no reference window yet — still learning
         mean, std = self._score_mean.mean, self._score_mean.std()
         if std <= 0.0:
             return score >= self.anomaly_ratio

@@ -13,6 +13,9 @@ key from them.
 :class:`UncachedEventBus` is the event bus before it cached its delivery
 lists, and :class:`ScoreEveryEventManager` the streaming detector
 manager before it scored only the events it alerts on.
+:func:`oracle_column` builds a frame column as the frame did before it
+read rows in blocks, and :func:`oracle_partial_sums` the K-Means sums as
+they were before ``np.bincount``.
 """
 
 import statistics
@@ -80,6 +83,34 @@ def oracle_matrix(docs, features):
             if isinstance(value, (int, float)) and not isinstance(value, bool):
                 matrix[row, col] = float(value)
     return matrix
+
+
+def oracle_column(docs, name):
+    """One typed column, one ``.get`` pass per column (the builder that
+    shipped before rows were read in blocks): ``float64`` values plus a
+    missing mask when every value is ``None`` or a non-bool int/float
+    (subclasses included), else an ``object`` array and ``None``."""
+    raw = [doc.get(name) for doc in docs]
+    kinds = set(map(type, raw))
+    for kind in kinds - {int, float, type(None)}:
+        if issubclass(kind, bool) or not issubclass(kind, (int, float)):
+            return np.fromiter(raw, dtype=object, count=len(raw)), None
+    values = np.array(raw, dtype=np.float64)
+    missing = np.fromiter((v is None for v in raw), dtype=bool, count=len(raw))
+    return values, missing
+
+
+def oracle_partial_sums(X, centers):
+    """K-Means map statistics by scatter-add: per-cluster sums, counts and
+    inertia, rows added in index order."""
+    assignments = np.argmin(
+        (centers ** 2).sum(axis=1)[None, :] - 2 * (X @ centers.T), axis=1
+    )
+    sums = np.zeros(centers.shape)
+    counts = np.zeros(centers.shape[0])
+    np.add.at(sums, assignments, X)
+    np.add.at(counts, assignments, 1.0)
+    return sums, counts, float(np.sum((X - centers[assignments]) ** 2))
 
 
 class ListEvent:

@@ -14,7 +14,7 @@ from hypothesis import given, strategies as st
 
 from repro.core.feature_manager import FEATURE_COLLECTION, FeatureManager
 from repro.distdb import ColumnStoreCluster, DatabaseCluster
-from repro.distdb.collection import approx_size
+from repro.distdb.collection import Collection, approx_size
 from repro.errors import AllShardsDownError, DatabaseError, ShardDownError
 from repro.telemetry import configure, reset_telemetry
 
@@ -289,6 +289,19 @@ class TestDuplicateIds:
         keys = {store._write_chain(k)[0].node_id: k for k in range(20)}
         batch = [{"_id": "x", "k": keys[0]}, {"_id": "x", "k": keys[1]}]
         _untouched(store, lambda: store.insert_many("c", batch), DatabaseError)
+
+    def test_ids_checked_once_per_table(self, monkeypatch):
+        store = _documents(replication=2)
+        calls = []
+        check = Collection.new_ids
+
+        def counted(table, batch):
+            calls.append(id(table))
+            return check(table, batch)
+
+        monkeypatch.setattr(Collection, "new_ids", counted)
+        store.insert_many("c", [{"k": k, "a": k} for k in range(12)])
+        assert len(calls) == len(set(calls)) > 1
 
     def test_unencodable_document_rejects_the_whole_batch(self):
         store = _documents()

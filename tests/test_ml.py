@@ -277,6 +277,25 @@ class TestClustering:
         km.label_clusters(X, y)
         assert accuracy(y, km.predict(X)) > 0.95
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_kmeans_non_finite_input_is_typed(self, bad):
+        X, _ = _blobs()
+        X[7, 1] = bad
+        with pytest.raises(MLError, match="NaN or inf"):
+            KMeans(k=2, runs=2).fit(X)
+
+    @pytest.mark.parametrize("row, message", [(0, "NaN or inf"), (-1, "not finite")])
+    def test_kmeans_distributed_non_finite_input_is_typed(self, row, message):
+        """Row 0 sits in the initialisation sample, checked up front; the
+        last partition's NaN shows as a non-finite inertia in the reduce."""
+        from repro.compute import ComputeCluster, PartitionedDataset
+
+        X, _ = _blobs(n0=400, n1=300)
+        X[row, 0] = np.nan
+        ds = PartitionedDataset.from_matrix(X, 4)
+        with pytest.raises(MLError, match=message):
+            KMeans(k=2, seed=0).fit_distributed(ComputeCluster(2), ds)
+
     def test_gmm_separates_blobs(self):
         X, y = _blobs(sep=5.0)
         gmm = GaussianMixture(k=2, seed=1).fit(X)

@@ -187,14 +187,17 @@ def test_score_once_equals_score_every_event(steps, cooldowns):
     _assert_score_once(*_replay(steps, cooldowns))
 
 
-def test_seeded_stream_alerts_on_every_detector():
-    """The property above is not vacuous: a seeded benign-then-burst
-    stream makes every detector alert, through the oracle and the real
-    manager alike."""
+#: The seeded stream's events from this index on include the burst.
+_BURST_START = 240
+
+
+def _seeded_steps():
+    """300 events 0.05 s apart, benign until a burst every fourth triple
+    from ``_BURST_START`` on."""
     rng = np.random.default_rng(5)
     steps = []
     for i in range(300):
-        burst = i >= 240 and i // 3 % 4 == 0
+        burst = i >= _BURST_START and i // 3 % 4 == 0
         steps.append((
             0.05,
             _KINDS[i % 3],
@@ -203,9 +206,30 @@ def test_seeded_stream_alerts_on_every_detector():
             float(rng.uniform(5_000.0, 9_000.0) if burst
                   else rng.uniform(100.0, 400.0)),
         ))
-    oracle, manager, spies = _replay(steps, [0.5] * len(_DETECTORS))
+    return steps
+
+
+def test_seeded_stream_alerts_on_every_detector():
+    """The property above is not vacuous: a seeded benign-then-burst
+    stream makes every detector alert, through the oracle and the real
+    manager alike."""
+    oracle, manager, spies = _replay(_seeded_steps(), [0.5] * len(_DETECTORS))
     _assert_score_once(oracle, manager, spies)
     assert {alert["detector"] for alert in manager.alerts} == set(_DETECTORS)
+
+
+def test_half_space_trees_without_warmup_alerts_on_the_burst():
+    """Scores taken before the first reference window closes stay out of
+    HST's baseline, so with no warm-up it still alerts on the burst, and
+    only there."""
+    manager = StreamingDetectorManager()
+    manager.register_detector(
+        "hst", HalfSpaceTrees(n_trees=3, depth=3, window_size=12, seed=2),
+        _FEATURES, cooldown=0.5, kinds=("packet_in",))
+    for event in _stream_events(_seeded_steps()):
+        manager.on_event(event)
+    assert manager.alerts
+    assert all(alert["sim_time"] > 0.05 * _BURST_START for alert in manager.alerts)
 
 
 # -- cached bus delivery ----------------------------------------------------------------
