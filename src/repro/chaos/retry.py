@@ -17,7 +17,7 @@ the deterministic sim clock, so retry timing replays exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Tuple, Type
+from typing import Any, Callable, List, Tuple, Type
 
 from repro.errors import DatabaseError
 from repro.telemetry import get_telemetry
@@ -42,10 +42,10 @@ class RetryPolicy:
 
 
 class _PendingOp:
-    __slots__ = ("op", "attempts")
+    __slots__ = ("op", "args", "attempts")
 
-    def __init__(self, op: Callable[[], None]) -> None:
-        self.op = op
+    def __init__(self, op: Callable[..., None], args: Tuple[Any, ...]) -> None:
+        self.op, self.args = op, args
         self.attempts = 1  # the failed initial attempt counts
 
 
@@ -66,6 +66,7 @@ class RetryQueue:
         self._pending: List[_PendingOp] = []
         self._timer_armed = False
         registry = get_telemetry().registry
+        self._telemetry_on = registry.enabled
         labels = {"queue": name}
         self._metric_attempts = registry.counter(
             "athena_retry_attempts_total",
@@ -95,22 +96,24 @@ class RetryQueue:
         """Operations currently buffered awaiting retry."""
         return len(self._pending)
 
-    def submit(self, op: Callable[[], None]) -> bool:
-        """Run ``op`` now; buffer it for retry on a retryable failure.
+    def submit(self, op: Callable[..., None], *args: Any) -> bool:
+        """Run ``op(*args)`` now; buffer it for retry on a retryable failure.
 
         Returns ``True`` when the operation committed immediately.  The
         operation is *acknowledged* either way — it will never be dropped.
         """
-        self._metric_attempts.inc()
+        if self._telemetry_on:
+            self._metric_attempts.inc()
         try:
-            op()
+            op(*args)
         except self.retryable:
             self._metric_buffered.inc()
-            self._pending.append(_PendingOp(op))
+            self._pending.append(_PendingOp(op, args))
             self._arm()
             return False
         self.committed += 1
-        self._metric_committed.inc()
+        if self._telemetry_on:
+            self._metric_committed.inc()
         return True
 
     def flush(self) -> int:
@@ -136,7 +139,7 @@ class RetryQueue:
         for entry in pending:
             self._metric_attempts.inc()
             try:
-                entry.op()
+                entry.op(*entry.args)
             except self.retryable:
                 entry.attempts += 1
                 if entry.attempts == self.policy.max_attempts:

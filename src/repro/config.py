@@ -8,13 +8,15 @@ Components consult the process's current config per batch operation or
 per event, not at construction, so an :func:`override` scope around a
 workload switches one run of an already built deployment; an
 :class:`~repro.core.deployment.AthenaDeployment` given ``config=`` uses
-that object instead.  Per-event paths read :data:`ACTIVE` directly (two
-attribute loads, no call); everything else calls :func:`current`.
+that object instead.  Per-event paths take their decisions when
+:func:`watch` says the config changed; everything else calls
+:func:`current`.
 """
 
 from __future__ import annotations
 
 import os
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from typing import Any, Iterator, Mapping, Optional
@@ -51,9 +53,26 @@ def from_env(environ: Optional[Mapping[str, str]] = None) -> RuntimeConfig:
 ACTIVE: RuntimeConfig = from_env()
 
 
+#: Objects whose ``on_config_change()`` runs whenever :func:`override`
+#: makes a config current; held weakly.
+_WATCHERS: "weakref.WeakSet[Any]" = weakref.WeakSet()
+
+
 def current() -> RuntimeConfig:
     """The process's current config."""
     return ACTIVE
+
+
+def watch(owner: Any) -> None:
+    """Call ``owner.on_config_change()`` on every config change, so an
+    owner that takes its decisions once per config need not read the
+    config per event.  The owner is held weakly."""
+    _WATCHERS.add(owner)
+
+
+def _changed() -> None:
+    for owner in list(_WATCHERS):
+        owner.on_config_change()
 
 
 @contextmanager
@@ -66,7 +85,9 @@ def override(**changes: Any) -> Iterator[RuntimeConfig]:
     global ACTIVE
     previous = ACTIVE
     ACTIVE = replace(previous, **changes)
+    _changed()
     try:
         yield ACTIVE
     finally:
         ACTIVE = previous
+        _changed()

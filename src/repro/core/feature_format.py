@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import FeatureError
 
@@ -48,6 +48,36 @@ class FeatureScope(Enum):
     CONTROL = "control"
     #: Sketch-backed per-switch records (repro.sketch, ATHENA_SKETCH).
     SKETCH = "sketch"
+
+
+def feature_document(
+    scope: str,
+    switch_id: int,
+    instance_id: int,
+    timestamp: float,
+    indicators: Dict[str, Any],
+    fields: Dict[str, float],
+    app_id: Optional[str] = None,
+    port_no: Optional[int] = None,
+    label: Optional[int] = None,
+) -> Dict[str, Any]:
+    """A record flattened to its single-level database document: the
+    index/meta keys, then the indicators, then the feature fields."""
+    doc: Dict[str, Any] = {
+        "feature_scope": scope,
+        "switch_id": switch_id,
+        "instance_id": instance_id,
+        "timestamp": timestamp,
+    }
+    if port_no is not None:
+        doc["port_no"] = port_no
+    if app_id is not None:
+        doc["app_id"] = app_id
+    if label is not None:
+        doc["label"] = label
+    doc.update(indicators)
+    doc.update(fields)
+    return doc
 
 
 @dataclass
@@ -86,52 +116,73 @@ class AthenaFeature:
 
     def to_document(self) -> Dict[str, Any]:
         """Flatten to a single-level document for the database."""
-        doc: Dict[str, Any] = {
-            "feature_scope": self.scope.value,
-            "switch_id": self.switch_id,
-            "instance_id": self.instance_id,
-            "timestamp": self.timestamp,
-        }
-        if self.port_no is not None:
-            doc["port_no"] = self.port_no
-        if self.app_id is not None:
-            doc["app_id"] = self.app_id
-        if self.label is not None:
-            doc["label"] = self.label
-        for key, value in self.indicators.items():
-            doc[key] = value
-        for name, value in self.fields.items():
-            doc[name] = value
-        return doc
+        return feature_document(
+            self.scope.value,
+            self.switch_id,
+            self.instance_id,
+            self.timestamp,
+            self.indicators,
+            self.fields,
+            self.app_id,
+            self.port_no,
+            self.label,
+        )
+
+    def get(self, name: str, default: Any = None) -> Any:
+        """``self.to_document().get(name, default)``, without flattening."""
+        if name in self.fields:
+            return self.fields[name]
+        if name in self.indicators:
+            return self.indicators[name]
+        if name in ("port_no", "app_id", "label"):
+            value = getattr(self, name)
+            return default if value is None else value
+        if name == "feature_scope":
+            return self.scope.value
+        if name in ("switch_id", "instance_id", "timestamp"):
+            return getattr(self, name)
+        return default
 
     @classmethod
     def from_document(cls, doc: Dict[str, Any]) -> "AthenaFeature":
         """Rebuild a record from its flattened document."""
-        indicator_keys = (
-            "eth_src",
-            "eth_dst",
-            "ip_src",
-            "ip_dst",
-            "ip_proto",
-            "tcp_src",
-            "tcp_dst",
-        )
-        indicators = {
-            key: doc[key] for key in indicator_keys if doc.get(key) is not None
-        }
-        fields = {
-            key: value
-            for key, value in doc.items()
-            if key == key.upper() and key != "_ID" and isinstance(value, (int, float))
-        }
+        keys = tuple(doc)
+        field_keys = _FIELD_KEYS.get(keys)
+        if field_keys is None:
+            if len(_FIELD_KEYS) >= _FIELD_KEYS_LIMIT:
+                _FIELD_KEYS.clear()
+            field_keys = _FIELD_KEYS[keys] = tuple(
+                key for key in keys if key == key.upper() and key != "_ID"
+            )
+        try:
+            scope = _SCOPE_OF[doc["feature_scope"]]
+        except (KeyError, TypeError):
+            scope = FeatureScope(doc["feature_scope"])
         return cls(
-            scope=FeatureScope(doc["feature_scope"]),
+            scope=scope,
             switch_id=doc["switch_id"],
             instance_id=doc.get("instance_id", 0),
             timestamp=doc.get("timestamp", 0.0),
-            indicators=indicators,
+            indicators={
+                key: doc[key] for key in _INDICATOR_KEYS if doc.get(key) is not None
+            },
             app_id=doc.get("app_id"),
             port_no=doc.get("port_no"),
-            fields=fields,
+            fields={
+                key: doc[key]
+                for key in field_keys
+                if isinstance(doc[key], (int, float))
+            },
             label=doc.get("label"),
         )
+
+
+#: Scope value -> scope: a record is rebuilt without an ``Enum`` lookup.
+_SCOPE_OF = {scope.value: scope for scope in FeatureScope}
+#: Indicator keys a rebuilt record reads, in record order.
+_INDICATOR_KEYS = ("eth_src", "eth_dst", "ip_src", "ip_dst", "ip_proto", "tcp_src", "tcp_dst")
+#: A document's key tuple -> its keys that may hold feature fields
+#: (upper-case, not ``_ID``).  Dropped whole if it outgrows the handful
+#: of key tuples feature documents share.
+_FIELD_KEYS: Dict[Tuple[Any, ...], Tuple[str, ...]] = {}
+_FIELD_KEYS_LIMIT = 4096

@@ -3,14 +3,16 @@
 The unified mechanism applications use to retrieve and receive features:
 
 * :meth:`FeatureManager.publish` — the southbound elements push every
-  generated feature here; it is stored in the distributed database (unless
-  storage is disabled, the Table IX "no DB" ablation) and matched against
-  the *event delivery table*;
+  generated feature here, as its document; it is stored in the distributed
+  database (unless storage is disabled, the Table IX "no DB" ablation) and
+  matched against the *event delivery table*;
 * :meth:`FeatureManager.request_features` — translates an Athena query into
   database queries (filters or aggregation pipelines) and returns documents;
 * the event delivery table — registered (query, handler) pairs evaluated
   against every live feature, feeding applications and online validators.
 """
+
+# athena-lint: hot-path
 
 from __future__ import annotations
 
@@ -70,6 +72,7 @@ class FeatureManager:
         self.features_published = 0
         self.features_delivered = 0
         registry = get_telemetry().registry
+        self._telemetry_on = registry.enabled
         self._metric_published = registry.counter(
             "athena_feature_published_total",
             "Features published into the feature manager.",
@@ -95,8 +98,9 @@ class FeatureManager:
 
     # -- southbound-facing ---------------------------------------------------
 
-    def publish(self, feature: AthenaFeature) -> None:
-        """Store a feature and deliver it to matching handlers.
+    def publish(self, doc: Dict[str, Any]) -> None:
+        """Store a feature's document; matching handlers get it rebuilt
+        as one :class:`AthenaFeature`.
 
         With a retry queue armed, a database failure buffers the write
         (retried on the sim clock, never dropped) and the feature is still
@@ -104,20 +108,22 @@ class FeatureManager:
         than stalling on the store.
         """
         self.features_published += 1
-        self._metric_published.inc()
-        doc = feature.to_document()
+        if self._telemetry_on:
+            self._metric_published.inc()
         if self.store_features:
             if self._retry is not None:
-                self._retry.submit(
-                    lambda d=doc: self.database.insert_one(FEATURE_COLLECTION, d)
-                )
+                self._retry.submit(self.database.insert_one, FEATURE_COLLECTION, doc)
             else:
                 self.database.insert_one(FEATURE_COLLECTION, doc)
+        feature = None
         for entry in self._delivery_table:
             if entry.query.matches(doc):
+                if feature is None:
+                    feature = AthenaFeature.from_document(doc)
                 entry.delivered += 1
                 self.features_delivered += 1
-                self._metric_delivered.inc()
+                if self._telemetry_on:
+                    self._metric_delivered.inc()
                 entry.handler(feature)
 
     def publish_documents(self, docs: List[Dict[str, Any]]) -> int:

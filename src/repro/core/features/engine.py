@@ -17,18 +17,13 @@ the batch records); the code is shared.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+from typing import Callable, Dict, Optional
 
 from repro.core.features import combination, protocol
-from repro.core.features.stateful import FlowStateTable, flow_keys
+from repro.core.features.stateful import FlowStateTable, flow_indicators, key_items
 from repro.core.features.variation import VariationTracker
 from repro.openflow.messages import FlowRemoved, FlowStatsEntry, PacketIn
 from repro.sketch.features import SketchFeatureState
-
-#: Match/header keys copied into a record's index fields.
-_INDICATOR_KEYS = frozenset(
-    ("eth_src", "eth_dst", "ip_src", "ip_dst", "ip_proto", "tcp_src", "tcp_dst")
-)
 
 
 class FeatureStateEngine:
@@ -47,7 +42,8 @@ class FeatureStateEngine:
         self._control_counters: Dict[int, Dict[str, int]] = {}
         #: Says per switch whether observations also feed the sketch
         #: window; None (no owner asks for SKETCH records) keeps it off.
-        self._window_gate = window_gate
+        #: The owner may swap it whenever its sketch decision changes.
+        self.window_gate = window_gate
         self._window_seed = window_seed
         #: Built on the first gated observation, so runs that never
         #: sketch pay nothing.
@@ -57,8 +53,7 @@ class FeatureStateEngine:
 
     def fold_packet_in(self, dpid: int, message: PacketIn, now: float) -> tuple:
         """Fold a PACKET_IN (a new-flow observation)."""
-        indicators = self._indicators(message.headers)
-        keys = flow_keys(indicators)
+        indicators, keys = flow_indicators(message.headers)
         fields = self.flow_state.observe_flow(dpid, indicators, now, keys=keys)
         fields["FLOW_PACKET_COUNT"] = 0.0
         fields["FLOW_BYTE_COUNT"] = float(message.total_len)
@@ -96,17 +91,9 @@ class FeatureStateEngine:
         self.variation.forget(entity)
         return indicators, fields
 
-    @staticmethod
-    def _indicators(match_dict: Dict[str, Any]) -> Dict[str, Any]:
-        # No None values: the flow table pairs a flow with its reverse
-        # only on keys that reverse back to themselves.
-        return {k: v for k, v in match_dict.items()
-                if k in _INDICATOR_KEYS and v is not None}
-
     def _sample(self, dpid, source, fields, port_speed, now):
         """Protocol fields of a rule sample → the full flow record fields."""
-        indicators = self._indicators(source.match.to_dict())
-        keys = flow_keys(indicators)
+        indicators, keys = flow_indicators(source.match.to_dict())
         fields.update(combination.flow_fields(fields, port_speed))
         fields.update(
             self.flow_state.observe_flow(
@@ -123,13 +110,14 @@ class FeatureStateEngine:
 
     def _window_observe(self, dpid, key, indicators, packets, bytes_) -> None:
         """Feed the sketch window, where the owner's gate admits the switch."""
-        if self._window_gate is None or not self._window_gate(dpid):
+        gate = self.window_gate
+        if gate is None or not gate(dpid):
             return
         if self.window is None:
             self.window = SketchFeatureState(seed=self._window_seed)
         self.window.observe(
             dpid,
-            key,
+            key_items(key),
             indicators.get("ip_src") or indicators.get("eth_src") or "",
             indicators.get("tcp_dst") or 0,
             packets=int(packets),

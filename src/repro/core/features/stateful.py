@@ -14,33 +14,87 @@ within a configurable horizon.
 
 from __future__ import annotations
 
+import operator
 import statistics
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
+#: A flow's indicator names in sorted order, then their values, in one
+#: tuple: not one per item, so the collector has less to track.
 FlowKey = Tuple[Any, ...]
 
+#: Match/header keys that identify a flow (a record's indicators).
+_INDICATOR_KEYS = frozenset(
+    ("eth_src", "eth_dst", "ip_src", "ip_dst", "ip_proto", "tcp_src", "tcp_dst")
+)
 #: Indicator names as the reverse direction reads them.
 _REVERSE_NAME = {
     "eth_src": "eth_dst", "eth_dst": "eth_src",
     "ip_src": "ip_dst", "ip_dst": "ip_src",
     "tcp_src": "tcp_dst", "tcp_dst": "tcp_src",
 }
+#: A dict's name tuple -> the names kept and a getter of their values,
+#: then for the key and the reverse key: its names as a one-tuple prefix
+#: and a getter of the values that follow them (each value read straight
+#: from the dict).  One table for :func:`flow_keys`, one for
+#: :func:`flow_indicators`.
+_KEY_PLANS: Dict[Tuple[str, ...], Tuple[Any, ...]] = {}
+_SOURCE_PLANS: Dict[Tuple[str, ...], Tuple[Any, ...]] = {}
+
+
+def _getter(names: Tuple[str, ...]) -> Callable[[Dict[str, Any]], tuple]:
+    if len(names) > 1:
+        return operator.itemgetter(*names)
+    return lambda source: tuple([source[name] for name in names])
+
+
+def _plan(plans: Dict, names: Tuple[str, ...], kept: Tuple[str, ...]) -> Tuple:
+    forward = tuple(sorted(kept))
+    reverse = sorted((_REVERSE_NAME.get(name, name), name) for name in kept)
+    plans[names] = plan = (
+        kept, _getter(kept), (forward,), _getter(forward),
+        (tuple(p[0] for p in reverse),), _getter(tuple(p[1] for p in reverse)),
+    )
+    return plan
 
 
 def flow_keys(indicators: Dict[str, Any]) -> Tuple[FlowKey, FlowKey]:
-    """A flow's key (its sorted indicator items) and the key of its reverse
-    direction: source and destination names swapped, ``None`` values left
-    out.  Reversing a ``None``-free flow's key twice gives the key back."""
-    name_of = _REVERSE_NAME.get
-    return (
-        tuple(sorted(indicators.items())),
-        tuple(sorted([
-            (name_of(name, name), value)
-            for name, value in indicators.items()
-            if value is not None
-        ])),
+    """A flow's key and the key of its reverse direction: source and
+    destination names swapped, ``None`` values left out.  Reversing a
+    ``None``-free flow's key twice gives the key back.  Both name orders
+    are sorted once per tuple of indicator names."""
+    names = tuple(indicators)
+    _, _, forward, forward_values, reverse, reverse_values = (
+        _KEY_PLANS.get(names) or _plan(_KEY_PLANS, names, names)
     )
+    back = reverse_values(indicators)
+    if not all(back) and None in back:
+        kept = [pair for pair in zip(reverse[0], back) if pair[1] is not None]
+        reverse, back = (tuple(p[0] for p in kept),), tuple(p[1] for p in kept)
+    return forward + forward_values(indicators), reverse + back
+
+
+def flow_indicators(source: Dict[str, Any]) -> Tuple[Dict[str, Any], Tuple[FlowKey, FlowKey]]:
+    """A header or match dict's indicators (its indicator names, in its
+    order, whose value is not ``None``: the table pairs flows only on keys
+    that reverse back) and their :func:`flow_keys`, read in one pass."""
+    names = tuple(source)
+    kept, values_of, forward, forward_values, reverse, reverse_values = (
+        _SOURCE_PLANS.get(names)
+        or _plan(_SOURCE_PLANS, names, tuple(n for n in names if n in _INDICATOR_KEYS))
+    )
+    values = values_of(source)
+    if not all(values) and None in values:
+        indicators = {n: v for n, v in zip(kept, values) if v is not None}
+        return indicators, flow_keys(indicators)
+    return dict(zip(kept, values)), (
+        forward + forward_values(source), reverse + reverse_values(source)
+    )
+
+
+def key_items(key: FlowKey) -> Tuple[Tuple[str, Any], ...]:
+    """A flow key as its ``(name, value)`` items in name order."""
+    return tuple(zip(key[0], key[1:]))
 
 
 class _FlowState:
@@ -123,7 +177,7 @@ class FlowStateTable:
         keys: Optional[Tuple[FlowKey, FlowKey]] = None,
     ) -> Dict[str, float]:
         """Record a sample of a flow; returns its flow-scoped stateful fields."""
-        state = self._state(dpid)
+        state = self._switches.get(dpid) or self._state(dpid)
         key, reverse_key = keys or flow_keys(indicators)
         flow = state.flows.get(key)
         is_new = flow is None

@@ -1,7 +1,8 @@
 """The Feature Generator (Figure 3, component 1B).
 
 Consumes the control messages and events of one controller instance and
-produces :class:`~repro.core.feature_format.AthenaFeature` records:
+produces feature records, each handed to the sink as the flat document
+:meth:`~repro.core.feature_format.AthenaFeature.to_document` would build:
 
 * FLOW stats replies → flow-scoped records (protocol + combination +
   stateful + variation fields), with the originating application attached
@@ -17,9 +18,11 @@ are mutated by the Resource Manager; the garbage collector periodically
 drops stale hash-table entries.
 """
 
+# athena-lint: hot-path
+
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Set
+from typing import Any, Callable, Dict, Optional, Set
 
 from repro import config as _config
 from repro.config import RuntimeConfig
@@ -29,7 +32,7 @@ from repro.controller.events import (
     PacketInEvent,
     StatsEvent,
 )
-from repro.core.feature_format import AthenaFeature, FeatureScope
+from repro.core.feature_format import FeatureScope, feature_document
 from repro.core.features import combination, protocol
 from repro.core.features.catalog import FEATURE_CATALOG, FeatureCategory
 from repro.core.features.engine import FeatureStateEngine
@@ -44,7 +47,8 @@ from repro.openflow.messages import (
 from repro.sketch.features import SketchFeatureState
 from repro.telemetry import StageProfiler, get_telemetry
 
-FeatureSink = Callable[[AthenaFeature], None]
+#: Takes each record as its flat document (``AthenaFeature.to_document``).
+FeatureSink = Callable[[Dict[str, Any]], None]
 
 #: OpenFlow message type → the control counter the tap bumps.
 _TAP_COUNTER_KEYS = {
@@ -62,6 +66,10 @@ _TAP_COUNTER_KEYS = {
 }
 #: Every category: the fidelity setting that filters no field.
 _ALL_CATEGORIES = frozenset(FeatureCategory)
+#: Scope values, as the documents and the per-scope counters carry them.
+_FLOW, _PORT = FeatureScope.FLOW.value, FeatureScope.PORT.value
+_SWITCH, _CONTROL = FeatureScope.SWITCH.value, FeatureScope.CONTROL.value
+_SKETCH = FeatureScope.SKETCH.value
 
 #: Sketch structure → its (fill, error) entries in the window's fill stats.
 _SKETCH_GAUGES = {
@@ -94,7 +102,6 @@ class FeatureGenerator:
         self.state = FeatureStateEngine(
             stale_after=stale_after,
             port_speed_lookup=port_speed_lookup,
-            window_gate=self._sketching,
             window_seed=instance_id,
         )
         self.flow_state = self.state.flow_state
@@ -106,17 +113,17 @@ class FeatureGenerator:
         self.enabled_categories: Set[FeatureCategory] = set(FeatureCategory)
         self.monitored_switches: Optional[Set[int]] = None  # None == all
         self.features_generated = 0
-        self.records_suppressed = 0
         # Telemetry: per-scope emission counters plus per-extraction-stage
-        # timings (null objects when telemetry is disabled).
+        # timings, touched only when telemetry was on at construction.
         registry = get_telemetry().registry
+        self._telemetry_on = registry.enabled
         records = registry.counter(
             "athena_feature_records_total",
             "Feature records emitted by the generator, by scope.",
             labelnames=("scope",),
         )
         self._metric_records = {
-            scope: records.labels(scope=scope.value) for scope in FeatureScope
+            scope.value: records.labels(scope=scope.value) for scope in FeatureScope
         }
         self._profiler = StageProfiler(
             metric="athena_feature_stage_seconds", registry=registry
@@ -131,79 +138,71 @@ class FeatureGenerator:
             "Worst-case sketch error bound across switches, by structure.",
             labelnames=("structure",),
         )
-        # Cache for _filter_categories: names suppressed under a given
-        # enabled-category set, recomputed only when the Resource Manager
-        # swaps enabled_categories (it reassigns the set, so identity of
-        # the frozen key is enough to detect a change).
+        # Catalog names the enabled categories leave out (None: all enabled).
         self._suppressed_key: Optional[frozenset] = None
         self._suppressed_names: frozenset = frozenset()
+        self._replan()
+        if config is None:
+            _config.watch(self)
 
     # -- configuration ------------------------------------------------------
 
-    def _monitoring(self, dpid: int, scope: FeatureScope) -> bool:
-        if scope not in self.enabled_scopes:
-            return False
-        if self.monitored_switches is not None and dpid not in self.monitored_switches:
-            return False
-        return True
+    def _replan(self) -> None:
+        """Take the per-event fidelity and sketch decisions again: events
+        compare the two sets with the snapshots taken here (an in-place
+        edit counts); :func:`repro.config.watch` reports config changes."""
+        scopes = self._planned_scopes = frozenset(self.enabled_scopes)
+        categories = self._planned_categories = frozenset(self.enabled_categories)
+        self._scope_values = frozenset(scope.value for scope in scopes)
+        if categories == _ALL_CATEGORIES:
+            self._suppressed_key, self._suppressed_names = None, frozenset()
+        elif categories != self._suppressed_key:
+            self._suppressed_key = categories
+            self._suppressed_names = frozenset(
+                name for name, spec in FEATURE_CATALOG.items()
+                if spec.category not in categories
+            )
+        sketching = (self._config or _config.ACTIVE).sketch and FeatureScope.SKETCH in scopes
+        self.state.window_gate = self._switch_monitored if sketching else None
+
+    on_config_change = _replan
+
+    def _switch_monitored(self, dpid: int) -> bool:
+        switches = self.monitored_switches
+        return switches is None or dpid in switches
+
+    def _monitoring(self, dpid: int, scope: str) -> bool:
+        if self.enabled_scopes != self._planned_scopes:
+            self._replan()
+        switches = self.monitored_switches
+        return scope in self._scope_values and (switches is None or dpid in switches)
 
     def _emit(
         self, scope, dpid, now, fields, indicators=None, app_id=None, port_no=None
     ) -> None:
         """Emit one record of ``scope`` with the enabled categories' fields."""
-        record = AthenaFeature(
-            scope=scope,
-            switch_id=dpid,
-            instance_id=self.instance_id,
-            timestamp=now,
-            indicators=indicators if indicators is not None else {},
-            app_id=app_id,
-            port_no=port_no,
-            fields=self._filter_categories(fields),
-        )
+        if self.enabled_categories != self._planned_categories:
+            self._replan()
+        suppressed = self._suppressed_names
+        if suppressed:
+            fields = {k: v for k, v in fields.items() if k not in suppressed}
         self.features_generated += 1
-        self._metric_records[scope].inc()
+        if self._telemetry_on:
+            self._metric_records[scope].inc()
         if self.sink is not None:
-            self.sink(record)
+            self.sink(feature_document(
+                scope, dpid, self.instance_id, now, indicators or {}, fields,
+                app_id, port_no,
+            ))
 
-    def _suppressed_under(self, enabled: Set[FeatureCategory]) -> frozenset:
-        """Catalog names suppressed under ``enabled``, cached per set.
-
-        The per-record hot loop used to re-import the catalog and look up
-        every field's category on each call; the suppressed-name set only
-        changes when the Resource Manager adjusts fidelity, so it is
-        precomputed once per ``enabled_categories`` value.
-        """
-        key = frozenset(enabled)
-        if key != self._suppressed_key:
-            self._suppressed_key = key
-            self._suppressed_names = frozenset(
-                name
-                for name, definition in FEATURE_CATALOG.items()
-                if definition.category not in key
-            )
-        return self._suppressed_names
-
-    def _filter_categories(self, fields: Dict[str, float]) -> Dict[str, float]:
-        if self.enabled_categories == _ALL_CATEGORIES:
-            return fields
-        suppressed = self._suppressed_under(self.enabled_categories)
-        if not suppressed:
-            return fields
-        kept = {}
-        for name, value in fields.items():
-            if name in suppressed:
-                self.records_suppressed += 1
-            else:
-                kept[name] = value
-        return kept
+    def _staged(self, stage: str, handle: Callable, *args: Any) -> None:
+        """Run one extraction stage, timed when telemetry is on."""
+        if not self._telemetry_on:
+            return handle(*args)
+        with self._profiler.stage(stage):
+            return handle(*args)
 
     # -- sketch path (config.sketch) ----------------------------------------
-
-    def _sketching(self, dpid: int) -> bool:
-        """Whether the switch's observations feed the sketch window."""
-        config = self._config or _config.ACTIVE  # per event: no call
-        return config.sketch and self._monitoring(dpid, FeatureScope.SKETCH)
 
     @property
     def sketch_state(self) -> Optional[SketchFeatureState]:
@@ -212,8 +211,8 @@ class FeatureGenerator:
 
     def _emit_sketch_record(self, dpid: int, now: float) -> None:
         """Roll the switch's sketch window into one sketch-scoped record."""
-        window = self.state.window
-        if window is None or not self._sketching(dpid) or not window.observations(dpid):
+        window, gate = self.state.window, self.state.window_gate
+        if window is None or gate is None or not (gate(dpid) and window.observations(dpid)):
             return
         # Snapshot fill/error stats before the roll resets the window.
         stats = window.fill_stats()
@@ -221,7 +220,7 @@ class FeatureGenerator:
         for structure, (fill, error) in _SKETCH_GAUGES.items():
             self._metric_sketch_fill.labels(structure=structure).set(stats[fill])
             self._metric_sketch_error.labels(structure=structure).set(stats[error])
-        self._emit(FeatureScope.SKETCH, dpid, now, fields)
+        self._emit(_SKETCH, dpid, now, fields)
 
     def sketch_stats(self) -> Optional[Dict[str, float]]:
         """Aggregate sketch fill/error stats, or None while inactive."""
@@ -234,17 +233,16 @@ class FeatureGenerator:
         """Handle a statistics reply from the local controller."""
         message = event.message
         if isinstance(message, FlowStatsReply):
-            with self._profiler.stage("flow_stats"):
-                self._on_flow_stats(event.dpid, message, event.time)
+            stage, handle = "flow_stats", self._on_flow_stats
         elif isinstance(message, PortStatsReply):
-            with self._profiler.stage("port_stats"):
-                self._on_port_stats(event.dpid, message, event.time)
+            stage, handle = "port_stats", self._on_port_stats
         elif isinstance(message, TableStatsReply):
-            with self._profiler.stage("table_stats"):
-                self._on_table_stats(event.dpid, message, event.time)
+            stage, handle = "table_stats", self._on_table_stats
         elif isinstance(message, AggregateStatsReply):
-            with self._profiler.stage("aggregate_stats"):
-                self._on_aggregate_stats(event.dpid, message, event.time)
+            stage, handle = "aggregate_stats", self._on_aggregate_stats
+        else:
+            return
+        self._staged(stage, handle, event.dpid, message, event.time)
 
     def on_packet_in(self, event: PacketInEvent) -> None:
         """Derive a flow record from a PACKET_IN (a new-flow observation).
@@ -263,12 +261,13 @@ class FeatureGenerator:
 
     def _on_flow_event(self, stage: str, fold, event, app_id=None) -> None:
         """Fold one flow event through the engine into a flow record."""
-        dpid = event.dpid
-        if not self._monitoring(dpid, FeatureScope.FLOW):
-            return
-        with self._profiler.stage(stage):
-            indicators, fields = fold(dpid, event.message, event.time)
-            self._emit(FeatureScope.FLOW, dpid, event.time, fields, indicators, app_id)
+        if self._monitoring(event.dpid, _FLOW):
+            self._staged(stage, self._fold_flow_event, fold, event, app_id)
+
+    def _fold_flow_event(self, fold, event, app_id) -> None:
+        dpid, now = event.dpid, event.time
+        indicators, fields = fold(dpid, event.message, now)
+        self._emit(_FLOW, dpid, now, fields, indicators, app_id)
 
     def on_message_tap(
         self, msg: OpenFlowMessage, direction: MessageDirection, instance_id: int
@@ -281,27 +280,27 @@ class FeatureGenerator:
     # -- per-message-type handlers ---------------------------------------------------
 
     def _on_flow_stats(self, dpid: int, reply: FlowStatsReply, now: float) -> None:
-        if not self._monitoring(dpid, FeatureScope.FLOW):
+        if not self._monitoring(dpid, _FLOW):
             return
         for entry in reply.entries:
             indicators, fields = self.state.fold_flow_stats_entry(dpid, entry, now)
             app_id = entry.app_id
             if app_id is None and self._flow_rule_lookup is not None:
                 app_id = self._flow_rule_lookup(dpid, entry.match)
-            self._emit(FeatureScope.FLOW, dpid, now, fields, indicators, app_id)
+            self._emit(_FLOW, dpid, now, fields, indicators, app_id)
         # One switch-scope stateful record per flow-stats round.
-        if self._monitoring(dpid, FeatureScope.SWITCH):
+        if self._monitoring(dpid, _SWITCH):
             switch_fields = self.flow_state.switch_fields(dpid, now)
             entity = (dpid, "switch-state")
             switch_fields.update(self.variation.diff(entity, switch_fields, now))
-            self._emit(FeatureScope.SWITCH, dpid, now, switch_fields)
+            self._emit(_SWITCH, dpid, now, switch_fields)
         # Sketch-scope record: the window accumulated since the last round.
         self._emit_sketch_record(dpid, now)
         # Control-plane record: counters accumulated since the last round.
         self._emit_control_record(dpid, now)
 
     def _on_port_stats(self, dpid: int, reply: PortStatsReply, now: float) -> None:
-        if not self._monitoring(dpid, FeatureScope.PORT):
+        if not self._monitoring(dpid, _PORT):
             return
         for entry in reply.entries:
             fields = protocol.port_fields(entry)
@@ -324,10 +323,10 @@ class FeatureGenerator:
                 combination.port_fields(fields, speed, delta_seconds, delta_bytes)
             )
             fields.update(self.variation.diff(entity, fields, now))
-            self._emit(FeatureScope.PORT, dpid, now, fields, port_no=entry.port_no)
+            self._emit(_PORT, dpid, now, fields, port_no=entry.port_no)
 
     def _on_table_stats(self, dpid: int, reply: TableStatsReply, now: float) -> None:
-        if not self._monitoring(dpid, FeatureScope.SWITCH):
+        if not self._monitoring(dpid, _SWITCH):
             return
         for entry in reply.entries:
             fields = protocol.table_fields(entry)
@@ -342,12 +341,12 @@ class FeatureGenerator:
             )
             entity = (dpid, "table", entry.table_id)
             merged.update(self.variation.diff(entity, merged, now))
-            self._emit(FeatureScope.SWITCH, dpid, now, merged)
+            self._emit(_SWITCH, dpid, now, merged)
 
     def _on_aggregate_stats(
         self, dpid: int, reply: AggregateStatsReply, now: float
     ) -> None:
-        if not self._monitoring(dpid, FeatureScope.SWITCH):
+        if not self._monitoring(dpid, _SWITCH):
             return
         fields = protocol.aggregate_fields(
             reply.packet_count, reply.byte_count, reply.flow_count
@@ -359,10 +358,10 @@ class FeatureGenerator:
         )
         entity = (dpid, "aggregate")
         merged.update(self.variation.diff(entity, merged, now))
-        self._emit(FeatureScope.SWITCH, dpid, now, merged)
+        self._emit(_SWITCH, dpid, now, merged)
 
     def _emit_control_record(self, dpid: int, now: float) -> None:
-        if not self._monitoring(dpid, FeatureScope.CONTROL):
+        if not self._monitoring(dpid, _CONTROL):
             return
         fields = self.state.control_fields(dpid)
         if fields is None:
@@ -373,7 +372,7 @@ class FeatureGenerator:
         fields.update(variations)
         delta_seconds = now - last_time if last_time is not None else None
         fields.update(combination.control_fields(variations, delta_seconds))
-        self._emit(FeatureScope.CONTROL, dpid, now, fields)
+        self._emit(_CONTROL, dpid, now, fields)
 
     # -- housekeeping ---------------------------------------------------------------
 

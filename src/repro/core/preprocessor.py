@@ -219,12 +219,13 @@ class Preprocessor:
         """Row vector for a single record (the online-validation path).
 
         One record is one row by signature, so the row is filled in place
-        rather than through a one-row frame (docs/PERF.md); no marks.
+        rather than through a one-row frame (docs/PERF.md); no marks.  A
+        document and an :class:`AthenaFeature` answer ``get`` alike, so a
+        record is read without being flattened again.
         """
-        doc = record.to_document() if isinstance(record, AthenaFeature) else record
         row = np.zeros((1, len(self._columns())))
         for col, feature in enumerate(self.features):
-            value = doc.get(feature)
+            value = record.get(feature)
             if isinstance(value, (int, float)) and not isinstance(value, bool):
                 row[0, col] = value
         return self._scale(row)[0]

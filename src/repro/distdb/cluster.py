@@ -7,6 +7,8 @@ the router when the accumulators allow it; otherwise raw documents are pulled
 and aggregated centrally (the correctness-preserving fallback).
 """
 
+# athena-lint: hot-path
+
 from __future__ import annotations
 
 import itertools
@@ -70,13 +72,14 @@ class DatabaseCluster(ShardedStore):
         # Table IX 'DB operations dominate' result measurable.
         encoded = len(_WIRE.encode(doc))
         self.bytes_on_wire += encoded
-        self._metric_wire_bytes.inc(encoded)
+        if self._telemetry_on:
+            self._metric_wire_bytes.inc(encoded)
         stored, key_value = self._admit(doc)
-        primary, *replicas = self._write_chain(key_value)
+        chain = self._write_chain(key_value)
         size = approx_size(stored)
-        primary.collection(collection).insert_stored(stored, size)
+        chain[0].collection(collection).insert_stored(stored, size)
         replicas_in = replica_name(collection)
-        for replica in replicas:
+        for replica in chain[1:]:
             copy = dict(stored)
             lagged = self._replica_lag.get(replica.node_id)
             if lagged is not None:

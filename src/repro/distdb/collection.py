@@ -18,9 +18,8 @@ pin a pair of fields inside an ``$and``.
 from __future__ import annotations
 
 import itertools
-import operator
 from collections import defaultdict
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.distdb.query import (
     collect_equality_pins,
@@ -91,28 +90,35 @@ def approx_size(doc: Dict[str, Any]) -> int:
     return size
 
 
-def _path_getter(field: str) -> Callable[[Dict[str, Any]], Any]:
-    """``doc -> get_path(doc, field)``; a plain field skips the path walk."""
-    if "." not in field:
-        return operator.methodcaller("get", field)
-    return lambda doc: get_path(doc, field)
+def _index_key(doc: Dict[str, Any], fields: Tuple[str, ...]) -> Any:
+    """``doc``'s key in the index over ``fields``: the field's value, or
+    the fields' value tuple."""
+    if len(fields) == 1:
+        return get_path(doc, fields[0])
+    return tuple([get_path(doc, field) for field in fields])
 
 
-def _index_key(fields: Tuple[str, ...]) -> Callable[[Dict[str, Any]], Any]:
-    """``doc -> index key``: the field's value, or the fields' value tuple."""
-    getters = [_path_getter(field) for field in fields]
-    if len(getters) == 1:
-        return getters[0]
-    return lambda doc: tuple([get(doc) for get in getters])
+#: An index bucket holding one document is its ``_id``, not a set: most
+#: values of a near-unique field (``ip_src``) stay that way, and a set per
+#: value is one more container the garbage collector tracks while stored.
+_NO_BUCKET = object()
 
 
-def _fill_index(index: Dict[Any, set], keys: List[Any], ids: List[Any]) -> None:
+def _bucket_ids(bucket: Any) -> Iterable[Any]:
+    if type(bucket) is set:
+        return bucket
+    return () if bucket is _NO_BUCKET else (bucket,)
+
+
+def _fill_index(index: Dict[Any, Any], keys: Iterable[Any], ids: Iterable[Any]) -> None:
     for key, _id in zip(keys, ids):
-        bucket = index.get(key)
-        if bucket is None:
-            index[key] = {_id}
-        else:
+        bucket = index.get(key, _NO_BUCKET)
+        if bucket is _NO_BUCKET:
+            index[key] = _id
+        elif type(bucket) is set:
             bucket.add(_id)
+        else:
+            index[key] = {bucket, _id}
 
 
 class Collection:
@@ -121,14 +127,14 @@ class Collection:
     def __init__(self, name: str) -> None:
         self.name = name
         self._docs: Dict[Any, Dict[str, Any]] = {}
-        self._indexes: Dict[str, Dict[Any, set]] = {}
+        self._indexes: Dict[str, Dict[Any, Any]] = {}
         #: (field, ...) tuple -> value tuple -> _ids; maintained alongside
         #: the single-field indexes and consulted first when a filter pins
         #: every field of the compound key.
-        self._compound_indexes: Dict[Tuple[str, ...], Dict[Tuple[Any, ...], set]] = {}
-        #: Every index, single and compound, as ``(key of a doc, index)``
-        #: under its field tuple: what a write updates.
-        self._index_keys: Dict[Tuple[str, ...], Tuple[Callable[[Dict[str, Any]], Any], Dict[Any, set]]] = {}
+        self._compound_indexes: Dict[Tuple[str, ...], Dict[Tuple[Any, ...], Any]] = {}
+        #: Every index, single and compound, as ``(no field is a dotted
+        #: path, index)`` under its field tuple: what a write updates.
+        self._index_keys: Dict[Tuple[str, ...], Tuple[bool, Dict[Any, Any]]] = {}
         #: _id -> memoized approx_size of the stored document.
         self._size_cache: Dict[Any, int] = {}
         # Operation accounting.
@@ -149,32 +155,43 @@ class Collection:
         """
         if not fields:
             raise DatabaseError("create_index needs at least one field")
-        key_of = _index_key(fields)
-        index: Dict[Any, set] = defaultdict(set)
-        for _id, doc in self._docs.items():
-            index[key_of(doc)].add(_id)
+        index: Dict[Any, Any] = {}
+        keys = [_index_key(doc, fields) for doc in self._docs.values()]
+        _fill_index(index, keys, self._docs)
         if len(fields) == 1:
             self._indexes[fields[0]] = index
         else:
             self._compound_indexes[fields] = index
-        self._index_keys[fields] = (key_of, index)
+        plain = not any("." in field for field in fields)
+        self._index_keys[fields] = (plain, index)
 
     def _index_add(self, doc: Dict[str, Any]) -> None:
         _id = doc["_id"]
-        for key_of, index in self._index_keys.values():
-            key = key_of(doc)
-            bucket = index.get(key)
-            if bucket is None:
-                index[key] = {_id}
+        get = doc.get
+        for fields, (plain, index) in self._index_keys.items():
+            if not plain:
+                key = _index_key(doc, fields)
+            elif len(fields) == 1:
+                key = get(fields[0])
             else:
+                key = tuple(map(get, fields))
+            bucket = index.get(key, _NO_BUCKET)  # as in _fill_index
+            if bucket is _NO_BUCKET:
+                index[key] = _id
+            elif type(bucket) is set:
                 bucket.add(_id)
+            else:
+                index[key] = {bucket, _id}
 
     def _index_remove(self, doc: Dict[str, Any]) -> None:
         _id = doc["_id"]
-        for key_of, index in self._index_keys.values():
-            bucket = index.get(key_of(doc))
-            if bucket is not None:
+        for fields, (_, index) in self._index_keys.items():
+            key = _index_key(doc, fields)
+            bucket = index.get(key, _NO_BUCKET)
+            if type(bucket) is set:
                 bucket.discard(_id)
+            elif bucket is not _NO_BUCKET and bucket == _id:
+                del index[key]
 
     # -- writes --------------------------------------------------------------
 
@@ -199,7 +216,8 @@ class Collection:
         if _id in self._docs:
             raise DatabaseError(f"duplicate _id {_id!r}")
         self._docs[_id] = stored
-        self._index_add(stored)
+        if self._index_keys:
+            self._index_add(stored)
         self.ops["insert"] += 1
         if size is None:
             size = approx_size(stored)
@@ -309,14 +327,14 @@ class Collection:
             for fields, index in self._compound_indexes.items():
                 if all(f in pins for f in fields):
                     try:
-                        ids = index.get(tuple(pins[f] for f in fields), set())
+                        ids = _bucket_ids(index.get(tuple(pins[f] for f in fields), _NO_BUCKET))
                     except TypeError:  # unhashable pin value
                         continue
                     return [self._docs[_id] for _id in ids if _id in self._docs]
             for field in self._indexes:
                 if field in pins:
                     try:
-                        ids = self._indexes[field].get(pins[field], set())
+                        ids = _bucket_ids(self._indexes[field].get(pins[field], _NO_BUCKET))
                     except TypeError:
                         continue
                     return [self._docs[_id] for _id in ids if _id in self._docs]

@@ -11,6 +11,8 @@ the ``fail_shard`` / ``recover_shard`` / ``shard_status`` surface.  A
 layout adds only how one node stores, scans and indexes documents.
 """
 
+# athena-lint: hot-path
+
 from __future__ import annotations
 
 import functools
@@ -27,15 +29,12 @@ _DB_OPS = ("insert", "delete", "update", "find", "find_frame", "count", "aggrega
 REPLICA_SUFFIX = "__replica"
 
 
-def _hash_value(value: Any) -> int:
-    return _hash_repr(repr(value))
-
-
 def _hash_repr(text: str) -> int:
     digest = hashlib.md5(text.encode()).digest()
     return int.from_bytes(digest[:4], "big")
 
 
+@functools.lru_cache(maxsize=None)
 def replica_name(collection: str) -> str:
     return collection + REPLICA_SUFFIX
 
@@ -93,6 +92,8 @@ class ShardedStore:
         #: collection -> the current generation's full-scan frame; emptied
         #: by every generation bump (:meth:`_bump`).
         self._frame_cache: Dict[str, Any] = {}
+        #: home shard -> its live replica chain, until a shard fails or recovers.
+        self._chains: Dict[int, Tuple[Any, ...]] = {}
         #: Shards with injected replication lag (a layout that supports it
         #: queues their replica copies here until the lag ends).
         self._replica_lag: Dict[int, List[Tuple[str, Dict[str, Any]]]] = {}
@@ -126,27 +127,27 @@ class ShardedStore:
             key_value = stored["_id"]
         return stored, key_value
 
-    def _write_chain(self, key_value: Any) -> List[Any]:
+    def _write_chain(self, key_value: Any) -> Tuple[Any, ...]:
         """Live nodes of the key's replica chain; the first acts as primary."""
-        return self._live_chain(_hash_value(key_value) % len(self.shards))
+        return self._live_chain(_hash_repr(repr(key_value)) % len(self.shards))
 
-    def _live_chain(self, home: int) -> List[Any]:
+    def _live_chain(self, home: int) -> Tuple[Any, ...]:
         """Live nodes of the replica chain homed on shard ``home``.
 
         A dead home shard hands the primary role to the next live node, so
         acknowledged writes stay readable through a single-node outage; a
         chain with no live node fails the write with a typed error.
         """
-        shards = self.shards
-        live = []
-        for offset in range(self.replication):
-            shard = shards[(home + offset) % len(shards)]
-            if shard.up:
-                live.append(shard)
-        if not live:
-            if not any(shard.up for shard in shards):
-                raise AllShardsDownError()
-            raise ShardDownError(home)
+        live = self._chains.get(home)
+        if live is None:
+            shards = self.shards
+            chain = [shards[(home + i) % len(shards)] for i in range(self.replication)]
+            live = tuple(shard for shard in chain if shard.up)
+            if not live:
+                if not any(shard.up for shard in shards):
+                    raise AllShardsDownError()
+                raise ShardDownError(home)
+            self._chains[home] = live
         return live
 
     def _route_batch(
@@ -218,10 +219,12 @@ class ShardedStore:
 
     def fail_shard(self, node_id: int) -> None:
         self.shards[node_id].up = False
+        self._chains.clear()
         self._bump()
 
     def recover_shard(self, node_id: int) -> None:
         self.shards[node_id].up = True
+        self._chains.clear()
         self._bump()
 
     def replica_lag_depth(self, node_id: int) -> int:

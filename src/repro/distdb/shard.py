@@ -16,9 +16,10 @@ class ShardNode(StoreNode):
         self._collections: Dict[str, Collection] = {}
 
     def collection(self, name: str) -> Collection:
-        if name not in self._collections:
-            self._collections[name] = Collection(f"{name}@shard{self.node_id}")
-        return self._collections[name]
+        table = self._collections.get(name)
+        if table is None:
+            table = self._collections[name] = Collection(f"{name}@shard{self.node_id}")
+        return table
 
     def has_collection(self, name: str) -> bool:
         return name in self._collections

@@ -44,15 +44,27 @@ class ThresholdDetector(Estimator):
         self.calibration_quantile = calibration_quantile
 
     def fit(self, X, y=None) -> "ThresholdDetector":
-        """Calibrate the bound from benign rows when none was given."""
+        """Calibrate the bound from benign rows when none was given.
+
+        Raises :class:`MLError` for a column the matrix lacks and for a
+        calibration set that is empty or holds NaN or inf, rather than
+        calibrating a non-finite bound.
+        """
         if self.threshold is not None:
             return self
         X = as_matrix(X)
+        self._check_column(X)
         values = X[:, self.column]
         if y is not None:
             y = as_vector(y, X.shape[0])
             benign = values[y == 0]
             values = benign if len(benign) else values
+        if not len(values):
+            raise MLError("threshold calibration needs at least one row")
+        if not np.isfinite(values).all():
+            raise MLError(
+                f"threshold calibration column {self.column} holds NaN or inf"
+            )
         if self.op in (">", ">="):
             self.threshold = float(np.quantile(values, self.calibration_quantile))
         else:
@@ -63,11 +75,14 @@ class ThresholdDetector(Estimator):
         if self.threshold is None:
             raise MLError("ThresholdDetector has no threshold; call fit or set one")
         X = as_matrix(X)
+        self._check_column(X)
+        return self._OPS[self.op](X[:, self.column], self.threshold).astype(float)
+
+    def _check_column(self, X: np.ndarray) -> None:
         if self.column >= X.shape[1]:
             raise MLError(
                 f"column {self.column} out of range for {X.shape[1]} features"
             )
-        return self._OPS[self.op](X[:, self.column], self.threshold).astype(float)
 
     def decision_scores(self, X) -> np.ndarray:
         X = as_matrix(X)

@@ -285,6 +285,29 @@ def oracle_flow_keys(indicators):
     )
 
 
+_REVERSE_NAME = {
+    "eth_src": "eth_dst", "eth_dst": "eth_src",
+    "ip_src": "ip_dst", "ip_dst": "ip_src",
+    "tcp_src": "tcp_dst", "tcp_dst": "tcp_src",
+}
+
+
+def two_sort_flow_keys(indicators):
+    """A flow's key and its reverse's as ``(name, value)`` items, one sort
+    each: the one-pass version the flow-state table used before its keys
+    became ``(names, values)`` pairs with a name ordering kept per name
+    tuple."""
+    name_of = _REVERSE_NAME.get
+    return (
+        tuple(sorted(indicators.items())),
+        tuple(sorted([
+            (name_of(name, name), value)
+            for name, value in indicators.items()
+            if value is not None
+        ])),
+    )
+
+
 def _endpoints(indicators):
     src = indicators.get("ip_src") or indicators.get("eth_src")
     dst = indicators.get("ip_dst") or indicators.get("eth_dst")

@@ -67,3 +67,83 @@ class TestCpuUsage:
         assert saturation_rate(1e-3, n_cores=6) == pytest.approx(6000.0)
         # Figure 11's shape: higher per-event cost saturates earlier.
         assert saturation_rate(2e-3) < saturation_rate(1e-3)
+
+
+# -- the Cbench path, pinned -------------------------------------------------
+
+#: PacketIns pushed after the harness's warm-up in every pinned run.
+_PIN_EVENTS = 2000
+
+
+def _cbench_run(mode: str) -> dict:
+    """Push a fixed PacketIn sequence through a fresh ``_build(mode)`` (the
+    untimed ``measure_event_cost`` loop) and summarise what came out."""
+    import hashlib
+    import json
+
+    from repro.core.feature_manager import FEATURE_COLLECTION
+
+    harness = CbenchHarness(n_switches=8, match_pool=128)
+    network, cluster, responder, athena = harness._build(mode)
+    instance = cluster.instances[0]
+    switches = list(network.switches)
+    for sequence in range(harness.match_pool + _PIN_EVENTS):
+        instance._on_switch_message(
+            harness._packet_in(switches[sequence % len(switches)], sequence)
+        )
+    summary = {
+        "responses": responder.responses,
+        "flow_mods": sum(s.flow_mod_count for s in network.switches.values()),
+    }
+    if athena is not None:
+        database = athena.database
+        stats = database.op_stats()
+        docs = sorted(database.find(FEATURE_COLLECTION), key=lambda d: d["_id"])
+        summary.update(
+            published=athena.feature_manager.features_published,
+            bytes_on_wire=database.bytes_on_wire,
+            bytes_written=stats["bytes_written"],
+            bytes_read=stats["bytes_read"],
+            documents=hashlib.sha256(
+                json.dumps(docs, separators=(",", ":")).encode()
+            ).hexdigest(),
+        )
+    return summary
+
+
+#: sha256 of ``[]``: the store holds nothing.
+_NO_DOCS = "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"
+#: mode -> the summary of its pinned run, under every runtime config:
+#: cbench never polls, so no config changes what is stored.
+_CBENCH_PINS = {
+    "without": {"responses": 2128, "flow_mods": 2128},
+    "with_no_db": {
+        "responses": 2128, "flow_mods": 2128, "published": 2128,
+        "bytes_on_wire": 0, "bytes_written": 0, "bytes_read": 0,
+        "documents": _NO_DOCS,
+    },
+    "with": {
+        "responses": 2128, "flow_mods": 2128, "published": 2128,
+        "bytes_on_wire": 770610, "bytes_written": 1887684, "bytes_read": 0,
+        "documents": "3208d95126f0e0e4fbded281d40f48b897316fee414476f509678c108d77a11f",
+    },
+}
+
+
+class TestCbenchPin:
+    @pytest.mark.parametrize("mode", sorted(_CBENCH_PINS))
+    @pytest.mark.parametrize("config", ["default", "telemetry", "sketch"])
+    def test_cbench_pin(self, mode, config):
+        from repro import telemetry
+        from repro.config import override
+
+        if config == "default":
+            assert _cbench_run(mode) == _CBENCH_PINS[mode]
+            return
+        with override(**{config: True}):
+            try:
+                if config == "telemetry":
+                    telemetry.configure(enabled=True)
+                assert _cbench_run(mode) == _CBENCH_PINS[mode]
+            finally:
+                telemetry.reset_telemetry()

@@ -483,8 +483,8 @@ class TestFeatureWriteBuffering:
 
         manager.add_event_handler(Query(), delivered.append)
         db.fail_shard(0)
-        manager.publish(_feature(packets=1.0))
-        manager.publish(_feature(packets=2.0))
+        manager.publish(_feature(packets=1.0).to_document())
+        manager.publish(_feature(packets=2.0).to_document())
         assert manager.pending_writes == 2
         # Live detection still sees both features during the outage.
         assert len(delivered) == 2
@@ -492,7 +492,7 @@ class TestFeatureWriteBuffering:
     def test_buffered_writes_commit_after_recovery(self):
         sim, db, manager = self._manager()
         db.fail_shard(0)
-        manager.publish(_feature())
+        manager.publish(_feature().to_document())
         db.recover_shard(0)
         sim.run(until=5.0)
         assert manager.pending_writes == 0
@@ -501,7 +501,7 @@ class TestFeatureWriteBuffering:
     def test_flush_pending_commits_immediately(self):
         sim, db, manager = self._manager()
         db.fail_shard(0)
-        manager.publish(_feature())
+        manager.publish(_feature().to_document())
         db.recover_shard(0)
         assert manager.flush_pending() == 1
         assert manager.count_features() == 1
@@ -511,7 +511,7 @@ class TestFeatureWriteBuffering:
         manager = FeatureManager(db)
         db.fail_shard(0)
         with pytest.raises(DatabaseError):
-            manager.publish(_feature())
+            manager.publish(_feature().to_document())
         assert manager.pending_writes == 0
 
 
@@ -527,7 +527,7 @@ class TestDetectorDegradation:
         db = DatabaseCluster(n_shards=2, replication=1)
         manager = FeatureManager(db)
         detector = DetectorManager(manager, AttackDetector(CC(2)))
-        manager.publish(_feature(packets=50.0))
+        manager.publish(_feature(packets=50.0).to_document())
         preprocessor = GeneratePreprocessor(
             normalization=None, features=["FLOW_PACKET_COUNT"]
         )

@@ -133,7 +133,7 @@ class TestColumnStoreCluster:
             AthenaFeature(
                 scope=FeatureScope.FLOW, switch_id=1, instance_id=0,
                 timestamp=1.0, fields={"FLOW_PACKET_COUNT": 5.0},
-            )
+            ).to_document()
         )
         docs = manager.request_features(
             GenerateQuery("FLOW_PACKET_COUNT > 1")

@@ -15,7 +15,7 @@ from repro.core.features.catalog import (
     require_known,
 )
 from repro.core.features import combination, protocol
-from repro.core.features.stateful import FlowStateTable, flow_keys
+from repro.core.features.stateful import FlowStateTable, flow_keys, key_items
 from repro.core.features.variation import VariationTracker
 from repro.errors import FeatureError
 from repro.openflow.messages import (
@@ -26,7 +26,12 @@ from repro.openflow.messages import (
 )
 from repro.openflow.match import Match
 
-from tests.oracles import DictFlowStateTable, oracle_flow_keys, reverse_indicators
+from tests.oracles import (
+    DictFlowStateTable,
+    oracle_flow_keys,
+    reverse_indicators,
+    two_sort_flow_keys,
+)
 
 
 class TestCatalog:
@@ -447,8 +452,38 @@ _INDICATOR_NAMES = ("eth_src", "eth_dst", "ip_src", "ip_dst", "ip_proto", "tcp_s
 def test_flow_keys_match_the_oracle(indicators):
     """The one-pass reverse key equals copy-flip-filter-sort, and leaves a
     ``None`` out as the oracle's filter does, though the engine never
-    hands the table one."""
-    assert flow_keys(indicators) == oracle_flow_keys(indicators)
+    hands the table one.  Keys compare as their items."""
+    assert tuple(map(key_items, flow_keys(indicators))) == oracle_flow_keys(
+        indicators
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(_INDICATOR_NAMES),
+            st.sampled_from(_HOSTS[:2]) | st.integers(0, 2) | st.none(),
+        ),
+        unique_by=lambda item: item[0],
+    ),
+    st.booleans(),
+)
+def test_flow_keys_match_the_two_sort_version(items, mirrored):
+    """The keys built from one cached name ordering are the two-sort keys,
+    whatever order the indicators arrive in: with ``None`` values, and for
+    flows that are their own reverse (each source equal to its
+    destination), whose reverse key is their own key."""
+    indicators = dict(items)
+    if mirrored:
+        for pair in (("eth_src", "eth_dst"), ("ip_src", "ip_dst"), ("tcp_src", "tcp_dst")):
+            present = [indicators[name] for name in pair if name in indicators]
+            if present:
+                indicators.update(dict.fromkeys(pair, present[0]))
+    key, reverse = flow_keys(indicators)
+    assert (key_items(key), key_items(reverse)) == two_sort_flow_keys(indicators)
+    if mirrored and None not in indicators.values():
+        assert reverse == key
 
 
 class TestVariationTracker:

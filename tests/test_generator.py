@@ -8,7 +8,7 @@ from repro.controller.events import (
     PacketInEvent,
     StatsEvent,
 )
-from repro.core.feature_format import FeatureScope
+from repro.core.feature_format import AthenaFeature, FeatureScope
 from repro.core.features.catalog import FeatureCategory
 from repro.core.generator import FeatureGenerator
 from repro.openflow.messages import (
@@ -22,6 +22,11 @@ from repro.openflow.messages import (
     TableStatsReply,
 )
 from repro.openflow.match import Match
+
+
+def _recording(records):
+    """A generator sink keeping each document as its ``AthenaFeature``."""
+    return lambda doc: records.append(AthenaFeature.from_document(doc))
 
 
 def _flow_stats_event(dpid=1, time=5.0, entries=None, instance=0):
@@ -51,7 +56,7 @@ def sink():
 
 @pytest.fixture
 def generator(sink):
-    return FeatureGenerator(instance_id=0, sink=sink.append)
+    return FeatureGenerator(instance_id=0, sink=_recording(sink))
 
 
 class TestFlowStats:
@@ -91,7 +96,7 @@ class TestFlowStats:
     def test_flow_rule_lookup_fallback(self, sink):
         generator = FeatureGenerator(
             instance_id=0,
-            sink=sink.append,
+            sink=_recording(sink),
             flow_rule_lookup=lambda dpid, match: "lb",
         )
         entries = [
@@ -126,7 +131,7 @@ class TestPortStats:
 
     def test_port_variation_drives_utilization(self, sink):
         generator = FeatureGenerator(
-            instance_id=0, sink=sink.append,
+            instance_id=0, sink=_recording(sink),
             port_speed_lookup=lambda dpid, port: 8000.0,
         )
         generator.on_stats_event(self._event(0, 0.0))

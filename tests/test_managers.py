@@ -36,7 +36,7 @@ def feature_manager():
 
 class TestFeatureManager:
     def test_publish_stores(self, feature_manager):
-        feature_manager.publish(_record())
+        feature_manager.publish(_record().to_document())
         assert feature_manager.count_features() == 1
 
     def test_publish_without_store(self):
@@ -45,13 +45,13 @@ class TestFeatureManager:
         )
         delivered = []
         manager.add_event_handler(Query(), delivered.append)
-        manager.publish(_record())
+        manager.publish(_record().to_document())
         assert manager.count_features() == 0
         assert len(delivered) == 1
 
     def test_request_features_with_constraints(self, feature_manager):
-        feature_manager.publish(_record(packets=5.0))
-        feature_manager.publish(_record(packets=50.0))
+        feature_manager.publish(_record(packets=5.0).to_document())
+        feature_manager.publish(_record(packets=50.0).to_document())
         docs = feature_manager.request_features(
             GenerateQuery("FLOW_PACKET_COUNT > 10")
         )
@@ -60,15 +60,15 @@ class TestFeatureManager:
 
     def test_request_features_sort_limit(self, feature_manager):
         for packets in (5.0, 50.0, 25.0):
-            feature_manager.publish(_record(packets=packets))
+            feature_manager.publish(_record(packets=packets).to_document())
         query = GenerateQuery().sort_by("FLOW_PACKET_COUNT", descending=True).limit(2)
         docs = feature_manager.request_features(query)
         assert [d["FLOW_PACKET_COUNT"] for d in docs] == [50.0, 25.0]
 
     def test_request_features_aggregation(self, feature_manager):
-        feature_manager.publish(_record(switch_id=1, packets=10.0))
-        feature_manager.publish(_record(switch_id=1, packets=20.0))
-        feature_manager.publish(_record(switch_id=2, packets=5.0))
+        feature_manager.publish(_record(switch_id=1, packets=10.0).to_document())
+        feature_manager.publish(_record(switch_id=1, packets=20.0).to_document())
+        feature_manager.publish(_record(switch_id=2, packets=5.0).to_document())
         query = Query().aggregate(["switch_id"], "FLOW_PACKET_COUNT", "sum")
         rows = feature_manager.request_features(query)
         totals = {row["_id"]: row["FLOW_PACKET_COUNT"] for row in rows}
@@ -82,19 +82,19 @@ class TestFeatureManager:
         feature_manager.add_event_handler(
             GenerateQuery("switch_id == 99"), misses.append
         )
-        feature_manager.publish(_record(switch_id=1))
+        feature_manager.publish(_record(switch_id=1).to_document())
         assert len(hits) == 1 and misses == []
 
     def test_remove_event_handler(self, feature_manager):
         seen = []
         handler_id = feature_manager.add_event_handler(Query(), seen.append)
         assert feature_manager.remove_event_handler(handler_id)
-        feature_manager.publish(_record())
+        feature_manager.publish(_record().to_document())
         assert seen == []
         assert not feature_manager.remove_event_handler(handler_id)
 
     def test_clear_features(self, feature_manager):
-        feature_manager.publish(_record())
+        feature_manager.publish(_record().to_document())
         assert feature_manager.clear_features() == 1
         assert feature_manager.count_features() == 0
 

@@ -360,6 +360,27 @@ class TestThreshold:
         with pytest.raises(MLError):
             detector.predict(np.zeros((2, 2)))
 
+    @pytest.mark.parametrize(
+        "X, y, column",
+        [
+            (np.zeros((0, 2)), None, 0),  # empty: np.quantile's IndexError
+            (np.zeros((4, 2)), None, 2),  # no such column: an IndexError
+            (np.array([[1.0], [np.nan], [2.0]]), None, 0),  # a NaN bound
+            (np.array([[1.0], [np.inf], [2.0]]), None, 0),
+            (np.array([[1.0], [-np.inf], [2.0]]), [0, 0, 0], 0),
+            (np.array([[1.0], [np.nan], [2.0]]), [1, 0, 1], 0),  # benign NaN
+        ],
+        ids=["empty", "column", "nan", "inf", "neg-inf", "benign-nan"],
+    )
+    def test_hostile_calibration_is_a_typed_error(self, X, y, column):
+        with pytest.raises(MLError):
+            ThresholdDetector(column=column).fit(X, y)
+
+    def test_non_finite_malicious_rows_do_not_block_calibration(self):
+        X = np.array([[1.0], [2.0], [np.nan], [3.0]])
+        detector = ThresholdDetector(column=0).fit(X, [0, 0, 1, 0])
+        assert np.isfinite(detector.threshold)
+
 
 class TestRegistry:
     def test_all_paper_algorithms_registered(self):

@@ -412,7 +412,7 @@ class TestChaosProperties:
                         timestamp=sim.now,
                         indicators={"ip_src": f"10.0.0.{i}"},
                         fields={"FLOW_PACKET_COUNT": float(i)},
-                    )
+                    ).to_document()
                 ),
             )
         sim.run(until=7.0)

@@ -23,7 +23,7 @@ import pickle
 import pytest
 
 from repro.controller.events import PacketInEvent, StatsEvent
-from repro.core.feature_format import FeatureScope
+from repro.core.feature_format import AthenaFeature, FeatureScope
 from repro.core.generator import FeatureGenerator
 from repro.openflow.match import Match
 from repro.openflow.messages import (
@@ -41,6 +41,11 @@ from repro.sketch.scenarios import (
     sharded_documents,
 )
 from repro.workloads.sketchscale import SketchScaleGenerator, SketchScaleSpec
+
+
+def _recording(records):
+    """A generator sink keeping each document as its ``AthenaFeature``."""
+    return lambda doc: records.append(AthenaFeature.from_document(doc))
 
 
 def _small_spec(scenario="ddos", seed=5):
@@ -240,7 +245,7 @@ def _flow_stats(dpid=1, time=5.0):
 class TestGeneratorWiring:
     def test_no_sketch_state_without_flag(self):
         sink = []
-        generator = FeatureGenerator(instance_id=0, sink=sink.append)
+        generator = FeatureGenerator(instance_id=0, sink=_recording(sink))
         with override(sketch=False):
             generator.on_packet_in(_packet_in())
             generator.on_stats_event(_flow_stats())
@@ -250,7 +255,7 @@ class TestGeneratorWiring:
 
     def test_sketch_record_emitted_per_stats_round_under_flag(self):
         sink = []
-        generator = FeatureGenerator(instance_id=0, sink=sink.append)
+        generator = FeatureGenerator(instance_id=0, sink=_recording(sink))
         with override(sketch=True):
             generator.on_packet_in(_packet_in(src="10.0.0.1", dport=80))
             generator.on_packet_in(_packet_in(src="10.0.0.2", dport=443))
@@ -266,7 +271,7 @@ class TestGeneratorWiring:
 
     def test_window_rolls_between_rounds_bloom_persists(self):
         sink = []
-        generator = FeatureGenerator(instance_id=0, sink=sink.append)
+        generator = FeatureGenerator(instance_id=0, sink=_recording(sink))
         with override(sketch=True):
             generator.on_packet_in(_packet_in(src="10.0.0.1", time=1.0))
             generator.on_stats_event(_flow_stats(time=5.0))

@@ -29,7 +29,7 @@ from repro.controller.events import (
     PacketInEvent,
     StatsEvent,
 )
-from repro.core.feature_format import FeatureScope
+from repro.core.feature_format import AthenaFeature, FeatureScope
 from repro.core.generator import FeatureGenerator
 from repro.openflow.match import Match
 from repro.openflow.messages import (
@@ -47,6 +47,11 @@ from repro.streaming.scenarios import (
 
 # Under --wide (tests/conftest.py) the sweep adds two seeds.
 SEEDS = (0, pytest.param(1, marks=pytest.mark.wide), pytest.param(2, marks=pytest.mark.wide))
+
+
+def _recording(records):
+    """A generator sink keeping each document as its ``AthenaFeature``."""
+    return lambda doc: records.append(AthenaFeature.from_document(doc))
 
 
 @functools.lru_cache(maxsize=None)
@@ -199,7 +204,7 @@ class TestRecordParity:
 
         records, streamed = [], []
         generator = FeatureGenerator(
-            instance_id=0, sink=records.append, port_speed_lookup=port_speed,
+            instance_id=0, sink=_recording(records), port_speed_lookup=port_speed,
             stale_after=_STALE_AFTER,
         )
         bus = EventBus()
